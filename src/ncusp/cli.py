@@ -58,7 +58,7 @@ _TOP_KEYS = {"params", "mesh", "solver", "scaling", "verify", "oracle",
 _MESH_DEFAULTS = {"levels": 10, "grading_ratio": 0.5,
                   "rows_per_strip": None, "aspect": 1.0}
 _SOLVER_DEFAULTS = {"max_iter": 500, "tol_rel": 1e-8, "reg_eps": 1e-8,
-                    "restarts": 4, "seed": 0}
+                    "restarts": 1, "seed": 0}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -92,7 +92,7 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _resolve(raw: dict, seed_override: int | None, threads: int) -> dict:
+def _resolve(raw: dict, seed_override: int | None) -> dict:
     params = dict(raw["params"])
     mesh_cfg = {**_MESH_DEFAULTS, **raw.get("mesh", {})}
     solver_cfg = {**_SOLVER_DEFAULTS, **raw.get("solver", {})}
@@ -107,7 +107,6 @@ def _resolve(raw: dict, seed_override: int | None, threads: int) -> dict:
         "oracle": {"rtol": raw.get("oracle", {}).get("rtol", 1e-6)},
         "map": dict(raw.get("map", {})),
         "output": raw.get("output", ""),
-        "threads": threads,
         "version": __version__,
     }
 
@@ -264,6 +263,7 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
         "residual": sol.residual,
         "iterations": sol.iterations,
         "restarts": sol.restarts,
+        "start_spread": sol.start_spread,
         "converged": sol.converged,
         "dof": sol.dof,
         "c_tr": bound.c_tr if bound else sol.lam ** (-1.0 / params.p),
@@ -360,13 +360,11 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
-                        help="override the solver seed")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; execution is single-threaded")
+                        help="override the solver seed (used only when restarts > 1)")
     args = parser.parse_args(argv)
     try:
         raw = load_config(args.config)
-        cfg = _resolve(raw, args.seed, args.threads)
+        cfg = _resolve(raw, args.seed)
         return _COMMANDS[args.command](cfg, Path(args.out))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     FaceMismatch,
@@ -543,6 +542,9 @@ def weight_value(theta: float, t):
 # --------------------------------------------------------------------------
 
 def _halton(dim: int, m: int, skip: int) -> np.ndarray:
+    # scipy.stats is slow to import and only the Halton points need it
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=dim, scramble=False)
     sampler.fast_forward(max(1, skip))  # index 0 is the origin
     return sampler.random(m)

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from ..errors import RangeViolation, ZeroTrace
 from ..geometry import DomainParams
 from ..quadrature import gauss_nodes_01, graded_interval_rule, triangle_rule
-from .mesh import TriMesh
+from .mesh import TriMesh, p1_geometry
 
 __all__ = [
     "FemFunction",
@@ -50,128 +50,134 @@ class FemFunction:
             raise RangeViolation("values", "one value per mesh vertex")
 
 
+def _over(s_pow: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s**(e - 1) from s_pow = s**e, as s_pow / s without a second power.
+
+    It is 0 where s vanishes (only possible with reg_eps = 0); there it
+    multiplies a zero gradient or value, so the product is 0 either way.
+    """
+    return np.divide(s_pow, s, out=np.zeros_like(s), where=s > 0.0)
+
+
+def _with_transpose(op: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    return op, op.T.tocsr()
+
+
 class FemWorkspace:
-    """Precomputed geometry and quadrature for one (mesh, theta, p, q) setup."""
+    """Precomputed P1 operators and quadrature for one (mesh, theta, p, q) setup.
+
+    Three sparse operators, each stored with its transpose, take nodal values
+    to the values every functional integrates:
+
+    grad_op    (2 nt, nv)     both gradient components, x1 rows then x2 rows
+    interp_op  (nt kq, nv)    values at the kq triangle quadrature points
+    edge_op    (ne_q, nv)     values at the boundary quadrature points
+
+    The transposes scatter pointwise derivatives back to nodal gradients.
+    Element matrices (stiffness, mass, the metric) are summed into one fixed
+    CSR pattern; the boundary mass is edge_op^T diag(edge_wf) edge_op.
+    """
 
     def __init__(self, mesh: TriMesh, theta: float, p: float, q: float,
                  edge_order: int = 10, tri_order: int = 5,
                  tip_rule_panels: int = 30):
-        self.mesh = mesh
+        # no reference to the mesh is kept: the cache below is keyed weakly
+        # on it, and a reference from its value would keep both alive forever
         self.theta = float(theta)
         self.p = float(p)
         self.q = float(q)
 
         verts = mesh.vertices
         tris = mesh.triangles
-        v = verts[tris]                                    # (nt, 3, 2)
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        self.areas = 0.5 * det
-        # P1 basis gradients: rows are grad of the hat at each local vertex
-        grads = np.empty((tris.shape[0], 3, 2))
-        opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]       # edge opposite vertex k
-        grads[:, :, 0] = -opposite[:, :, 1]
-        grads[:, :, 1] = opposite[:, :, 0]
-        grads /= det[:, None, None]
-        self.grads = grads
-        self.tris = tris
-
+        nt, nv = mesh.num_triangles, mesh.num_vertices
+        self.num_dof = nv
+        self.areas, grads = p1_geometry(mesh)
         rule = triangle_rule(tri_order)
-        self.tri_bary = rule.barycentric                   # (kq, 3)
-        self.tri_w = rule.weights
+        kq = rule.weights.size
 
-        # flattened boundary quadrature; tip edges get the graded rule
+        # flattened boundary quadrature: Gauss points on every edge away
+        # from the origin, the graded rule on the (at most two) tip edges
         xg, wg = gauss_nodes_01(edge_order)
         tip_rule = graded_interval_rule(min(0.0, self.theta),
                                         panels=tip_rule_panels)
-        qp_i, qp_j, qp_lam, qp_wf = [], [], [], []
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            vi, vj = verts[i], verts[j]
-            length = float(np.linalg.norm(vj - vi))
-            at_origin_i = vi[1] == 0.0 and vi[0] == 0.0
-            at_origin_j = vj[1] == 0.0 and vj[0] == 0.0
-            if at_origin_i or at_origin_j:
-                # parametrize from the origin towards the other endpoint
-                far = vj if at_origin_i else vi
-                s = tip_rule.nodes
-                w = tip_rule.weights * length
-                lam_far = s
-                heights = s * far[1]
-                weight = w * heights ** self.theta
-                if at_origin_i:
-                    lam = lam_far                   # fraction of endpoint j
-                else:
-                    lam = 1.0 - lam_far
-            else:
-                s = xg
-                lam = s
-                pos = vi[None, :] * (1.0 - s[:, None]) + vj[None, :] * s[:, None]
-                weight = wg * length * pos[:, 1] ** self.theta
-            qp_i.append(np.full(lam.shape, i, dtype=np.int64))
-            qp_j.append(np.full(lam.shape, j, dtype=np.int64))
-            qp_lam.append(lam)
-            qp_wf.append(weight)
-        self.edge_i = np.concatenate(qp_i)
-        self.edge_j = np.concatenate(qp_j)
-        self.edge_lam = np.concatenate(qp_lam)
+        ends = mesh.boundary_edges
+        vi, vj = verts[ends[:, 0]], verts[ends[:, 1]]
+        length = np.linalg.norm(vj - vi, axis=1)
+        at_origin_i = (vi == 0.0).all(axis=1)
+        at_origin_j = (vj == 0.0).all(axis=1)
+        away = ~(at_origin_i | at_origin_j)
+        heights = vi[away, 1][:, None] * (1.0 - xg) + vj[away, 1][:, None] * xg
+        qp_i = [np.repeat(ends[away, 0], xg.size)]
+        qp_j = [np.repeat(ends[away, 1], xg.size)]
+        qp_lam = [np.tile(xg, int(away.sum()))]
+        qp_wf = [(wg * length[away][:, None] * heights ** self.theta).ravel()]
+        for k in np.flatnonzero(~away):
+            # parametrize from the origin towards the other endpoint
+            s = tip_rule.nodes
+            far_end = vj[k] if at_origin_i[k] else vi[k]
+            qp_i.append(np.full(s.shape, ends[k, 0]))
+            qp_j.append(np.full(s.shape, ends[k, 1]))
+            # lam is the fraction of endpoint j
+            qp_lam.append(s if at_origin_i[k] else 1.0 - s)
+            qp_wf.append(tip_rule.weights * length[k] * (s * far_end[1]) ** self.theta)
+        edge_i = np.concatenate(qp_i)
+        edge_j = np.concatenate(qp_j)
+        edge_lam = np.concatenate(qp_lam)
         self.edge_wf = np.concatenate(qp_wf)
+        ne = edge_lam.size
 
-        nv = mesh.num_vertices
-        self.num_dof = nv
-        self._tri_rows = np.repeat(self.tris, 3, axis=1).ravel()
-        self._tri_cols = np.tile(self.tris, (1, 3)).ravel()
-        self._grad_gram = np.einsum("tid,tjd->tij", self.grads, self.grads) \
-            * self.areas[:, None, None]
-        self.stiffness = self._assemble_stiffness()
-        self.mass = self._assemble_mass()
-        self.boundary_mass = self._assemble_boundary_mass()
+        self.grad_op, self._grad_op_t = _with_transpose(sp.csr_matrix(
+            (np.concatenate([grads[:, :, 0], grads[:, :, 1]]).ravel(),
+             (np.repeat(np.arange(2 * nt), 3), np.tile(tris, (2, 1)).ravel())),
+            shape=(2 * nt, nv)))
+        self.interp_op, self._interp_op_t = _with_transpose(sp.csr_matrix(
+            (np.tile(rule.barycentric.ravel(), nt),
+             (np.repeat(np.arange(nt * kq), 3), np.repeat(tris, kq, axis=0).ravel())),
+            shape=(nt * kq, nv)))
+        self.edge_op, self._edge_op_t = _with_transpose(sp.csr_matrix(
+            (np.stack([1.0 - edge_lam, edge_lam], axis=1).ravel(),
+             (np.repeat(np.arange(ne), 2), np.stack([edge_i, edge_j], axis=1).ravel())),
+            shape=(ne, nv)))
+        # quadrature weight of every row of interp_op
+        self.interp_w = (self.areas[:, None] * rule.weights[None, :]).ravel()
+
+        # _slot maps every entry of the element matrices (nt, 9) to its
+        # place in the data of the fixed CSR pattern
+        rows = np.repeat(tris, 3, axis=1).ravel()
+        cols = np.tile(tris, (1, 3)).ravel()
+        keys, self._slot = np.unique(rows * nv + cols, return_inverse=True)
+        self._indices = keys % nv
+        self._indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
+        self._grad_gram = np.einsum("tid,tjd->tij", grads, grads).reshape(nt, 9) \
+            * self.areas[:, None]
+        self._bary_outer = np.einsum("qi,qj->qij", rule.barycentric,
+                                     rule.barycentric).reshape(kq, 9)
+        self.stiffness = self._assemble(self._grad_gram)
+        self.mass = self._assemble(
+            self.areas[:, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel())
+        self.boundary_mass = (self._edge_op_t @ sp.diags(self.edge_wf)
+                              @ self.edge_op).tocsr()
 
     # -- matrices ----------------------------------------------------------
 
-    def _assemble_stiffness(self) -> sp.csr_matrix:
-        nt = self.tris.shape[0]
-        return sp.csr_matrix(
-            (self._grad_gram.reshape(nt, 9).ravel(), (self._tri_rows, self._tri_cols)),
-            shape=(self.num_dof, self.num_dof))
-
-    def _assemble_mass(self) -> sp.csr_matrix:
-        nt = self.tris.shape[0]
-        ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        local = self.areas[:, None, None] * ref[None, :, :]
-        return sp.csr_matrix(
-            (local.reshape(nt, 9).ravel(), (self._tri_rows, self._tri_cols)),
-            shape=(self.num_dof, self.num_dof))
+    def _assemble(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum element matrices (nt, 9) into the fixed nodal CSR pattern."""
+        data = np.bincount(self._slot, weights=local.ravel(),
+                           minlength=self._indices.size)
+        return sp.csr_matrix((data, self._indices, self._indptr),
+                             shape=(self.num_dof, self.num_dof))
 
     def metric_matrix(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
         """Lagged-diffusivity metric: stiffness and mass weighted by the
         current iterate's regularized p-Laplacian coefficients."""
         p = self.p
         eps2 = reg_eps * reg_eps
-        nt = self.tris.shape[0]
-        ut = u[self.tris]
-        gu = np.einsum("tk,tkd->td", ut, self.grads)
-        g2 = np.einsum("td,td->t", gu, gu) + eps2
-        wk = p * g2 ** (0.5 * p - 1.0)
-        local = wk[:, None, None] * self._grad_gram
-        uq = ut @ self.tri_bary.T
-        mw = p * (uq * uq + eps2) ** (0.5 * p - 1.0) * self.tri_w[None, :]
-        local += self.areas[:, None, None] * np.einsum(
-            "tq,qi,qj->tij", mw, self.tri_bary, self.tri_bary)
-        return sp.csr_matrix(
-            (local.reshape(nt, 9).ravel(), (self._tri_rows, self._tri_cols)),
-            shape=(self.num_dof, self.num_dof))
-
-    def _assemble_boundary_mass(self) -> sp.csr_matrix:
-        lam, wf = self.edge_lam, self.edge_wf
-        phi_i = 1.0 - lam
-        phi_j = lam
-        rows = np.concatenate([self.edge_i, self.edge_i, self.edge_j, self.edge_j])
-        cols = np.concatenate([self.edge_i, self.edge_j, self.edge_i, self.edge_j])
-        vals = np.concatenate([wf * phi_i * phi_i, wf * phi_i * phi_j,
-                               wf * phi_j * phi_i, wf * phi_j * phi_j])
-        return sp.csr_matrix((vals, (rows, cols)),
-                             shape=(self.num_dof, self.num_dof))
+        gu = (self.grad_op @ u).reshape(2, -1)
+        wk = p * (gu[0] * gu[0] + gu[1] * gu[1] + eps2) ** (0.5 * p - 1.0)
+        uq = self.interp_op @ u
+        mw = p * (uq * uq + eps2) ** (0.5 * p - 1.0) * self.interp_w
+        return self._assemble(wk[:, None] * self._grad_gram
+                              + mw.reshape(wk.size, -1) @ self._bary_outer)
 
     # -- functionals ---------------------------------------------------------
 
@@ -179,43 +185,33 @@ class FemWorkspace:
         """Regularized energy and (optionally) its exact nodal gradient."""
         p = self.p
         eps2 = reg_eps * reg_eps
-        ut = u[self.tris]                                   # (nt, 3)
-        gu = np.einsum("tk,tkd->td", ut, self.grads)        # (nt, 2)
-        g2 = np.einsum("td,td->t", gu, gu) + eps2
-        e_grad = float(np.dot(self.areas, g2 ** (0.5 * p)))
-        uq = ut @ self.tri_bary.T                           # (nt, kq)
+        gu = (self.grad_op @ u).reshape(2, -1)               # (2, nt)
+        g2 = gu[0] * gu[0] + gu[1] * gu[1] + eps2
+        uq = self.interp_op @ u                             # (nt kq,)
         m2 = uq * uq + eps2
-        e_mass = float(np.dot(self.areas, (m2 ** (0.5 * p)) @ self.tri_w))
+        g2p = g2 ** (0.5 * p)
+        m2p = m2 ** (0.5 * p)
+        value = float(np.dot(self.areas, g2p)) + float(np.dot(self.interp_w, m2p))
         if not with_grad:
-            return e_grad + e_mass, None
-        grad = np.zeros(self.num_dof)
-        coef = p * g2 ** (0.5 * p - 1.0) * self.areas       # (nt,)
-        contrib = coef[:, None] * np.einsum("td,tkd->tk", gu, self.grads)
-        np.add.at(grad, self.tris, contrib)
-        mcoef = p * m2 ** (0.5 * p - 1.0) * uq              # (nt, kq)
-        contrib_m = self.areas[:, None] * (mcoef * self.tri_w[None, :]) @ self.tri_bary
-        np.add.at(grad, self.tris, contrib_m)
-        return e_grad + e_mass, grad
+            return value, None
+        grad = self._grad_op_t @ ((p * self.areas * _over(g2p, g2)) * gu).ravel()
+        grad += self._interp_op_t @ (p * self.interp_w * _over(m2p, m2) * uq)
+        return value, grad
 
     def boundary(self, u: np.ndarray, reg_eps: float, with_grad: bool = True):
         """Regularized weighted boundary functional and its nodal gradient."""
         q = self.q
-        eps2 = reg_eps * reg_eps
-        uv = u[self.edge_i] * (1.0 - self.edge_lam) + u[self.edge_j] * self.edge_lam
-        b2 = uv * uv + eps2
-        value = float(np.dot(self.edge_wf, b2 ** (0.5 * q)))
+        uv = self.edge_op @ u
+        b2 = uv * uv + reg_eps * reg_eps
+        b2q = b2 ** (0.5 * q)
+        value = float(np.dot(self.edge_wf, b2q))
         if not with_grad:
             return value, None
-        coef = self.edge_wf * q * b2 ** (0.5 * q - 1.0) * uv
-        grad = np.zeros(self.num_dof)
-        np.add.at(grad, self.edge_i, coef * (1.0 - self.edge_lam))
-        np.add.at(grad, self.edge_j, coef * self.edge_lam)
-        return value, grad
+        return value, self._edge_op_t @ (q * self.edge_wf * _over(b2q, b2) * uv)
 
     def trace_integral(self, u: np.ndarray) -> float:
         """Weighted trace integral of u (sign-normalization functional)."""
-        uv = u[self.edge_i] * (1.0 - self.edge_lam) + u[self.edge_j] * self.edge_lam
-        return float(np.dot(self.edge_wf, uv))
+        return float(np.dot(self.edge_wf, self.edge_op @ u))
 
     def residual(self, u: np.ndarray, lam: float, reg_eps: float) -> float:
         """Scaled sup-norm of the weak-form residual over nodal test functions."""
@@ -307,16 +303,7 @@ def fem_pnorms(u: FemFunction, p: float, tri_order: int = 5):
     """(gradient p-norm, function p-norm) of a mesh function."""
     mesh = u.mesh
     rule = triangle_rule(tri_order)
-    v = mesh.vertices[mesh.triangles]
-    e1 = v[:, 1] - v[:, 0]
-    e2 = v[:, 2] - v[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    areas = 0.5 * det
-    grads = np.empty((mesh.num_triangles, 3, 2))
-    opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
-    grads[:, :, 0] = -opposite[:, :, 1]
-    grads[:, :, 1] = opposite[:, :, 0]
-    grads /= det[:, None, None]
+    areas, grads = p1_geometry(mesh)
     ut = u.values[mesh.triangles]
     gu = np.einsum("tk,tkd->td", ut, grads)
     gp = float(np.dot(areas, np.linalg.norm(gu, axis=1) ** p)) ** (1.0 / p)

@@ -18,7 +18,8 @@ import numpy as np
 from ..errors import ConfigError, DegenerateTriangle, RangeViolation
 from ..geometry import DomainParams, powt
 
-__all__ = ["TriMesh", "generate_cusp_mesh", "save_mesh", "load_mesh", "mesh_area"]
+__all__ = ["TriMesh", "generate_cusp_mesh", "save_mesh", "load_mesh", "mesh_area",
+           "p1_geometry"]
 
 QUALITY_FLOOR = 1e-6
 
@@ -63,12 +64,27 @@ def _freeze(mesh: TriMesh) -> TriMesh:
     return mesh
 
 
-def mesh_area(mesh: TriMesh) -> float:
-    """Total area of the triangulation."""
-    v = mesh.vertices[mesh.triangles]
+def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Signed areas (nt,) and P1 basis gradients (nt, 3, 2) of every triangle.
+
+    Row k of a triangle's gradients is the gradient of the hat function at
+    its local vertex k. Areas are positive for counter-clockwise triangles.
+    """
+    v = mesh.vertices[mesh.triangles]                  # (nt, 3, 2)
     e1 = v[:, 1] - v[:, 0]
     e2 = v[:, 2] - v[:, 0]
-    return float(0.5 * np.sum(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    grads = np.empty((mesh.num_triangles, 3, 2))
+    opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]       # edge opposite vertex k
+    grads[:, :, 0] = -opposite[:, :, 1]
+    grads[:, :, 1] = opposite[:, :, 0]
+    grads /= det[:, None, None]
+    return 0.5 * det, grads
+
+
+def mesh_area(mesh: TriMesh) -> float:
+    """Total area of the triangulation."""
+    return float(np.sum(p1_geometry(mesh)[0]))
 
 
 def _triangle_quality(vertices: np.ndarray, triangles: np.ndarray) -> float:

@@ -40,7 +40,7 @@ class SolverOptions:
     max_iter: int = 500
     tol_rel: float = 1e-8
     reg_eps: float = 1e-8
-    restarts: int = 4
+    restarts: int = 1
     seed: int = 0
     initial: np.ndarray | None = None
     armijo_c: float = 1e-4
@@ -55,6 +55,8 @@ class SteklovSolution:
 
     ``lam`` is the eigenvalue estimate (equal to the energy at the unit
     boundary norm), ``mu`` the Lagrange multiplier lam * p / q.
+    ``start_spread`` is (max - min) / min of the eigenvalues reached by the
+    converged starts of a multi-start solve, and None for a single start.
     """
 
     lam: float
@@ -69,6 +71,7 @@ class SteklovSolution:
     reg_eps: float
     dof: int
     history: tuple[float, ...] | None = None
+    start_spread: float | None = None
 
 
 def _normalize(ws: FemWorkspace, u: np.ndarray, reg_eps: float) -> np.ndarray:
@@ -146,16 +149,19 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
                       options: SolverOptions | None = None) -> SteklovSolution:
     """Minimize the Rayleigh quotient over the unit-boundary-norm sphere.
 
-    Preconditioned projected gradient descent with Armijo backtracking and
-    multi-start; the best (smallest) eigenvalue over the restarts is
-    returned, sign-normalized so the weighted trace integral of u is >= 0.
-    A solution that exhausted max_iter is returned with converged=False.
+    Preconditioned projected gradient descent with Armijo backtracking from
+    u = 1 (or ``options.initial``). With ``restarts > 1`` further starts are
+    drawn at random from ``seed`` and the best (smallest) eigenvalue over
+    all starts is returned. The result is sign-normalized so the weighted
+    trace integral of u is >= 0. A solution that exhausted max_iter is
+    returned with converged=False.
     """
     opts = options or SolverOptions()
     ws = workspace_for(mesh, params)
     p, q = ws.p, ws.q
 
     best = None
+    converged_lams = []
     total_iters = 0
     restarts_done = 0
     for restart in range(max(1, opts.restarts)):
@@ -222,6 +228,8 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
         e, _ = ws.energy(u, opts.reg_eps, with_grad=False)
         b, _ = ws.boundary(u, opts.reg_eps, with_grad=False)
         lam = e / b ** (p / q)
+        if converged:
+            converged_lams.append(lam)
         if best is None or lam < best[0]:
             best = (lam, u, e, b, converged, history)
 
@@ -231,6 +239,10 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     if ws.trace_integral(u) < 0.0:
         u = -u
     residual = ws.residual(u, lam, opts.reg_eps)
+    spread = None
+    if opts.restarts > 1 and converged_lams:
+        low = min(converged_lams)
+        spread = float((max(converged_lams) - low) / low)
     return SteklovSolution(
         lam=float(lam),
         u=FemFunction(mesh=mesh, values=u),
@@ -244,6 +256,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
         reg_eps=opts.reg_eps,
         dof=ws.num_dof,
         history=tuple(history) if history is not None else None,
+        start_spread=spread,
     )
 
 
@@ -261,7 +274,7 @@ def linear_oracle(mesh: TriMesh, theta: float, tol: float = 1e-13,
     Mb = ws.boundary_mass
     solver = spla.splu(A)
     x = np.ones(ws.num_dof)
-    lam_prev = math.inf
+    lam_prev = lam_prev2 = math.inf
     stable = 0
     for it in range(max_iter):
         z = solver.solve(Mb @ x)
@@ -272,7 +285,11 @@ def linear_oracle(mesh: TriMesh, theta: float, tol: float = 1e-13,
         Ax = A @ x
         Mx = Mb @ x
         lam = float(x @ Ax) / float(x @ Mx)
-        stable = stable + 1 if abs(lam - lam_prev) <= tol * abs(lam) else 0
+        # at the rounding floor the iterate can alternate between two
+        # vectors whose quotients differ by more than tol; a quotient that
+        # repeats the one two steps back is as converged as it can get
+        step = min(abs(lam - lam_prev), abs(lam - lam_prev2))
+        stable = stable + 1 if step <= tol * abs(lam) else 0
         if stable >= 3:
             u = x
             if ws.trace_integral(u) < 0.0:
@@ -281,7 +298,7 @@ def linear_oracle(mesh: TriMesh, theta: float, tol: float = 1e-13,
         if it == 60 and abs(lam - lam_prev) > 1e-6 * abs(lam):
             # slow pencil: refactor close to the target and keep iterating
             solver = spla.splu((A - 0.95 * lam * Mb).tocsc())
-        lam_prev = lam
+        lam_prev, lam_prev2 = lam, lam_prev
     raise IterationStall(f"inverse power iteration did not converge in {max_iter} steps")
 
 

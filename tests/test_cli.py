@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ncusp
 
 from ncusp.cli import main
 
@@ -83,6 +89,21 @@ class TestCommands:
         assert nodal[3] == "vertex_index,x1,x2,u"
         assert len(nodal) == 4 + doc["dof"]
 
+    def test_solve_reports_start_spread(self, p1_config, tmp_path):
+        out = tmp_path / "multi"
+        assert main(["solve", "--config", p1_config, "--out", str(out)]) == 0
+        assert 0.0 <= _json_artifact(out, "solve.json")["start_spread"] < 1e-8
+        cfg = _write_config(tmp_path, "single.json", {
+            "params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0},
+            "mesh": {"levels": 4, "rows_per_strip": 6},
+        })
+        out = tmp_path / "single"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        doc = _json_artifact(out, "solve.json")
+        assert doc["config"]["solver"]["restarts"] == 1
+        assert doc["restarts"] == 1
+        assert doc["start_spread"] is None
+
     def test_oracle_check(self, oracle_config, tmp_path):
         out = tmp_path / "run"
         assert main(["oracle-check", "--config", oracle_config,
@@ -153,6 +174,14 @@ class TestValidation:
         })
         assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_threads_flag_removed(self, p1_config, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["exponents", "--config", p1_config, "--out", str(tmp_path),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert main(["exponents", "--config", p1_config, "--out", str(tmp_path)]) == 0
+        assert "threads" not in _json_artifact(tmp_path, "exponents.json")["config"]
+
     def test_missing_config(self, tmp_path):
         assert main(["exponents", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
@@ -205,3 +234,14 @@ class TestReproducibility:
             assert main(["scaling", "--config", cfg, "--out", str(out)]) == 0
             outs.append((out / "scaling.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is loaded only when Halton points are drawn
+    code = "import sys, ncusp.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(ncusp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ncusp.steklov.fem import (
     weak_residual,
     workspace_for,
 )
+from ncusp.quadrature import gauss_nodes_01, graded_interval_rule
 from ncusp.steklov.mesh import generate_cusp_mesh, mesh_area
 from ncusp.steklov.solve import (
     SolverOptions,
@@ -71,6 +74,67 @@ class TestAssemble:
                 small_mesh, v, params, reg_eps=1e-8)[2], u)
             assert np.linalg.norm(fE - gE) / np.linalg.norm(gE) < 1e-5
             assert np.linalg.norm(fB - gB) / np.linalg.norm(gB) < 1e-5
+
+
+def _boundary_by_edges(mesh, theta, q, u):
+    """Edge-by-edge reference of the unregularized boundary functional:
+    Gauss points on edges away from the origin, the graded rule on tip edges."""
+    xg, wg = gauss_nodes_01(10)
+    tip = graded_interval_rule(min(0.0, theta), panels=30)
+    total = 0.0
+    for i, j in mesh.boundary_edges:
+        vi, vj = mesh.vertices[i], mesh.vertices[j]
+        length = np.linalg.norm(vj - vi)
+        if vi.any() and vj.any():
+            vals = (1.0 - xg) * u[i] + xg * u[j]
+            weight = wg * length * ((1.0 - xg) * vi[1] + xg * vj[1]) ** theta
+        else:
+            origin, far = (i, j) if not vi.any() else (j, i)
+            s = tip.nodes
+            vals = (1.0 - s) * u[origin] + s * u[far]
+            weight = tip.weights * length * (s * mesh.vertices[far, 1]) ** theta
+        total += np.dot(weight, np.abs(vals) ** q)
+    return total
+
+
+class TestOperators:
+    """The sparse P1 operators against the assembled matrices."""
+
+    @pytest.mark.parametrize("theta", [0.0, 2.0, -0.5])
+    def test_boundary_matches_edge_loop(self, small_mesh, rng, theta):
+        params = validate_params(2, 3.0, 1.5, 3.0, theta=theta, usage="discrete")
+        ws = workspace_for(small_mesh, params)
+        u = rng.standard_normal(ws.num_dof)
+        b, _ = ws.boundary(u, 0.0, with_grad=False)
+        assert b == pytest.approx(_boundary_by_edges(small_mesh, theta, 3.0, u),
+                                  rel=1e-13)
+
+    def test_p2_functionals_are_matrix_quadratic_forms(self, small_mesh, rng):
+        ws = workspace_for(small_mesh, _discrete(2.0))
+        for _ in range(3):
+            u = rng.standard_normal(ws.num_dof)
+            e, _ = ws.energy(u, 0.0, with_grad=False)
+            b, _ = ws.boundary(u, 0.0, with_grad=False)
+            assert e == pytest.approx(u @ ((ws.stiffness + ws.mass) @ u), rel=1e-13)
+            assert b == pytest.approx(u @ (ws.boundary_mass @ u), rel=1e-13)
+
+    def test_metric_times_u_is_energy_gradient(self, small_mesh, rng):
+        # the Picard polish relies on grad E(u) = metric(u) @ u
+        ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
+        for _ in range(3):
+            u = rng.standard_normal(ws.num_dof)
+            _, ge = ws.energy(u, 1e-8)
+            mu = ws.metric_matrix(u, 1e-8) @ u
+            assert np.max(np.abs(mu - ge)) <= 1e-12 * np.max(np.abs(ge))
+
+
+    def test_workspace_cache_releases_dropped_meshes(self, p1_params):
+        grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
+        workspace_for(grid, p1_params)
+        alive = weakref.ref(grid)
+        del grid
+        gc.collect()
+        assert alive() is None
 
 
 class TestRayleigh:
@@ -163,6 +227,38 @@ class TestMinimize:
         ws = workspace_for(small_mesh, params)
         sol = minimize_rayleigh(small_mesh, params, SolverOptions(restarts=2))
         assert ws.trace_integral(sol.u.values) >= 0.0
+
+
+class TestStarts:
+    """One start from u = 1 is the default; random starts are opt-in."""
+
+    # coarse copies of the benchmark inputs: the reference, the criterion-7
+    # pair, gamma 4 / p 1.8 / q 3, and the linear testbed p = q = 2
+    CASES = {
+        "ref": dict(n=2, gamma=3.0, p=1.5, q=2.0, usage="steklov"),
+        "c7-cusp": dict(n=2, gamma=2.5, p=1.25, q=1.6, usage="steklov"),
+        "c7-simplex": dict(n=2, gamma=2.0, p=1.25, q=1.6, theta=0.0,
+                           simplex=True, usage="steklov"),
+        "g4": dict(n=2, gamma=4.0, p=1.8, q=3.0, usage="steklov"),
+        "pq2": dict(n=2, gamma=3.0, p=2.0, q=2.0, theta=2.0, usage="discrete"),
+    }
+
+    def test_default_is_one_start(self, small_mesh, p1_params):
+        assert SolverOptions().restarts == 1
+        sol = minimize_rayleigh(small_mesh, p1_params)
+        assert sol.restarts == 1
+        assert sol.start_spread is None
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_start_matches_four(self, case):
+        params = validate_params(**self.CASES[case])
+        grid = generate_cusp_mesh(params, levels=5, rows_per_strip=8)
+        one = minimize_rayleigh(grid, params, SolverOptions(restarts=1))
+        four = minimize_rayleigh(grid, params, SolverOptions(restarts=4))
+        assert one.converged and four.converged
+        assert abs(one.lam - four.lam) <= 1e-10 * four.lam
+        assert four.restarts == 4
+        assert 0.0 <= four.start_spread <= 1e-10
 
 
 class TestWeakResidual:
