@@ -6,7 +6,7 @@ Subcommands:
     verify-geometry  Jacobian and measure-identity suites
     scaling          test-family norms and fitted slopes (or a theta scan)
     solve            Rayleigh minimization with residual and trace constant
-    oracle-check     p = q = 2 descent vs. inverse-power oracle
+    oracle-check     p = q = 2 nonlinear solve vs. inverse-power oracle
     mesh             generate and export a graded triangulation
 
 Every artifact embeds the fully resolved configuration and a schema string;
@@ -241,10 +241,8 @@ def _build_mesh(cfg: dict, params):
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
-    s = cfg["solver"]
-    return SolverOptions(max_iter=int(s["max_iter"]), tol_rel=float(s["tol_rel"]),
-                         reg_eps=float(s["reg_eps"]), restarts=int(s["restarts"]),
-                         seed=int(s["seed"]))
+    # SolverOptions validates each value and names the key it rejects
+    return SolverOptions(**cfg["solver"])
 
 
 def cmd_solve(cfg: dict, outdir: Path) -> int:
@@ -252,8 +250,9 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
     usage = "discrete" if cfg["params"].get("p") == cfg["params"].get("q") \
         else "steklov"
     params = _params_from(cfg, usage=usage)
+    options = _solver_options(cfg)
     grid = _build_mesh(cfg, params)
-    sol = minimize_rayleigh(grid, params, _solver_options(cfg))
+    sol = minimize_rayleigh(grid, params, options)
     bound = trace_constant(sol.lam, params) if usage == "steklov" else None
     body = {
         "lambda": sol.lam,
@@ -291,9 +290,10 @@ def cmd_oracle_check(cfg: dict, outdir: Path) -> int:
     params = _params_from(cfg, usage="discrete")
     if params.p != 2.0 or params.q != 2.0:
         raise ConfigError("oracle-check requires params.p == params.q == 2")
+    options = _solver_options(cfg)
     grid = _build_mesh(cfg, params)
     lam_oracle, u_oracle = linear_oracle(grid, params.theta)
-    sol = minimize_rayleigh(grid, params, _solver_options(cfg))
+    sol = minimize_rayleigh(grid, params, options)
     rel = abs(sol.lam - lam_oracle) / lam_oracle
     rtol = float(cfg["oracle"]["rtol"])
     body = {

@@ -74,8 +74,10 @@ class FemWorkspace:
     edge_op    (ne_q, nv)     values at the boundary quadrature points
 
     The transposes scatter pointwise derivatives back to nodal gradients.
-    Element matrices (stiffness, mass, the metric) are summed into one fixed
-    CSR pattern; the boundary mass is edge_op^T diag(edge_wf) edge_op.
+    Element matrices (stiffness, mass, the metric, both Hessians) are summed
+    into one fixed CSR pattern, so the matrices built from it share indices
+    and indptr and can be combined through their data arrays; the boundary
+    mass is edge_op^T diag(edge_wf) edge_op.
     """
 
     def __init__(self, mesh: TriMesh, theta: float, p: float, q: float,
@@ -91,7 +93,8 @@ class FemWorkspace:
         tris = mesh.triangles
         nt, nv = mesh.num_triangles, mesh.num_vertices
         self.num_dof = nv
-        self.areas, grads = p1_geometry(mesh)
+        self.areas, self._grads = p1_geometry(mesh)
+        grads = self._grads
         rule = triangle_rule(tri_order)
         kq = rule.weights.size
 
@@ -152,6 +155,16 @@ class FemWorkspace:
             * self.areas[:, None]
         self._bary_outer = np.einsum("qi,qj->qij", rule.barycentric,
                                      rule.barycentric).reshape(kq, 9)
+        # the same for the 2x2 element matrices of the boundary quadrature
+        # points, which couple the two ends of a boundary edge
+        pair = np.stack([edge_i, edge_j], axis=1)
+        edge_keys = (np.repeat(pair, 2, axis=1) * nv + np.tile(pair, (1, 2))).ravel()
+        self._edge_slot = np.searchsorted(keys, edge_keys)
+        if not np.array_equal(keys[np.minimum(self._edge_slot, keys.size - 1)],
+                              edge_keys):
+            raise RangeViolation("boundary_edges", "every boundary edge is a triangle edge")
+        lam_pair = np.stack([1.0 - edge_lam, edge_lam], axis=1)
+        self._edge_outer = (lam_pair[:, :, None] * lam_pair[:, None, :]).reshape(ne, 4)
         self.stiffness = self._assemble(self._grad_gram)
         self.mass = self._assemble(
             self.areas[:, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel())
@@ -160,10 +173,11 @@ class FemWorkspace:
 
     # -- matrices ----------------------------------------------------------
 
-    def _assemble(self, local: np.ndarray) -> sp.csr_matrix:
-        """Sum element matrices (nt, 9) into the fixed nodal CSR pattern."""
-        data = np.bincount(self._slot, weights=local.ravel(),
-                           minlength=self._indices.size)
+    def _assemble(self, local: np.ndarray, slot: np.ndarray | None = None) -> sp.csr_matrix:
+        """Sum element matrices, (nt, 9) or with their own slot map, into the
+        fixed nodal CSR pattern."""
+        data = np.bincount(self._slot if slot is None else slot,
+                           weights=local.ravel(), minlength=self._indices.size)
         return sp.csr_matrix((data, self._indices, self._indptr),
                              shape=(self.num_dof, self.num_dof))
 
@@ -178,6 +192,42 @@ class FemWorkspace:
         mw = p * (uq * uq + eps2) ** (0.5 * p - 1.0) * self.interp_w
         return self._assemble(wk[:, None] * self._grad_gram
                               + mw.reshape(wk.size, -1) @ self._bary_outer)
+
+    def hessian(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
+        """Exact Hessian of the regularized energy at u.
+
+        With s = |grad u|^2 + eps^2 on a triangle and m = u^2 + eps^2 at a
+        quadrature point, the element matrix is the metric's gradient part
+        plus the rank-one term area p (p-2) s^(p/2-2) (G grad u)(G grad u)^T,
+        G the P1 basis gradients, and the mass weight is
+        p m^(p/2-2) ((p-1) u^2 + eps^2).
+        """
+        p = self.p
+        eps2 = reg_eps * reg_eps
+        gu = (self.grad_op @ u).reshape(2, -1)
+        s = gu[0] * gu[0] + gu[1] * gu[1] + eps2
+        s_pow = s ** (0.5 * p - 1.0)
+        v = np.einsum("tid,dt->ti", self._grads, gu)
+        rank_one = (p * (p - 2.0) * self.areas * _over(s_pow, s))[:, None] \
+            * (v[:, :, None] * v[:, None, :]).reshape(s.size, 9)
+        uq = self.interp_op @ u
+        m = uq * uq + eps2
+        mw = p * _over(m ** (0.5 * p - 1.0), m) * ((p - 1.0) * uq * uq + eps2) \
+            * self.interp_w
+        return self._assemble((p * s_pow)[:, None] * self._grad_gram + rank_one
+                              + mw.reshape(s.size, -1) @ self._bary_outer)
+
+    def boundary_hessian(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
+        """Exact Hessian of the boundary functional at u:
+        edge_op^T diag(w) edge_op with w = edge_wf q b^(q/2-2) ((q-1) u^2 + eps^2),
+        b = u^2 + eps^2 at each boundary quadrature point."""
+        q = self.q
+        eps2 = reg_eps * reg_eps
+        uv = self.edge_op @ u
+        b = uv * uv + eps2
+        w = q * self.edge_wf * _over(_over(b ** (0.5 * q), b), b) \
+            * ((q - 1.0) * uv * uv + eps2)
+        return self._assemble(w[:, None] * self._edge_outer, self._edge_slot)
 
     # -- functionals ---------------------------------------------------------
 
@@ -213,10 +263,16 @@ class FemWorkspace:
         """Weighted trace integral of u (sign-normalization functional)."""
         return float(np.dot(self.edge_wf, self.edge_op @ u))
 
-    def residual(self, u: np.ndarray, lam: float, reg_eps: float) -> float:
-        """Scaled sup-norm of the weak-form residual over nodal test functions."""
-        e, ge = self.energy(u, reg_eps)
-        _, gb = self.boundary(u, reg_eps)
+    def residual(self, u: np.ndarray, lam: float, reg_eps: float,
+                 energy: tuple | None = None, gb: np.ndarray | None = None) -> float:
+        """Scaled sup-norm of the weak-form residual over nodal test functions.
+
+        A caller that already holds ``energy(u, reg_eps)`` (the value and
+        gradient) or the boundary gradient at u passes them in.
+        """
+        e, ge = self.energy(u, reg_eps) if energy is None else energy
+        if gb is None:
+            _, gb = self.boundary(u, reg_eps)
         r = ge / self.p - lam * gb / self.q
         return float(np.max(np.abs(r)) / max(1.0, e))
 

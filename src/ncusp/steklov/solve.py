@@ -1,24 +1,28 @@
-"""First-eigenvalue solvers: constrained descent and the linear oracle.
+"""First-eigenvalue solvers: inverse iteration with a Newton finish, and the linear oracle.
 
-The eigenvalue is the minimum of the Rayleigh quotient E(u) / B(u)^(p/q).
-Descent runs on the unit-boundary-norm sphere: each step preconditions the
-constrained gradient with a lagged-diffusivity metric (the weighted
-stiffness plus mass of the current iterate), walks a backtracking step
-ladder until the quotient decreases, and renormalizes; near stationarity a
-residual-driven Picard polish takes over. For p = q = 2 the same discrete
-problem is solved independently by inverse power iteration on the matrix
-pencil, which is the reference the descent path is tested against.
+The eigenvalue is the minimum of E(u) / B(u)^(p/q). `minimize_rayleigh` runs
+nonlinear inverse iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 257,
+2009) from a one-signed start until the weak residual is at most 1e-3: as
+grad E(u) = metric(u) @ u, each step factors the lagged-diffusivity metric
+once and maps u to metric(u)^{-1} grad B(u), renormalized. Damped Newton on the
+bordered system grad E = mu grad B, B = 1 (Ruhe, SIAM J. Numer. Anal. 10, 1973)
+then converges quadratically. The first eigenfunction does not change sign, so
+an iterate that does ends the solve with an error: near p = 1 the discrete map
+can lose positivity and settle in another basin. `linear_oracle` solves
+p = q = 2 independently, on the matrix pencil.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import IterationStall, RangeViolation, ZeroTrace
+from ..errors import IterationStall, NumericalError, RangeViolation, ZeroTrace
 from ..geometry import DomainParams, derived_exponents
 from .fem import FemFunction, FemWorkspace, linear_workspace, workspace_for
 from .mesh import TriMesh
@@ -32,10 +36,28 @@ __all__ = [
     "trace_constant",
 ]
 
+# weak residual at which inverse iteration hands over to Newton
+NEWTON_SWITCH = 1e-3
+# step halvings a damped Newton step may take before the solve stalls
+MAX_HALVINGS = 30
+# both factored matrices are symmetric: order on A + A^T
+LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+
+def _changes_sign(u: np.ndarray) -> bool:
+    return bool(u.min() < 0.0 < u.max())
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the projected descent solver."""
+    """Settings of `minimize_rayleigh`.
+
+    ``max_iter`` caps the inverse-iteration plus Newton steps of one start,
+    which has converged once the weak residual is below ``10 * tol_rel``.
+    ``restarts > 1`` adds random starts, uniform on [0, 1) and drawn from
+    ``seed``, after u = 1 (or ``initial``, which must not change sign).
+    ``track_history`` records the weak residual after every step.
+    """
 
     max_iter: int = 500
     tol_rel: float = 1e-8
@@ -43,10 +65,21 @@ class SolverOptions:
     restarts: int = 1
     seed: int = 0
     initial: np.ndarray | None = None
-    armijo_c: float = 1e-4
-    max_backtracks: int = 40
-    metric_refresh: int = 20
     track_history: bool = False
+
+    def __post_init__(self):
+        for key, low in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < low:
+                raise RangeViolation(key, f"an integer >= {low}")
+        for key in ("tol_rel", "reg_eps"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0.0 < value < math.inf:
+                raise RangeViolation(key, "a finite number > 0")
+        if self.initial is not None and _changes_sign(np.asarray(self.initial)):
+            raise RangeViolation("initial", "a start that does not change sign")
 
 
 @dataclass(frozen=True)
@@ -55,6 +88,8 @@ class SteklovSolution:
 
     ``lam`` is the eigenvalue estimate (equal to the energy at the unit
     boundary norm), ``mu`` the Lagrange multiplier lam * p / q.
+    ``iterations`` counts inverse-iteration plus Newton steps over all starts
+    and ``history`` the weak residual after each step of the returned start.
     ``start_spread`` is (max - min) / min of the eigenvalues reached by the
     converged starts of a multi-start solve, and None for a single start.
     """
@@ -86,176 +121,139 @@ def _normalize(ws: FemWorkspace, u: np.ndarray, reg_eps: float) -> np.ndarray:
     return u
 
 
-def _quotient(ws: FemWorkspace, u: np.ndarray, reg_eps: float) -> float:
-    e, _ = ws.energy(u, reg_eps, with_grad=False)
-    b, _ = ws.boundary(u, reg_eps, with_grad=False)
-    return e / b ** (ws.p / ws.q)
+@dataclass(frozen=True)
+class _Point:
+    """An iterate with its functionals, quotient and weak residual."""
+
+    u: np.ndarray
+    e: float
+    ge: np.ndarray
+    b: float
+    gb: np.ndarray
+    lam: float
+    res: float
 
 
-def _step_ladder(ws: FemWorkspace, u: np.ndarray, d: np.ndarray, lam: float,
-                 step: float, opts: "SolverOptions"):
-    """Walk a geometric step ladder and keep the best point found.
+def _evaluate(ws: FemWorkspace, u: np.ndarray, reg_eps: float) -> _Point:
+    e, ge = ws.energy(u, reg_eps)
+    b, gb = ws.boundary(u, reg_eps)
+    lam = e / b ** (ws.p / ws.q)
+    return _Point(u, e, ge, b, gb, lam,
+                  ws.residual(u, lam, reg_eps, energy=(e, ge), gb=gb))
 
-    Accepting the first sufficient decrease would favor overlong steps that
-    merely reflect stiff modes instead of damping them.
+
+def _kkt(pt: _Point, mu: float) -> float:
+    return float(np.max(np.abs(pt.ge - mu * pt.gb))) + abs(1.0 - pt.b)
+
+
+def _bordered(a: sp.csr_matrix, border: np.ndarray):
+    """A function that fills [[A, -g], [-g^T, 0]] into one CSC pattern, for
+    every A in the fixed nodal pattern of ``a`` and g zero off ``border``."""
+    nnz, k = a.nnz, border.size
+    ids = sp.csr_matrix((np.arange(1.0, nnz + 1.0), a.indices, a.indptr), shape=a.shape)
+    col = sp.csr_matrix((np.arange(nnz + 1.0, nnz + k + 1.0),
+                         (border, np.zeros(k, dtype=int))), shape=(a.shape[0], 1))
+    template = sp.bmat([[ids, col], [col.T, None]], format="csc")
+    template.sort_indices()
+    order = template.data.astype(np.intp) - 1
+    return lambda a, g: sp.csc_matrix(
+        (np.concatenate([a.data, -g[border]])[order], template.indices,
+         template.indptr), shape=template.shape)
+
+
+def _solve_start(ws: FemWorkspace, u: np.ndarray, opts: SolverOptions):
+    """Inverse iteration, then damped Newton, from one start.
+
+    Returns the last point and the weak residual after each step.
     """
-    best_t, best_u, best_r = None, None, lam
-    t = min(4.0, 4.0 * step)
-    for _ in range(opts.max_backtracks):
-        try:
-            cand = _normalize(ws, u + t * d, opts.reg_eps)
-        except ZeroTrace:
+    eps, p, q = opts.reg_eps, ws.p, ws.q
+    why = f"(p = {p:g}, q = {q:g}, reg_eps = {eps:g})"
+    pt = _evaluate(ws, _normalize(ws, u, eps), eps)
+    history = []
+    while pt.res > NEWTON_SWITCH and len(history) < opts.max_iter:
+        # each factor is used once and released before the next is made
+        z = spla.splu(ws.metric_matrix(pt.u, eps).tocsc(), **LU_OPTIONS).solve(pt.gb)
+        pt = _evaluate(ws, _normalize(ws, z, eps), eps)
+        history.append(pt.res)
+        if _changes_sign(pt.u):
+            raise NumericalError(
+                f"inverse-iteration step {len(history)} changed sign (min u / max u "
+                f"= {pt.u.min() / pt.u.max():.3g}) and no longer tracks the first "
+                f"eigenfunction {why}")
+    mu = pt.lam * p / q
+    kkt = _kkt(pt, mu)
+    build = None
+    while pt.res >= 10.0 * opts.tol_rel and len(history) < opts.max_iter:
+        a = ws.hessian(pt.u, eps)
+        a.data -= mu * ws.boundary_hessian(pt.u, eps).data   # same fixed pattern
+        build = build or _bordered(a, np.unique(ws.edge_op.indices))
+        step = spla.splu(build(a, pt.gb), **LU_OPTIONS).solve(
+            np.append(mu * pt.gb - pt.ge, pt.b - 1.0))
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            cand, cand_mu = _evaluate(ws, pt.u + t * step[:-1], eps), mu + t * step[-1]
+            cand_kkt = _kkt(cand, cand_mu)
+            if cand_kkt < kkt and not _changes_sign(cand.u):
+                break
             t *= 0.5
-            continue
-        r_new = _quotient(ws, cand, opts.reg_eps)
-        if r_new < best_r:
-            best_t, best_u, best_r = t, cand, r_new
-        elif best_t is not None and r_new > best_r:
-            break
-        t *= 0.5
-    return best_t, best_u, best_r
-
-
-def _picard_polish(ws: FemWorkspace, u: np.ndarray, opts: "SolverOptions",
-                   max_steps: int = 60):
-    """Residual-driven fixed-point polish of a near-stationary iterate.
-
-    The energy gradient is exactly metric(u) @ u, so stationary points obey
-    u proportional to metric(u)^{-1} grad B(u). Iterating that map drives
-    the weak residual below what quotient-comparison line searches can
-    resolve. Steps that increase the quotient are rejected.
-    """
-    lam = _quotient(ws, u, opts.reg_eps)
-    res = ws.residual(u, lam, opts.reg_eps)
-    target = 10.0 * opts.tol_rel
-    for _ in range(max_steps):
-        if res < target:
-            break
-        solver = spla.splu(ws.metric_matrix(u, opts.reg_eps).tocsc())
-        _, gb = ws.boundary(u, opts.reg_eps)
-        try:
-            cand = _normalize(ws, solver.solve(gb), opts.reg_eps)
-        except ZeroTrace:
-            break
-        lam_new = _quotient(ws, cand, opts.reg_eps)
-        res_new = ws.residual(cand, lam_new, opts.reg_eps)
-        if res_new >= res or lam_new > lam * (1.0 + 1e-10):
-            break
-        u, lam, res = cand, lam_new, res_new
-    return u, lam, res
+        else:
+            raise IterationStall(f"Newton stalled at weak residual {pt.res:.3e} {why}")
+        pt, mu, kkt = cand, cand_mu, cand_kkt
+        history.append(pt.res)
+    return pt, history
 
 
 def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
                       options: SolverOptions | None = None) -> SteklovSolution:
-    """Minimize the Rayleigh quotient over the unit-boundary-norm sphere.
+    """First eigenpair: minimize the Rayleigh quotient over B(u) = 1.
 
-    Preconditioned projected gradient descent with Armijo backtracking from
-    u = 1 (or ``options.initial``). With ``restarts > 1`` further starts are
-    drawn at random from ``seed`` and the best (smallest) eigenvalue over
-    all starts is returned. The result is sign-normalized so the weighted
-    trace integral of u is >= 0. A solution that exhausted max_iter is
-    returned with converged=False.
+    Starts from u = 1 (or ``options.initial``) and, with ``restarts > 1``,
+    keeps the smallest eigenvalue over the starts that returned; u is signed
+    so its weighted trace integral is >= 0. A start that used up max_iter
+    steps returns with converged=False. An iterate that changes sign, or a
+    Newton stall, raises a NumericalError naming p unless another start returned.
     """
     opts = options or SolverOptions()
     ws = workspace_for(mesh, params)
     p, q = ws.p, ws.q
 
-    best = None
-    converged_lams = []
+    results, failures = [], []
     total_iters = 0
-    restarts_done = 0
-    for restart in range(max(1, opts.restarts)):
-        if restart == 0 and opts.initial is not None:
-            u = np.asarray(opts.initial, dtype=float).copy()
-        elif restart == 0:
-            u = np.ones(ws.num_dof)
+    for restart in range(opts.restarts):
+        if restart:
+            u = np.random.default_rng(opts.seed + restart).random(ws.num_dof)
         else:
-            rng = np.random.default_rng(opts.seed + restart)
-            u = rng.standard_normal(ws.num_dof)
+            u = np.ones(ws.num_dof) if opts.initial is None else np.asarray(opts.initial, float)
         try:
-            u = _normalize(ws, u, opts.reg_eps)
-        except ZeroTrace:
+            pt, history = _solve_start(ws, u, opts)
+            total_iters += len(history)
+            pt = _evaluate(ws, _normalize(ws, pt.u, opts.reg_eps), opts.reg_eps)
+        except NumericalError as exc:
+            failures.append(exc)
             continue
-        restarts_done += 1
+        results.append((pt, pt.res < 10.0 * opts.tol_rel, history))
 
-        converged = False
-        step = 1.0
-        precond = None
-        stale_metric = True
-        history = [] if opts.track_history else None
-        for it in range(opts.max_iter):
-            total_iters += 1
-            if precond is None or it % opts.metric_refresh == 0:
-                precond = spla.splu(ws.metric_matrix(u, opts.reg_eps).tocsc())
-                stale_metric = False
-            e, ge = ws.energy(u, opts.reg_eps)
-            b, gb = ws.boundary(u, opts.reg_eps)
-            lam = e / b ** (p / q)
-            g = ge - (p / q) * (e / b) * gb
-            d = -precond.solve(g)
-            descent = float(np.dot(g, d))
-            best_t, best_u, best_r = None, None, math.inf
-            if descent < 0.0:
-                best_t, best_u, best_r = _step_ladder(ws, u, d, lam, step, opts)
-            if best_t is None or best_r > lam + opts.armijo_c * best_t * descent:
-                if stale_metric:
-                    # one retry with a metric rebuilt at the current iterate
-                    precond = spla.splu(ws.metric_matrix(u, opts.reg_eps).tocsc())
-                    stale_metric = False
-                    d = -precond.solve(g)
-                    descent = float(np.dot(g, d))
-                    if descent < 0.0:
-                        best_t, best_u, best_r = _step_ladder(ws, u, d, lam, step, opts)
-                if best_t is None or best_r > lam + opts.armijo_c * best_t * descent:
-                    converged = ws.residual(u, lam, opts.reg_eps) < 10.0 * opts.tol_rel
-                    break
-            u = best_u
-            step = best_t
-            stale_metric = True
-            if history is not None:
-                history.append(float(best_r))
-            rel_drop = (lam - best_r) / max(abs(best_r), 1e-300)
-            if rel_drop < opts.tol_rel:
-                res = ws.residual(u, best_r, opts.reg_eps)
-                if res < 10.0 * opts.tol_rel:
-                    converged = True
-                    break
-
-        if not converged:
-            u, lam, res = _picard_polish(ws, u, opts)
-            converged = res < 10.0 * opts.tol_rel
-        u = _normalize(ws, u, opts.reg_eps)
-        e, _ = ws.energy(u, opts.reg_eps, with_grad=False)
-        b, _ = ws.boundary(u, opts.reg_eps, with_grad=False)
-        lam = e / b ** (p / q)
-        if converged:
-            converged_lams.append(lam)
-        if best is None or lam < best[0]:
-            best = (lam, u, e, b, converged, history)
-
-    if best is None:
-        raise ZeroTrace("all restarts produced trace-free iterates")
-    lam, u, e, b, converged, history = best
-    if ws.trace_integral(u) < 0.0:
-        u = -u
-    residual = ws.residual(u, lam, opts.reg_eps)
+    if not results:
+        raise failures[0]
+    pt, converged, history = min(results, key=lambda r: r[0].lam)
+    converged_lams = [r[0].lam for r in results if r[1]]
     spread = None
     if opts.restarts > 1 and converged_lams:
         low = min(converged_lams)
         spread = float((max(converged_lams) - low) / low)
     return SteklovSolution(
-        lam=float(lam),
-        u=FemFunction(mesh=mesh, values=u),
-        energy=float(e),
-        boundary_norm=float(b ** (1.0 / q)),
-        residual=float(residual),
-        mu=float(lam * p / q),
+        lam=float(pt.lam),
+        u=FemFunction(mesh=mesh, values=pt.u if ws.trace_integral(pt.u) >= 0.0 else -pt.u),
+        energy=float(pt.e),
+        boundary_norm=float(pt.b ** (1.0 / q)),
+        residual=float(pt.res),
+        mu=float(pt.lam * p / q),
         iterations=total_iters,
-        restarts=restarts_done,
+        restarts=opts.restarts,
         converged=bool(converged),
         reg_eps=opts.reg_eps,
         dof=ws.num_dof,
-        history=tuple(history) if history is not None else None,
+        history=tuple(history) if opts.track_history else None,
         start_spread=spread,
     )
 
@@ -266,8 +264,8 @@ def linear_oracle(mesh: TriMesh, theta: float, tol: float = 1e-13,
 
     Shifted inverse power iteration on the pencil; the boundary mass is
     singular (interior nodes), which the iteration handles naturally since
-    its null space belongs to the infinite eigenvalue. Independent of the
-    descent path.
+    its null space belongs to the infinite eigenvalue. Independent of
+    `minimize_rayleigh`.
     """
     ws = linear_workspace(mesh, theta)
     A = (ws.stiffness + ws.mass).tocsc()

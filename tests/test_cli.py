@@ -192,6 +192,27 @@ class TestValidation:
         })
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("max_iter", "abc"), ("reg_eps", 0), ("tol_rel", -1), ("restarts", 0)])
+    def test_invalid_solver_value_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        cfg = _write_config(tmp_path, "bad.json", {
+            "params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0},
+            "mesh": {"levels": 4, "rows_per_strip": 6},
+            "solver": {key: value},
+        })
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_hard_input_exits_3_naming_p(self, tmp_path, capsys):
+        # gamma 5, p 1.1: inverse iteration leaves the one-signed cone
+        cfg = _write_config(tmp_path, "hard.json", {
+            "params": {"n": 2, "p": 1.1, "gamma": 5.0, "q": 1.16111},
+            "mesh": {"levels": 6},
+        })
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+        assert "p = 1.1" in capsys.readouterr().err
+
     def test_unconverged_solve_exits_3_with_artifacts(self, tmp_path):
         # an unreachable tolerance flags the run but still writes everything
         cfg = _write_config(tmp_path, "hard.json", {

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ncusp.errors import ZeroTrace
+from ncusp.errors import NumericalError, RangeViolation, ZeroTrace
 from ncusp.geometry import validate_params
 from ncusp.operators import weighted_boundary_norm
 from ncusp.geometry import BoundaryFace
@@ -18,6 +18,7 @@ from ncusp.steklov.fem import (
 from ncusp.quadrature import gauss_nodes_01, graded_interval_rule
 from ncusp.steklov.mesh import generate_cusp_mesh, mesh_area
 from ncusp.steklov.solve import (
+    NEWTON_SWITCH,
     SolverOptions,
     linear_oracle,
     minimize_rayleigh,
@@ -74,6 +75,47 @@ class TestAssemble:
                 small_mesh, v, params, reg_eps=1e-8)[2], u)
             assert np.linalg.norm(fE - gE) / np.linalg.norm(gE) < 1e-5
             assert np.linalg.norm(fB - gB) / np.linalg.norm(gB) < 1e-5
+
+
+    @pytest.mark.parametrize("p,q", [(1.5, 2.0), (2.0, 2.0), (1.25, 1.6), (1.8, 3.0)])
+    def test_hessians_match_central_differences(self, small_mesh, rng, p, q):
+        # columns of H_E and H_B against central differences of the exact
+        # gradients as in criterion 6, on the one-signed states Newton sees:
+        # near a zero of u the weights behave like |u|^(p-4) and |u|^(q-4),
+        # which spoils the difference quotients, not the Hessians
+        params = _discrete(2.0, p=p, q=q)
+        ws = workspace_for(small_mesh, params)
+        h = 1e-6
+        for _ in range(2):
+            u = 0.5 + rng.random(ws.num_dof)
+            he = ws.hessian(u, 1e-8).toarray()
+            hb = ws.boundary_hessian(u, 1e-8).toarray()
+            fe, fb = np.empty_like(he), np.empty_like(hb)
+            for k in range(ws.num_dof):
+                d = np.zeros(ws.num_dof)
+                d[k] = h
+                fe[:, k] = (ws.energy(u + d, 1e-8)[1] - ws.energy(u - d, 1e-8)[1]) / (2 * h)
+                fb[:, k] = (ws.boundary(u + d, 1e-8)[1]
+                            - ws.boundary(u - d, 1e-8)[1]) / (2 * h)
+            assert np.linalg.norm(fe - he) / np.linalg.norm(he) < 1e-6
+            assert np.linalg.norm(fb - hb) / np.linalg.norm(hb) < 1e-6
+            assert np.array_equal(he, he.T) and np.array_equal(hb, hb.T)
+
+    def test_p2_hessians_are_the_matrices(self, small_mesh, rng):
+        ws = workspace_for(small_mesh, _discrete(2.0))
+        u = rng.standard_normal(ws.num_dof)
+        he, hb = ws.hessian(u, 0.0), ws.boundary_hessian(u, 0.0)
+        a = 2.0 * (ws.stiffness + ws.mass)
+        assert abs(he - a).max() <= 1e-13 * abs(a).max()
+        assert abs(hb - 2.0 * ws.boundary_mass).max() <= 1e-13 * abs(hb).max()
+
+    def test_residual_reuses_given_gradients(self, small_mesh, rng):
+        ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
+        u = rng.standard_normal(ws.num_dof)
+        energy = ws.energy(u, 1e-8)
+        _, gb = ws.boundary(u, 1e-8)
+        assert ws.residual(u, 0.3, 1e-8, energy=energy, gb=gb) \
+            == ws.residual(u, 0.3, 1e-8)
 
 
 def _boundary_by_edges(mesh, theta, q, u):
@@ -198,12 +240,14 @@ class TestMinimize:
             assert sol.converged
 
     def test_warm_start_terminates_immediately(self, small_mesh):
+        # a converged start needs no inverse-iteration and no Newton step
         params = _discrete(2.0)
         lam_o, u_o = linear_oracle(small_mesh, theta=2.0)
         sol = minimize_rayleigh(small_mesh, params,
                                 SolverOptions(tol_rel=1e-9, restarts=1,
-                                              initial=u_o.values))
-        assert sol.iterations <= 3
+                                              initial=u_o.values, track_history=True))
+        assert sol.iterations == 0 and sol.history == ()
+        assert sol.converged
         assert abs(sol.lam - lam_o) <= 1e-10 * lam_o
 
     def test_lagrange_identity_and_mu(self, small_mesh):
@@ -214,19 +258,65 @@ class TestMinimize:
         assert sol.mu == pytest.approx(sol.lam * params.p / params.q, rel=1e-15)
         assert sol.lam > 0
 
-    def test_descent_monotone_history(self, small_mesh):
+    def test_residual_history(self, small_mesh):
+        # one residual per step; inverse iteration hands over at 1e-3 and
+        # Newton stops at the first residual below 10 tol_rel
         params = validate_params(2, 3.0, 1.5, 2.0, usage="steklov")
         sol = minimize_rayleigh(small_mesh, params,
                                 SolverOptions(restarts=1, track_history=True))
         hist = np.asarray(sol.history)
-        assert hist.size > 1
-        assert np.all(np.diff(hist) <= 1e-14 * np.abs(hist[:-1]) + 1e-300)
+        assert hist.size == sol.iterations > 1
+        assert hist[-1] < 1e-7 <= hist[-2] and sol.residual < 1e-7
+        newton = hist[np.argmax(hist <= NEWTON_SWITCH) + 1:]
+        assert newton.size >= 1 and np.all(np.diff(newton) < 0)
+
+    def test_newton_converges_quadratically(self, p1_mesh, p1_params):
+        # below the switch each residual is at most C * (previous residual)^2
+        sol = minimize_rayleigh(p1_mesh, p1_params,
+                                SolverOptions(tol_rel=1e-10, track_history=True))
+        hist = np.asarray(sol.history)
+        start = int(np.argmax(hist <= NEWTON_SWITCH))
+        pairs = list(zip(hist[start:-1], hist[start + 1:]))
+        assert len(pairs) >= 2
+        assert all(nxt <= 1e3 * prev ** 2 for prev, nxt in pairs)
 
     def test_sign_normalization(self, small_mesh):
         params = _discrete(2.0)
         ws = workspace_for(small_mesh, params)
         sol = minimize_rayleigh(small_mesh, params, SolverOptions(restarts=2))
         assert ws.trace_integral(sol.u.values) >= 0.0
+
+
+class TestOptions:
+    @pytest.mark.parametrize("key,value", [
+        ("max_iter", 0), ("max_iter", 2.5), ("max_iter", "abc"), ("max_iter", True),
+        ("tol_rel", 0.0), ("tol_rel", -1.0), ("tol_rel", float("nan")),
+        ("reg_eps", 0), ("reg_eps", float("inf")), ("reg_eps", "1e-8"),
+        ("restarts", 0), ("seed", -1), ("initial", np.array([1.0, -1.0])),
+    ])
+    def test_invalid_values_name_the_key(self, key, value):
+        with pytest.raises(RangeViolation) as exc:
+            SolverOptions(**{key: value})
+        assert exc.value.field == key
+
+
+class TestHardInputs:
+    """p = 1.1 at gamma 4 and 5: the flattest energies of the exponent sweep."""
+
+    @pytest.mark.parametrize("gamma", [4.0, 5.0])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_converges_or_fails_naming_p(self, gamma, frac):
+        p = 1.1
+        q = p + frac * (p / (2.0 - p) - p)
+        params = validate_params(2, gamma, p, q, usage="steklov")
+        grid = generate_cusp_mesh(params, levels=6)
+        try:
+            sol = minimize_rayleigh(grid, params)
+        except NumericalError as exc:
+            assert "p = 1.1" in str(exc)
+            return
+        assert sol.converged and sol.residual < 1e-7
+        assert sol.u.values.min() > 0.0
 
 
 class TestStarts:
