@@ -18,6 +18,7 @@ artifact is still written when possible).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .embedding import scaling_slopes, sharpness_scan
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError, check_number
 from .geometry import cusp_map, derived_exponents, validate_params
 from .operators import embedding_ranges
 from .steklov import (
@@ -45,20 +46,20 @@ SCHEMA = "ncusp-artifact v1"
 
 log = logging.getLogger("ncusp")
 
+_MESH_DEFAULTS = {"levels": 10, "grading_ratio": 0.5,
+                  "rows_per_strip": None, "aspect": 1.0}
+# every SolverOptions field but the start vector is a config key
+_SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverOptions)
+                    if f.name != "initial"}
+
 _PARAM_KEYS = {"n", "p", "gamma", "q", "theta", "simplex"}
-_MESH_KEYS = {"levels", "grading_ratio", "rows_per_strip", "aspect"}
-_SOLVER_KEYS = {"max_iter", "tol_rel", "reg_eps", "restarts", "seed"}
-_SCALING_KEYS = {"theta", "q", "theta_grid", "cutoff"}
+_MESH_KEYS = set(_MESH_DEFAULTS)
+_SOLVER_KEYS = set(_SOLVER_DEFAULTS)
+_SCALING_KEYS = {"theta", "q", "theta_grid"}
 _VERIFY_KEYS = {"samples"}
 _ORACLE_KEYS = {"rtol"}
 _MAP_KEYS = {"a"}
-_TOP_KEYS = {"params", "mesh", "solver", "scaling", "verify", "oracle",
-             "map", "output"}
-
-_MESH_DEFAULTS = {"levels": 10, "grading_ratio": 0.5,
-                  "rows_per_strip": None, "aspect": 1.0}
-_SOLVER_DEFAULTS = {"max_iter": 500, "tol_rel": 1e-8, "reg_eps": 1e-8,
-                    "restarts": 1, "seed": 0}
+_TOP_KEYS = {"params", "mesh", "solver", "scaling", "verify", "oracle", "map"}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -106,7 +107,6 @@ def _resolve(raw: dict, seed_override: int | None) -> dict:
         "verify": {"samples": raw.get("verify", {}).get("samples", 10000)},
         "oracle": {"rtol": raw.get("oracle", {}).get("rtol", 1e-6)},
         "map": dict(raw.get("map", {})),
-        "output": raw.get("output", ""),
         "version": __version__,
     }
 
@@ -116,13 +116,8 @@ def _params_from(cfg: dict, usage: str):
     for key in ("n", "p", "gamma"):
         if key not in p:
             raise ConfigError(f"params.{key} is required")
-    q = p.get("q")
-    if q is None:
-        if usage in ("steklov", "discrete"):
-            raise ConfigError("params.q is required for this command")
-        # trace-side commands default to the critical exponent
-        q = p["p"] * (p["n"] - 1) / (p["n"] - p["p"])
-    return validate_params(p["n"], p["gamma"], p["p"], q,
+    # q defaults to the critical exponent for trace-side commands
+    return validate_params(p["n"], p["gamma"], p["p"], p.get("q"),
                            theta=p.get("theta"), simplex=p.get("simplex", False),
                            usage=usage)
 
@@ -186,7 +181,7 @@ def cmd_exponents(cfg: dict, outdir: Path) -> int:
 def cmd_verify_geometry(cfg: dict, outdir: Path) -> int:
     params = _params_from(cfg, usage="trace")
     cmap = cusp_map(params, a=cfg["map"].get("a"))
-    jac = jacobian_suite(cmap, samples=int(cfg["verify"]["samples"]))
+    jac = jacobian_suite(cmap, samples=cfg["verify"]["samples"])
     body = {"jacobian_suite": jac.as_dict()}
     ok = jac.ok
     if params.n == 2:
@@ -233,11 +228,8 @@ def cmd_scaling(cfg: dict, outdir: Path) -> int:
 
 
 def _build_mesh(cfg: dict, params):
-    m = cfg["mesh"]
-    return generate_cusp_mesh(params, levels=int(m["levels"]),
-                              grading_ratio=float(m["grading_ratio"]),
-                              rows_per_strip=m["rows_per_strip"],
-                              aspect=float(m["aspect"]))
+    # generate_cusp_mesh validates each value and names the key it rejects
+    return generate_cusp_mesh(params, **cfg["mesh"])
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
@@ -290,12 +282,12 @@ def cmd_oracle_check(cfg: dict, outdir: Path) -> int:
     params = _params_from(cfg, usage="discrete")
     if params.p != 2.0 or params.q != 2.0:
         raise ConfigError("oracle-check requires params.p == params.q == 2")
+    rtol = check_number("rtol", cfg["oracle"]["rtol"], 0.0)
     options = _solver_options(cfg)
     grid = _build_mesh(cfg, params)
     lam_oracle, u_oracle = linear_oracle(grid, params.theta)
     sol = minimize_rayleigh(grid, params, options)
     rel = abs(sol.lam - lam_oracle) / lam_oracle
-    rtol = float(cfg["oracle"]["rtol"])
     body = {
         "lambda_descent": sol.lam,
         "lambda_oracle": lam_oracle,

@@ -20,9 +20,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonIntegrable, RangeViolation
-from .geometry import DomainParams, derived_exponents, powt
-from .quadrature import GradedRule, gauss_nodes_01, graded_interval_rule
+from .errors import RangeViolation
+from .geometry import (
+    BoundaryFace,
+    DomainParams,
+    derived_exponents,
+    face_parametrization,
+    powt,
+)
+from .quadrature import GradedRule, gauss_nodes_01, graded_interval_rule, side_exponent
 
 __all__ = [
     "Cutoff",
@@ -134,15 +140,11 @@ def test_function_norms(params: DomainParams, theta: float, q: float, eps: float
     if not 0.0 < eps < 0.5:
         raise RangeViolation("eps", "0 < eps < 1/2")
     n, p = params.n, params.p
-    alpha = params.alpha
-    sigma_b = theta + alpha * (n - 2)
-    if sigma_b <= -1.0:
-        raise NonIntegrable(
-            f"theta + alpha(n-2) = {sigma_b:g} fails the > -1 threshold")
+    sigma_b = side_exponent(theta, params)
     if rule is None:
         rule = graded_interval_rule(min(0.0, sigma_b))
 
-    slant = lambda t: np.sqrt(1.0 + alpha * alpha * powt(t, 2.0 * alpha - 2.0))
+    slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
     flat = _plateau_plus_transition(sigma_b, None,
                                     lambda s: cutoff.value(s) ** q, eps, rule)
     slanted = _plateau_plus_transition(sigma_b, slant,
@@ -150,7 +152,7 @@ def test_function_norms(params: DomainParams, theta: float, q: float, eps: float
     boundary_q = (n - 1) * (flat + slanted)
     boundary_norm = boundary_q ** (1.0 / q)
 
-    nu = alpha * (n - 1)
+    nu = params.alpha * (n - 1)
     val_p = _plateau_plus_transition(nu, None,
                                      lambda s: cutoff.value(s) ** p, eps, rule)
     grad_p = _transition_integral(
@@ -193,10 +195,7 @@ def scaling_slopes(params: DomainParams, theta: float, q: float,
     """Least-squares slopes of both norms on a dyadic eps grid."""
     grid = _check_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     n, p, alpha = params.n, params.p, params.alpha
-    sigma_b = theta + alpha * (n - 2)
-    if sigma_b <= -1.0:
-        raise NonIntegrable(
-            f"theta + alpha(n-2) = {sigma_b:g} fails the > -1 threshold")
+    sigma_b = side_exponent(theta, params)
     rule = graded_interval_rule(min(0.0, sigma_b))
     lhs = np.empty(grid.size)
     rhs = np.empty(grid.size)
@@ -212,7 +211,7 @@ def scaling_slopes(params: DomainParams, theta: float, q: float,
         rhs_norms=rhs,
         lhs_slope=lhs_slope,
         rhs_slope=rhs_slope,
-        predicted_lhs=(theta + alpha * (n - 2) + 1.0) / q,
+        predicted_lhs=(sigma_b + 1.0) / q,
         predicted_rhs=(alpha * (n - 1) + 1.0 - p) / p,
     )
 

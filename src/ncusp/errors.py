@@ -8,6 +8,9 @@ CLI maps the former to exit code 2 and the latter to exit code 3.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 __all__ = [
     "NcuspError",
     "ValidationError",
@@ -24,6 +27,7 @@ __all__ = [
     "ZeroTrace",
     "IterationStall",
     "ConfigError",
+    "check_number",
 ]
 
 
@@ -94,3 +98,17 @@ class IterationStall(NumericalError):
 
 class ConfigError(ValidationError):
     """Malformed run configuration (unknown keys, wrong types, missing data)."""
+
+
+def check_number(key: str, value, low: float, high: float = math.inf,
+                 integer: bool = False):
+    """Return value if it is an integer >= low (with ``integer``) or a number
+    with low < value < high; otherwise raise a RangeViolation naming key."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, kind) and not isinstance(value, bool) \
+            and (low <= value if integer else low < value < high):
+        return value
+    if integer:
+        raise RangeViolation(key, f"an integer >= {low}")
+    bounds = f" > {low:g}" if high == math.inf else f" in ({low:g}, {high:g})"
+    raise RangeViolation(key, "a finite number" + ("" if low == -math.inf else bounds))

@@ -27,6 +27,7 @@ from .errors import (
     OutsideDomain,
     RangeViolation,
     SimplexModeRequired,
+    check_number,
 )
 
 __all__ = [
@@ -40,6 +41,9 @@ __all__ = [
     "cusp_map",
     "forward_map",
     "inverse_map",
+    "map_points",
+    "unmap_points",
+    "map_jacobian",
     "jacobian_forward",
     "jacobian_inverse",
     "jacobi_matrix",
@@ -128,7 +132,7 @@ class ExponentSet:
         return (self.n - 1) / a - (self.n - 2) * self.alpha - 1.0
 
 
-def validate_params(n, gamma, p, q, theta=None, simplex=False, usage="trace"):
+def validate_params(n, gamma, p, q=None, theta=None, simplex=False, usage="trace"):
     """Validate a raw parameter tuple and return :class:`DomainParams`.
 
     ``usage`` selects the exponent window for q:
@@ -140,15 +144,15 @@ def validate_params(n, gamma, p, q, theta=None, simplex=False, usage="trace"):
       discrete problem is perfectly well posed even though the continuum
       trace theory needs p < n.
 
-    theta defaults to the sharp weight exponent beta.
+    q defaults to the critical p(n-1)/(n-p) for ``"trace"`` and is required
+    otherwise; theta defaults to the sharp weight exponent beta.
     """
-    for name, value in (("n", n), ("gamma", gamma), ("p", p), ("q", q)):
-        if not math.isfinite(float(value)):
-            raise RangeViolation(name, "finite value")
+    for name, value in (("n", n), ("gamma", gamma), ("p", p)):
+        check_number(name, value, -math.inf)
     if int(n) != n or n < 2:
         raise RangeViolation("n", "integer n >= 2")
     n = int(n)
-    gamma, p, q = float(gamma), float(p), float(q)
+    gamma, p = float(gamma), float(p)
 
     if usage not in ("trace", "steklov", "discrete"):
         raise RangeViolation("usage", "one of trace, steklov, discrete")
@@ -168,27 +172,26 @@ def validate_params(n, gamma, p, q, theta=None, simplex=False, usage="trace"):
         if gamma < n:
             raise RangeViolation("gamma", "gamma > n")
 
-    if q <= 1.0:
-        raise RangeViolation("q", "q > 1")
-    if usage in ("trace", "steklov") and n - p > 0:
-        p_star = p * (n - 1) / (n - p)
-        if usage == "steklov":
-            if q <= p:
-                raise RangeViolation("q", "q > p")
-            if q >= p_star:
-                raise RangeViolation("q", f"q < p(n-1)/(n-p) = {p_star:g}")
-        else:
-            if q > p_star:
-                raise RangeViolation("q", f"q <= p(n-1)/(n-p) = {p_star:g}")
+    p_star = p * (n - 1) / (n - p) if p < n else math.inf
+    if q is None:
+        if usage != "trace":
+            raise RangeViolation("q", f"an explicit q for usage {usage}")
+        q = p_star
+    q = float(check_number("q", q, 1.0))
+    if usage == "steklov":
+        if q <= p:
+            raise RangeViolation("q", "q > p")
+        if q >= p_star:
+            raise RangeViolation("q", f"q < p(n-1)/(n-p) = {p_star:g}")
+    elif usage == "trace" and q > p_star:
+        raise RangeViolation("q", f"q <= p(n-1)/(n-p) = {p_star:g}")
 
     if theta is None:
         if p >= n:
             raise RangeViolation(
                 "theta", "explicit theta required when p >= n (beta undefined)")
         theta = (gamma - n) * (1.0 + p * (n - 2)) / ((n - p) * (n - 1))
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise RangeViolation("theta", "finite value")
+    theta = float(check_number("theta", theta, -math.inf))
 
     return DomainParams(n=n, gamma=gamma, p=p, q=q, theta=theta, simplex=simplex)
 
@@ -261,35 +264,48 @@ def _require_inside(coords: np.ndarray, profile_exp: float, what: str) -> None:
         raise OutsideDomain(f"{what}: cross coordinates must lie strictly inside the profile")
 
 
+def map_points(cmap: CuspMap, y: np.ndarray) -> np.ndarray:
+    """The straightening map on rows of model points, closure included."""
+    yn = y[:, -1]
+    x = np.empty_like(y)
+    x[:, :-1] = y[:, :-1] * powt(yn, cmap.a * cmap.alpha - 1.0)[:, None]
+    x[:, -1] = powt(yn, cmap.a)
+    return x
+
+
+def unmap_points(cmap: CuspMap, x: np.ndarray) -> np.ndarray:
+    """The inverse map on rows of cusp points, closure included (boundary charts)."""
+    xn = x[:, -1]
+    y = np.empty_like(x)
+    y[:, -1] = powt(xn, 1.0 / cmap.a)
+    y[:, :-1] = x[:, :-1] * powt(xn, (1.0 - cmap.a * cmap.alpha) / cmap.a)[:, None]
+    return y
+
+
+def map_jacobian(cmap: CuspMap, yn):
+    """Jacobian determinant a * y_n**(a*gamma - n) at model heights yn."""
+    return cmap.a * powt(yn, cmap.a * cmap.params.gamma - cmap.n)
+
+
 def forward_map(cmap: CuspMap, y) -> np.ndarray:
     """Apply the straightening map to strictly interior model points."""
-    n = cmap.n
-    yy = _points(y, n)
+    yy = _points(y, cmap.n)
     _require_inside(yy, 1.0, "model point")
-    yn = yy[:, -1]
-    x = np.empty_like(yy)
-    x[:, :-1] = yy[:, :-1] * powt(yn, cmap.a * cmap.alpha - 1.0)[:, None]
-    x[:, -1] = powt(yn, cmap.a)
-    return x.reshape(np.shape(y))
+    return map_points(cmap, yy).reshape(np.shape(y))
 
 
 def inverse_map(cmap: CuspMap, x) -> np.ndarray:
     """Invert the straightening map on strictly interior cusp points."""
-    n = cmap.n
-    xx = _points(x, n)
+    xx = _points(x, cmap.n)
     _require_inside(xx, cmap.alpha, "cusp point")
-    xn = xx[:, -1]
-    y = np.empty_like(xx)
-    y[:, -1] = powt(xn, 1.0 / cmap.a)
-    y[:, :-1] = xx[:, :-1] * powt(xn, (1.0 - cmap.a * cmap.alpha) / cmap.a)[:, None]
-    return y.reshape(np.shape(x))
+    return unmap_points(cmap, xx).reshape(np.shape(x))
 
 
 def jacobian_forward(cmap: CuspMap, y):
     """Jacobian determinant a * y_n**(a*gamma - n) of the forward map."""
     yy = _points(y, cmap.n)
     _require_inside(yy, 1.0, "model point")
-    val = cmap.a * powt(yy[:, -1], cmap.a * cmap.params.gamma - cmap.n)
+    val = map_jacobian(cmap, yy[:, -1])
     return val if np.ndim(y) > 1 else float(val[0])
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DivergentIntegral,
     MapParameterTooLarge,
-    NonIntegrable,
     RangeViolation,
 )
 from .geometry import (
@@ -28,10 +27,19 @@ from .geometry import (
     derived_exponents,
     face_parametrization,
     face_pullback_weight,
+    map_jacobian,
+    map_points,
     powt,
     quasi_random_model_interior,
+    unmap_points,
 )
-from .quadrature import GradedRule, gauss_nodes_01, graded_interval_rule
+from .quadrature import (
+    GradedRule,
+    _tensor_cube_nodes,
+    gauss_nodes_01,
+    graded_interval_rule,
+    side_exponent,
+)
 
 __all__ = [
     "KDistortion",
@@ -93,9 +101,7 @@ def K_pp_estimate(cmap: CuspMap, samples: int = 20000) -> KDistortion:
             f"a = {cmap.a:g} exceeds (n-p)/(gamma-p) = {exps.a_max:g}")
     p = cmap.params.p
     y = quasi_random_model_interior(cmap.n, samples)
-    yn = y[:, -1]
-    jac = cmap.a * powt(yn, cmap.a * cmap.params.gamma - cmap.n)
-    vals = dphi_spectral_norm(cmap, y) / jac ** (1.0 / p)
+    vals = dphi_spectral_norm(cmap, y) / map_jacobian(cmap, y[:, -1]) ** (1.0 / p)
     a, alpha, n = cmap.a, cmap.alpha, cmap.n
     bound = (1.0 / a) ** (1.0 / p) * math.sqrt(
         (n - 1) * ((a * alpha - 1.0) ** 2 + 1.0) + a * a)
@@ -121,10 +127,10 @@ def K_ps_estimate(cmap: CuspMap, p: float, s: float,
         raise DivergentIntegral(tip)
     if rule is None:
         rule = graded_interval_rule(min(0.0, tip))
-    cpts, cwts = _cube_nodes(n - 1, cross_order)
+    cpts, cwts = _tensor_cube_nodes(n - 1, cross_order)
 
     def integrand(t):
-        jac = a * powt(t, a * gamma - n)
+        jac = map_jacobian(cmap, t)
         acc = np.zeros_like(t)
         for cp, cw in zip(cpts, cwts):
             y = np.empty((t.shape[0], n))
@@ -135,28 +141,6 @@ def K_ps_estimate(cmap: CuspMap, p: float, s: float,
 
     integral = rule.integrate(integrand)
     return float(integral ** ((p - s) / (p * s)))
-
-
-def _cube_nodes(dim: int, order: int):
-    if dim == 0:
-        return np.zeros((1, 0)), np.array([1.0])
-    x, w = gauss_nodes_01(order)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    wts = np.ones(pts.shape[0])
-    for g in wgrids:
-        wts *= g.ravel()
-    return pts, wts
-
-
-def _inverse_on_closure(cmap: CuspMap, x: np.ndarray) -> np.ndarray:
-    # inverse map formula without the strict-interior gate (boundary charts)
-    xn = x[:, -1]
-    y = np.empty_like(x)
-    y[:, -1] = powt(xn, 1.0 / cmap.a)
-    y[:, :-1] = x[:, :-1] * powt(xn, (1.0 - cmap.a * cmap.alpha) / cmap.a)[:, None]
-    return y
 
 
 def change_of_variables_check(f, cmap: CuspMap, box=None,
@@ -177,20 +161,16 @@ def change_of_variables_check(f, cmap: CuspMap, box=None,
     if box is None:
         rule_l = graded_interval_rule(min(0.0, a * gamma - 1.0), panels=panels[0])
         rule_r = graded_interval_rule(min(0.0, gamma - 1.0), panels=panels[1])
-        cpts, cwts = _cube_nodes(n - 1, cross_order)
+        cpts, cwts = _tensor_cube_nodes(n - 1, cross_order)
 
         def lhs_integrand(t):
-            jac = a * powt(t, a * gamma - n)
             acc = np.zeros_like(t)
             for cp, cw in zip(cpts, cwts):
                 y = np.empty((t.shape[0], n))
                 y[:, -1] = t
                 y[:, :-1] = cp[None, :] * t[:, None]
-                x = np.empty_like(y)
-                x[:, :-1] = y[:, :-1] * powt(t, a * alpha - 1.0)[:, None]
-                x[:, -1] = powt(t, a)
-                acc += cw * np.asarray(f(x), dtype=float)
-            return powt(t, float(n - 1)) * jac * acc
+                acc += cw * np.asarray(f(map_points(cmap, y)), dtype=float)
+            return powt(t, float(n - 1)) * map_jacobian(cmap, t) * acc
 
         def rhs_integrand(t):
             acc = np.zeros_like(t)
@@ -211,7 +191,7 @@ def change_of_variables_check(f, cmap: CuspMap, box=None,
         if np.any(lo < 0.0) or np.any(hi <= lo) or hi[-1] > 1.0 \
                 or np.any(hi[:-1] > lo[-1]):
             raise RangeViolation("box", "box must sit inside the model domain")
-        cpts, cwts = _cube_nodes(n - 1, cross_order)
+        cpts, cwts = _tensor_cube_nodes(n - 1, cross_order)
         yn = lo[-1] + (hi[-1] - lo[-1]) * xg
         wyn = (hi[-1] - lo[-1]) * wg
         widths = hi[:-1] - lo[:-1]
@@ -220,11 +200,8 @@ def change_of_variables_check(f, cmap: CuspMap, box=None,
             y = np.empty((cpts.shape[0], n))
             y[:, -1] = t
             y[:, :-1] = lo[:-1] + cpts * widths
-            x = np.empty_like(y)
-            x[:, :-1] = y[:, :-1] * powt(t, a * alpha - 1.0)
-            x[:, -1] = powt(t, a)
-            jac = a * powt(t, a * gamma - n)
-            lhs += wt * np.prod(widths) * jac * float(np.dot(cwts, f(x)))
+            lhs += wt * np.prod(widths) * map_jacobian(cmap, t) \
+                * float(np.dot(cwts, f(map_points(cmap, y))))
         # image: x_n in (lo_n**a, hi_n**a), cross scaled by x_n**((a*alpha-1)/a)
         xn = powt(lo[-1], a) + (powt(hi[-1], a) - powt(lo[-1], a)) * xg
         wxn = (powt(hi[-1], a) - powt(lo[-1], a)) * wg
@@ -251,8 +228,8 @@ def area_formula_check(g, cmap: CuspMap, rule: GradedRule | None = None,
     params = cmap.params
     if rule is None:
         rule = graded_interval_rule(0.0)
-    cpts, cwts = _cube_nodes(n - 2, cross_order)
-    top_pts, top_wts = _cube_nodes(n - 1, cross_order)
+    cpts, cwts = _tensor_cube_nodes(n - 2, cross_order)
+    top_pts, top_wts = _tensor_cube_nodes(n - 1, cross_order)
     worst = 0.0
     for face in boundary_faces(n):
         if face.kind == "top":
@@ -281,17 +258,14 @@ def area_formula_check(g, cmap: CuspMap, rule: GradedRule | None = None,
             factor = math.sqrt(2.0) if face.kind == "slanted" else 1.0
             return factor * powt(s, float(n - 2)) * acc
 
+        chart = face_parametrization(face, params)
+
         def pulled_back_integrand(t):
             width = powt(t, alpha)
             acc = np.zeros_like(t)
             for cp, cw in zip(cpts, cwts):
-                x = np.zeros((t.shape[0], n))
-                x[:, -1] = t
-                if face.kind == "slanted":
-                    x[:, i] = width
-                if cross_cols:
-                    x[:, cross_cols] = cp[None, :] * width[:, None]
-                acc += cw * np.asarray(g(_inverse_on_closure(cmap, x)), dtype=float)
+                x = chart.point(t, cp[None, :] * width[:, None])
+                acc += cw * np.asarray(g(unmap_points(cmap, x)), dtype=float)
             return powt(t, alpha * (n - 2)) * face_pullback_weight(cmap, face, t) * acc
 
         lhs = rule.integrate(model_integrand)
@@ -352,13 +326,10 @@ def weighted_boundary_norm(traces: Mapping[BoundaryFace, Callable | float],
     """
     if q < 1.0:
         raise RangeViolation("q", "q >= 1")
-    n, alpha = params.n, params.alpha
-    side_present = any(face.is_side for face in traces)
-    if side_present and theta + alpha * (n - 2) <= -1.0:
-        raise NonIntegrable(
-            f"theta + alpha(n-2) = {theta + alpha * (n - 2):g} fails the > -1 threshold")
-    if rule is None and side_present:
-        rule = graded_interval_rule(min(0.0, theta + alpha * (n - 2)))
+    n = params.n
+    if any(face.is_side for face in traces):
+        sigma = side_exponent(theta, params)
+        rule = graded_interval_rule(min(0.0, sigma)) if rule is None else rule
     xg, wg = gauss_nodes_01(12)
     total = 0.0
     for face, tr in sorted(traces.items()):

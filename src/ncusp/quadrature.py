@@ -25,6 +25,7 @@ __all__ = [
     "TriangleRule",
     "graded_interval_rule",
     "triangle_rule",
+    "side_exponent",
     "boundary_integral",
     "volume_integral",
     "gauss_nodes_01",
@@ -113,11 +114,6 @@ class TriangleRule:
     weights: np.ndarray      # (k,), sums to 1
     order: int
 
-    def points(self, v0, v1, v2) -> np.ndarray:
-        verts = np.stack([np.asarray(v0, float), np.asarray(v1, float),
-                          np.asarray(v2, float)])
-        return self.barycentric @ verts
-
     def integrate(self, f, v0, v1, v2) -> float:
         """Integrate f over one triangle with the given vertices."""
         verts = np.stack([np.asarray(v0, float), np.asarray(v1, float),
@@ -194,6 +190,15 @@ def _tensor_cube_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
+def side_exponent(theta: float, params: DomainParams) -> float:
+    """theta + alpha(n-2), the power of t in a weighted side-face integral once
+    the cross section is integrated out; NonIntegrable unless it is > -1."""
+    sigma = theta + params.alpha * (params.n - 2)
+    if sigma <= -1.0:
+        raise NonIntegrable(f"theta + alpha(n-2) = {sigma:g} fails the > -1 threshold")
+    return sigma
+
+
 def boundary_integral(f, theta: float, faces, params: DomainParams,
                       rule: GradedRule | None = None, cross_order: int = 8) -> float:
     """Weighted boundary integral sum of f * x_n**theta over the given faces.
@@ -205,13 +210,9 @@ def boundary_integral(f, theta: float, faces, params: DomainParams,
     """
     faces = list(faces)
     n, alpha = params.n, params.alpha
-    has_side = any(face.is_side for face in faces)
-    tip_exponent = theta + alpha * (n - 2)
-    if has_side and tip_exponent <= -1.0:
-        raise NonIntegrable(
-            f"theta + alpha(n-2) = {tip_exponent:g} fails the > -1 threshold")
-    if rule is None and has_side:
-        rule = graded_interval_rule(min(0.0, tip_exponent))
+    if any(face.is_side for face in faces):
+        sigma = side_exponent(theta, params)
+        rule = graded_interval_rule(min(0.0, sigma)) if rule is None else rule
 
     total = 0.0
     for face in faces:
@@ -227,15 +228,8 @@ def boundary_integral(f, theta: float, faces, params: DomainParams,
         weight_t = powt(t, theta) * chart.slant_factor(t)
         cpts, cwts = _tensor_cube_nodes(n - 2, cross_order)
         face_sum = np.zeros_like(t)
-        i = face.index - 1
-        cross_cols = [j for j in range(n - 1) if j != i]
         for cp, cw in zip(cpts, cwts):
-            xs = np.zeros((t.shape[0], n))
-            xs[:, -1] = t
-            if face.kind == "slanted":
-                xs[:, i] = width
-            if cross_cols:
-                xs[:, cross_cols] = cp[None, :] * width[:, None]
+            xs = chart.point(t, cp[None, :] * width[:, None])
             face_sum += cw * np.asarray(f(xs), dtype=float)
         cross_volume = powt(t, alpha * (n - 2))
         total += float(np.dot(rule.weights, weight_t * cross_volume * face_sum))
@@ -262,14 +256,12 @@ def volume_integral(f, params: DomainParams, mode: str = "reduced",
         raise RangeViolation("mode", "mode in {'reduced', 'mesh'}")
     if n != 2:
         raise RangeViolation("n", "mesh-based volume integrals are n = 2 only")
+    from .steklov.mesh import generate_cusp_mesh, p1_geometry
     if mesh is None:
-        from .steklov.mesh import generate_cusp_mesh
         mesh = generate_cusp_mesh(params, levels=levels)
     tri = triangle_rule(order)
     verts = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-    e1 = verts[:, 1] - verts[:, 0]
-    e2 = verts[:, 2] - verts[:, 0]
-    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    areas = np.abs(p1_geometry(mesh)[0])
     total = 0.0
     for lam, w in zip(tri.barycentric, tri.weights):
         pts = np.einsum("k,nkd->nd", lam, verts)

@@ -37,6 +37,12 @@ __all__ = [
     "fem_pnorms",
 ]
 
+# Gauss points per boundary edge, the triangle rule's order, and the graded
+# rule's panels on the (at most two) edges that end at the origin
+EDGE_ORDER = 10
+TRI_ORDER = 5
+TIP_RULE_PANELS = 30
+
 
 @dataclass(frozen=True)
 class FemFunction:
@@ -80,9 +86,7 @@ class FemWorkspace:
     mass is edge_op^T diag(edge_wf) edge_op.
     """
 
-    def __init__(self, mesh: TriMesh, theta: float, p: float, q: float,
-                 edge_order: int = 10, tri_order: int = 5,
-                 tip_rule_panels: int = 30):
+    def __init__(self, mesh: TriMesh, theta: float, p: float, q: float):
         # no reference to the mesh is kept: the cache below is keyed weakly
         # on it, and a reference from its value would keep both alive forever
         self.theta = float(theta)
@@ -95,14 +99,13 @@ class FemWorkspace:
         self.num_dof = nv
         self.areas, self._grads = p1_geometry(mesh)
         grads = self._grads
-        rule = triangle_rule(tri_order)
+        rule = triangle_rule(TRI_ORDER)
         kq = rule.weights.size
 
         # flattened boundary quadrature: Gauss points on every edge away
         # from the origin, the graded rule on the (at most two) tip edges
-        xg, wg = gauss_nodes_01(edge_order)
-        tip_rule = graded_interval_rule(min(0.0, self.theta),
-                                        panels=tip_rule_panels)
+        xg, wg = gauss_nodes_01(EDGE_ORDER)
+        tip_rule = graded_interval_rule(min(0.0, self.theta), panels=TIP_RULE_PANELS)
         ends = mesh.boundary_edges
         vi, vj = verts[ends[:, 0]], verts[ends[:, 1]]
         length = np.linalg.norm(vj - vi, axis=1)
@@ -290,15 +293,14 @@ def _cached_workspace(mesh: TriMesh, theta: float, p: float, q: float) -> FemWor
     return ws
 
 
-def workspace_for(mesh: TriMesh, params: DomainParams,
-                  theta: float | None = None) -> FemWorkspace:
-    """Cached workspace for (mesh, theta, p, q)."""
-    theta = params.theta if theta is None else float(theta)
-    return _cached_workspace(mesh, theta, params.p, params.q)
+def workspace_for(mesh: TriMesh, params: DomainParams) -> FemWorkspace:
+    """Cached workspace for the mesh and the (theta, p, q) of params."""
+    return _cached_workspace(mesh, params.theta, params.p, params.q)
 
 
 def linear_workspace(mesh: TriMesh, theta: float) -> FemWorkspace:
-    """Cached workspace for the p = q = 2 testbed (shared with descent runs)."""
+    """Cached workspace for the p = q = 2 testbed, shared with `minimize_rayleigh`
+    runs at p = q = 2 and the same theta."""
     return _cached_workspace(mesh, theta, 2.0, 2.0)
 
 

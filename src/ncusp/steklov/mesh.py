@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateTriangle, RangeViolation
+from ..errors import ConfigError, DegenerateTriangle, RangeViolation, check_number
 from ..geometry import DomainParams, powt
 
 __all__ = ["TriMesh", "generate_cusp_mesh", "save_mesh", "load_mesh", "mesh_area",
@@ -97,6 +97,24 @@ def _triangle_quality(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.min(lengths.min(axis=0) / lengths.max(axis=0)))
 
 
+def _outward_normals(vertices: np.ndarray, edges: np.ndarray,
+                     tags: np.ndarray) -> np.ndarray:
+    """Outward unit normals of the tagged boundary edges."""
+    normals = np.empty((edges.shape[0], 2))
+    for k, (i, j) in enumerate(edges):
+        if tags[k] == FLAT:
+            normals[k] = (-1.0, 0.0)
+        elif tags[k] == TOP:
+            normals[k] = (0.0, 1.0)
+        else:
+            d = vertices[j] - vertices[i]
+            nvec = np.array([-d[1], d[0]])
+            if nvec[0] < 0:
+                nvec = -nvec
+            normals[k] = nvec / np.linalg.norm(nvec)
+    return normals
+
+
 def _stitch_band(top_idx, bot_idx, top_frac, bot_frac):
     """Triangulate the band between two vertex rows by monotone advance."""
     tris = []
@@ -127,15 +145,13 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
     """
     if params.n != 2:
         raise RangeViolation("n", "mesh generation supports n = 2 only")
-    if levels < 3:
-        raise RangeViolation("levels", "levels >= 3")
-    if not 0.0 < grading_ratio < 1.0:
-        raise RangeViolation("grading_ratio", "0 < grading_ratio < 1")
-    if aspect <= 0.0:
-        raise RangeViolation("aspect", "aspect > 0")
-    alpha = params.alpha
+    check_number("levels", levels, 3, integer=True)
+    check_number("grading_ratio", grading_ratio, 0.0, 1.0)
+    check_number("aspect", aspect, 0.0)
     if rows_per_strip is None:
         rows_per_strip = max(4, 4 * levels)
+    check_number("rows_per_strip", rows_per_strip, 1, integer=True)
+    alpha = params.alpha
 
     heights = [1.0]
     for k in range(levels):
@@ -198,25 +214,12 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
     edges = np.asarray(edges, dtype=np.int64)
     tags = np.asarray(tags)
 
-    normals = np.empty((edges.shape[0], 2))
-    for k, (i, j) in enumerate(edges):
-        if tags[k] == FLAT:
-            normals[k] = (-1.0, 0.0)
-        elif tags[k] == TOP:
-            normals[k] = (0.0, 1.0)
-        else:
-            d = vertices[j] - vertices[i]
-            nvec = np.array([-d[1], d[0]])
-            if nvec[0] < 0:
-                nvec = -nvec
-            normals[k] = nvec / np.linalg.norm(nvec)
-
     return _freeze(TriMesh(
         vertices=vertices,
         triangles=triangles,
         boundary_edges=edges,
         boundary_tags=tags,
-        boundary_normals=normals,
+        boundary_normals=_outward_normals(vertices, edges, tags),
         tip_height=float(tip_height),
         min_quality=quality,
         levels=levels,
@@ -265,18 +268,6 @@ def load_mesh(path) -> TriMesh:
     triangles = np.asarray(tris, dtype=np.int64)
     edge_arr = np.asarray(edges, dtype=np.int64)
     tag_arr = np.asarray(tags)
-    normals = np.empty((edge_arr.shape[0], 2))
-    for k, (i, j) in enumerate(edge_arr):
-        if tag_arr[k] == FLAT:
-            normals[k] = (-1.0, 0.0)
-        elif tag_arr[k] == TOP:
-            normals[k] = (0.0, 1.0)
-        else:
-            d = vertices[j] - vertices[i]
-            nvec = np.array([-d[1], d[0]])
-            if nvec[0] < 0:
-                nvec = -nvec
-            normals[k] = nvec / np.linalg.norm(nvec)
     heights = vertices[:, 1]
     positive = heights[np.unique(edge_arr.ravel())]
     positive = positive[positive > 0.0]
@@ -286,7 +277,7 @@ def load_mesh(path) -> TriMesh:
         triangles=triangles,
         boundary_edges=edge_arr,
         boundary_tags=tag_arr,
-        boundary_normals=normals,
+        boundary_normals=_outward_normals(vertices, edge_arr, tag_arr),
         tip_height=tip,
         min_quality=_triangle_quality(vertices, triangles),
     ))

@@ -15,14 +15,13 @@ p = q = 2 independently, on the matrix pencil.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import IterationStall, NumericalError, RangeViolation, ZeroTrace
+from ..errors import IterationStall, NumericalError, RangeViolation, ZeroTrace, check_number
 from ..geometry import DomainParams, derived_exponents
 from .fem import FemFunction, FemWorkspace, linear_workspace, workspace_for
 from .mesh import TriMesh
@@ -56,7 +55,6 @@ class SolverOptions:
     which has converged once the weak residual is below ``10 * tol_rel``.
     ``restarts > 1`` adds random starts, uniform on [0, 1) and drawn from
     ``seed``, after u = 1 (or ``initial``, which must not change sign).
-    ``track_history`` records the weak residual after every step.
     """
 
     max_iter: int = 500
@@ -65,19 +63,12 @@ class SolverOptions:
     restarts: int = 1
     seed: int = 0
     initial: np.ndarray | None = None
-    track_history: bool = False
 
     def __post_init__(self):
         for key, low in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < low:
-                raise RangeViolation(key, f"an integer >= {low}")
+            check_number(key, getattr(self, key), low, integer=True)
         for key in ("tol_rel", "reg_eps"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0.0 < value < math.inf:
-                raise RangeViolation(key, "a finite number > 0")
+            check_number(key, getattr(self, key), 0.0)
         if self.initial is not None and _changes_sign(np.asarray(self.initial)):
             raise RangeViolation("initial", "a start that does not change sign")
 
@@ -105,7 +96,7 @@ class SteklovSolution:
     converged: bool
     reg_eps: float
     dof: int
-    history: tuple[float, ...] | None = None
+    history: tuple[float, ...]
     start_spread: float | None = None
 
 
@@ -253,7 +244,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
         converged=bool(converged),
         reg_eps=opts.reg_eps,
         dof=ws.num_dof,
-        history=tuple(history) if opts.track_history else None,
+        history=tuple(history),
         start_spread=spread,
     )
 

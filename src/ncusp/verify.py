@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_number
 from .geometry import (
     CuspMap,
     boundary_faces,
@@ -76,6 +77,7 @@ def _fd_jacobian_determinant(cmap: CuspMap, y: np.ndarray, h: float = 1e-6):
 
 def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
     """Roundtrip, reciprocity, finite-difference, and sandwich checks."""
+    check_number("samples", samples, 1, integer=True)
     n = cmap.n
     y = quasi_random_model_interior(n, samples)
     x = forward_map(cmap, y)

@@ -204,6 +204,56 @@ class TestValidation:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command,block,key,value", [
+        ("mesh", "mesh", "levels", "abc"), ("mesh", "mesh", "levels", 4.5),
+        ("mesh", "mesh", "levels", 2), ("mesh", "mesh", "grading_ratio", "x"),
+        ("mesh", "mesh", "grading_ratio", 1.0), ("mesh", "mesh", "rows_per_strip", 0),
+        ("mesh", "mesh", "aspect", 0), ("solve", "mesh", "levels", 4.5),
+        ("verify-geometry", "verify", "samples", "abc"),
+        ("verify-geometry", "verify", "samples", 0),
+        ("oracle-check", "oracle", "rtol", "x"), ("oracle-check", "oracle", "rtol", 0),
+        ("exponents", "params", "p", "x"), ("exponents", "params", "gamma", "x"),
+    ])
+    def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, block,
+                                              key, value):
+        cfg = {"params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0},
+               "mesh": {"levels": 4, "rows_per_strip": 6}}
+        if command == "oracle-check":
+            cfg["params"] = {"n": 2, "p": 2.0, "gamma": 3.0, "q": 2.0, "theta": 2.0}
+        cfg.setdefault(block, {})[key] = value
+        path = _write_config(tmp_path, "bad.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "run")]) == 2
+        assert f"{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("params", [{"n": 2, "p": 2, "gamma": 3},
+                                        {"n": 2, "p": "x", "gamma": 3}])
+    def test_trace_command_without_q_names_p(self, tmp_path, capsys, params):
+        path = _write_config(tmp_path, "bad.json", {"params": params})
+        assert main(["exponents", "--config", path, "--out", str(tmp_path / "run")]) == 2
+        assert "p:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_trace_command_defaults_q_to_critical_exponent(self, tmp_path):
+        path = _write_config(tmp_path, "noq.json",
+                             {"params": {"n": 2, "p": 1.5, "gamma": 3.0}})
+        assert main(["exponents", "--config", path, "--out", str(tmp_path)]) == 0
+        # theta_min at the critical exponent is the sharp weight beta = 2
+        doc = _json_artifact(tmp_path, "exponents.json")
+        assert doc["exponents"]["theta_min_at_q"] == pytest.approx(2.0, abs=1e-12)
+        path = _write_config(tmp_path, "noq_solve.json",
+                             {"params": {"n": 2, "p": 1.5, "gamma": 3.0}})
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("extra", [{"scaling": {"cutoff": "quintic"}},
+                                       {"output": "somewhere"}])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, extra):
+        cfg = {"params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 3.0, "theta": 2.0}, **extra}
+        path = _write_config(tmp_path, "bad.json", cfg)
+        assert main(["scaling", "--config", path, "--out", str(tmp_path / "run")]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_hard_input_exits_3_naming_p(self, tmp_path, capsys):
         # gamma 5, p 1.1: inverse iteration leaves the one-signed cone
         cfg = _write_config(tmp_path, "hard.json", {

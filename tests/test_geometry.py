@@ -23,11 +23,14 @@ from ncusp.geometry import (
     jacobi_matrix,
     jacobian_forward,
     jacobian_inverse,
+    map_jacobian,
+    map_points,
     powt,
     quasi_random_interior,
     quasi_random_model_interior,
     tangential_bound_constant,
     tangential_jacobian,
+    unmap_points,
     tangential_jacobian_bounds,
     validate_params,
     weight_value,
@@ -66,6 +69,25 @@ class TestValidateParams:
     def test_discrete_mode_allows_linear_testbed(self):
         p = validate_params(2, 3.0, 2.0, 2.0, theta=2.0, usage="discrete")
         assert p.p == p.q == 2.0
+
+    def test_trace_q_defaults_to_critical_exponent(self):
+        assert validate_params(2, 3.0, 1.5).q == 3.0
+        assert validate_params(3, 4.0, 2.0).q == 4.0
+        for usage in ("steklov", "discrete"):
+            with pytest.raises(RangeViolation) as err:
+                validate_params(2, 3.0, 1.5, usage=usage)
+            assert err.value.field == "q"
+        with pytest.raises(RangeViolation) as err:
+            validate_params(2, 3.0, 2.0)  # p = n leaves p* undefined
+        assert err.value.field == "p"
+
+    @pytest.mark.parametrize("key", ["n", "gamma", "p", "q", "theta"])
+    def test_non_numeric_value_names_the_key(self, key):
+        args = dict(n=2, gamma=3.0, p=1.5, q=2.0, theta=None)
+        args[key] = "x"
+        with pytest.raises(RangeViolation) as err:
+            validate_params(**args)
+        assert err.value.field == key
 
     def test_discrete_mode_requires_explicit_theta_at_p_ge_n(self):
         with pytest.raises(RangeViolation):
@@ -151,6 +173,23 @@ class TestMap:
             back = inverse_map(m, forward_map(m, y))
             err = np.abs(back - y).max(axis=1) / (1.0 + np.abs(y).max(axis=1))
             assert err.max() < 1e-12
+
+    def test_ungated_helpers_match_the_gated_maps(self, p1_map, p2_map):
+        for cmap in (p1_map, p2_map):
+            y = quasi_random_model_interior(cmap.n, 200)
+            x = forward_map(cmap, y)
+            assert map_points(cmap, y).tobytes() == x.tobytes()
+            assert unmap_points(cmap, x).tobytes() == inverse_map(cmap, x).tobytes()
+            assert map_jacobian(cmap, y[:, -1]).tobytes() \
+                == jacobian_forward(cmap, y).tobytes()
+
+    def test_ungated_helpers_reach_the_boundary(self, p1_map):
+        # the top corner (1, 1) lies on two faces and is fixed by the map
+        corner = np.array([[1.0, 1.0]])
+        assert np.array_equal(unmap_points(p1_map, corner), corner)
+        assert np.array_equal(map_points(p1_map, corner), corner)
+        with pytest.raises(OutsideDomain):
+            inverse_map(p1_map, corner)
 
     def test_outside_domain_rejected(self, p1_map):
         with pytest.raises(OutsideDomain):

@@ -102,6 +102,20 @@ class TestGeneration:
         with pytest.raises(RangeViolation):
             generate_cusp_mesh(p2_params, levels=6)
 
+    @pytest.mark.parametrize("key,value", [
+        ("levels", 4.5), ("levels", "abc"), ("grading_ratio", "x"), ("grading_ratio", 0.0),
+        ("aspect", 0.0), ("aspect", float("nan")), ("rows_per_strip", 0),
+        ("rows_per_strip", 2.0)])
+    def test_invalid_value_names_the_key(self, p1_params, key, value):
+        with pytest.raises(RangeViolation) as exc:
+            generate_cusp_mesh(p1_params, **{"levels": 4, key: value})
+        assert exc.value.field == key
+
+    def test_one_row_per_strip(self, p1_params):
+        m = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=1)
+        assert m.min_quality > 1e-6
+        assert mesh_area(m) == pytest.approx(1 / 3, rel=0.1)
+
     def test_dof_scale_at_levels_10(self, p1_params):
         m = generate_cusp_mesh(p1_params, levels=10)
         assert 3000 < m.num_vertices < 8000  # the "about 5k unknowns" regime
@@ -127,6 +141,7 @@ class TestMeshIO:
         assert np.array_equal(m.triangles, m2.triangles)
         assert np.array_equal(m.boundary_edges, m2.boundary_edges)
         assert np.all(m.boundary_tags == m2.boundary_tags)
+        assert m.boundary_normals.tobytes() == m2.boundary_normals.tobytes()
         assert m2.tip_height == pytest.approx(m.tip_height)
 
     def test_header_line(self, p1_params, tmp_path):

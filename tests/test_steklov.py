@@ -245,7 +245,7 @@ class TestMinimize:
         lam_o, u_o = linear_oracle(small_mesh, theta=2.0)
         sol = minimize_rayleigh(small_mesh, params,
                                 SolverOptions(tol_rel=1e-9, restarts=1,
-                                              initial=u_o.values, track_history=True))
+                                              initial=u_o.values))
         assert sol.iterations == 0 and sol.history == ()
         assert sol.converged
         assert abs(sol.lam - lam_o) <= 1e-10 * lam_o
@@ -263,7 +263,7 @@ class TestMinimize:
         # Newton stops at the first residual below 10 tol_rel
         params = validate_params(2, 3.0, 1.5, 2.0, usage="steklov")
         sol = minimize_rayleigh(small_mesh, params,
-                                SolverOptions(restarts=1, track_history=True))
+                                SolverOptions(restarts=1))
         hist = np.asarray(sol.history)
         assert hist.size == sol.iterations > 1
         assert hist[-1] < 1e-7 <= hist[-2] and sol.residual < 1e-7
@@ -273,7 +273,7 @@ class TestMinimize:
     def test_newton_converges_quadratically(self, p1_mesh, p1_params):
         # below the switch each residual is at most C * (previous residual)^2
         sol = minimize_rayleigh(p1_mesh, p1_params,
-                                SolverOptions(tol_rel=1e-10, track_history=True))
+                                SolverOptions(tol_rel=1e-10))
         hist = np.asarray(sol.history)
         start = int(np.argmax(hist <= NEWTON_SWITCH))
         pairs = list(zip(hist[start:-1], hist[start + 1:]))
