@@ -19,15 +19,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .embedding import scaling_slopes, sharpness_scan
-from .errors import ConfigError, NumericalError, ValidationError, check_number
+from .errors import (
+    ConfigError,
+    NumericalError,
+    RangeViolation,
+    ValidationError,
+    check_number,
+)
 from .geometry import cusp_map, derived_exponents, validate_params
 from .operators import embedding_ranges
 from .steklov import (
@@ -46,8 +54,11 @@ SCHEMA = "ncusp-artifact v1"
 
 log = logging.getLogger("ncusp")
 
-_MESH_DEFAULTS = {"levels": 10, "grading_ratio": 0.5,
-                  "rows_per_strip": None, "aspect": 1.0}
+# levels has no library default; the other mesh keys take generate_cusp_mesh's
+_MESH_DEFAULTS = {"levels": 10, **{
+    name: arg.default
+    for name, arg in inspect.signature(generate_cusp_mesh).parameters.items()
+    if arg.default is not inspect.Parameter.empty}}
 # every SolverOptions field but the start vector is a config key
 _SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverOptions)
                     if f.name != "initial"}
@@ -197,10 +208,15 @@ def cmd_verify_geometry(cfg: dict, outdir: Path) -> int:
 def cmd_scaling(cfg: dict, outdir: Path) -> int:
     params = _params_from(cfg, usage="trace")
     sc = cfg["scaling"]
-    theta = sc.get("theta", params.theta)
-    q = sc.get("q", params.q)
+    theta = check_number("theta", sc.get("theta", params.theta), -math.inf)
+    q = check_number("q", sc.get("q", params.q), 1.0)  # q > 1, as for params.q
     if "theta_grid" in sc:
-        scan = sharpness_scan(params, q, sc["theta_grid"])
+        grid = sc["theta_grid"]
+        if not isinstance(grid, list) or not grid:
+            raise RangeViolation("theta_grid", "a non-empty list of finite numbers")
+        for value in grid:
+            check_number("theta_grid", value, -math.inf)
+        scan = sharpness_scan(params, q, grid)
         rows = [f"{row[0]!r},{row[1]!r},{row[2]!r}" for row in scan.rows]
         _write(outdir, "sharpness.csv",
                _csv_text(cfg, "scaling", "theta,slope_gap,theta_gap", rows))

@@ -96,15 +96,22 @@ def cutoff_eta(s):
     return val, der
 
 
-def _transition_integral(fn, eps: float, order: int = 16, panels: int = 4) -> float:
+# Gauss points per panel and panels of the transition band (eps, 2*eps)
+TRANSITION_ORDER = 16
+TRANSITION_PANELS = 4
+
+
+def _transition_integral(fn, eps: float) -> float:
     # integral over (eps, 2*eps); integrand smooth inside, mildly singular
-    # fractional powers only at the panel endpoints
-    xg, wg = gauss_nodes_01(order)
-    edges = np.linspace(eps, 2.0 * eps, panels + 1)
+    # fractional powers only at the panel endpoints. fn sees every panel's
+    # nodes at once; the panel sums are added in order, as one loop would.
+    xg, wg = gauss_nodes_01(TRANSITION_ORDER)
+    edges = np.linspace(eps, 2.0 * eps, TRANSITION_PANELS + 1)
+    widths = edges[1:] - edges[:-1]
+    values = fn(edges[:-1, None] + widths[:, None] * xg)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t = lo + (hi - lo) * xg
-        total += (hi - lo) * float(np.dot(wg, fn(t)))
+    for h, row in zip(widths, values):
+        total += h * float(np.dot(wg, row))
     return total
 
 

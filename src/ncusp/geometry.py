@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,6 +157,8 @@ def validate_params(n, gamma, p, q=None, theta=None, simplex=False, usage="trace
 
     if usage not in ("trace", "steklov", "discrete"):
         raise RangeViolation("usage", "one of trace, steklov, discrete")
+    if not isinstance(simplex, bool):
+        raise RangeViolation("simplex", "true or false")
 
     if p <= 1.0:
         raise RangeViolation("p", "p > 1")
@@ -238,9 +241,7 @@ def cusp_map(params: DomainParams, a: float | None = None) -> CuspMap:
     exps = derived_exponents(params)
     if a is None:
         a = exps.a_max
-    a = float(a)
-    if a <= 0.0:
-        raise RangeViolation("a", "a > 0")
+    a = float(check_number("a", a, 0.0))
     if a > exps.a_max:
         raise MapParameterTooLarge(
             f"a = {a:g} exceeds (n-p)/(gamma-p) = {exps.a_max:g}")
@@ -557,13 +558,38 @@ def weight_value(theta: float, t):
 # deterministic interior sampling
 # --------------------------------------------------------------------------
 
-def _halton(dim: int, m: int, skip: int) -> np.ndarray:
-    # scipy.stats is slow to import and only the Halton points need it
-    from scipy.stats import qmc
+def _first_primes(k: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < k:
+        if all(candidate % prime for prime in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
-    sampler = qmc.Halton(d=dim, scramble=False)
-    sampler.fast_forward(max(1, skip))  # index 0 is the origin
-    return sampler.random(m)
+
+@lru_cache(maxsize=8)
+def _halton(dim: int, m: int, skip: int) -> np.ndarray:
+    """Points max(1, skip) .. max(1, skip) + m - 1 of the unscrambled Halton
+    sequence in the first ``dim`` prime bases (index 0 is the origin).
+
+    Cached and read-only. The digit loop does scipy's ``van_der_corput``
+    arithmetic in its order, so the points equal ``qmc.Halton(scramble=False)``
+    after ``fast_forward(max(1, skip))`` bit for bit; a finished index adds
+    ``0 * f``, which is exact.
+    """
+    start = max(1, skip)
+    index = np.arange(start, start + m)
+    u = np.empty((m, dim))
+    for k, base in enumerate(_first_primes(dim)):
+        q, acc, f = index, np.zeros(m), 1.0 / base
+        while q.any():
+            q, r = np.divmod(q, base)
+            acc += r * f
+            f /= base
+        u[:, k] = acc
+    u.setflags(write=False)
+    return u
 
 
 def quasi_random_model_interior(n: int, m: int, skip: int = 1) -> np.ndarray:

@@ -34,6 +34,7 @@ from .geometry import (
     unmap_points,
 )
 from .quadrature import (
+    CROSS_ORDER,
     GradedRule,
     _tensor_cube_nodes,
     gauss_nodes_01,
@@ -57,6 +58,9 @@ __all__ = [
 ]
 
 _EPS_FLOOR = 1e-300
+# Gauss points per cross-section axis in the change-of-variables and area
+# formula checks (the distortion integral uses quadrature.CROSS_ORDER)
+CHECK_CROSS_ORDER = 10
 
 
 def dphi_spectral_norm(cmap: CuspMap, y) -> np.ndarray:
@@ -110,7 +114,7 @@ def K_pp_estimate(cmap: CuspMap, samples: int = 20000) -> KDistortion:
 
 
 def K_ps_estimate(cmap: CuspMap, p: float, s: float,
-                  rule: GradedRule | None = None, cross_order: int = 8) -> float:
+                  rule: GradedRule | None = None) -> float:
     """Lebesgue-exponent distortion (integral branch) for 1 < s < p.
 
     Reduces along the height with tensor Gauss quadrature across the
@@ -127,7 +131,7 @@ def K_ps_estimate(cmap: CuspMap, p: float, s: float,
         raise DivergentIntegral(tip)
     if rule is None:
         rule = graded_interval_rule(min(0.0, tip))
-    cpts, cwts = _tensor_cube_nodes(n - 1, cross_order)
+    cpts, cwts = _tensor_cube_nodes(n - 1, CROSS_ORDER)
 
     def integrand(t):
         jac = map_jacobian(cmap, t)
@@ -144,8 +148,7 @@ def K_ps_estimate(cmap: CuspMap, p: float, s: float,
 
 
 def change_of_variables_check(f, cmap: CuspMap, box=None,
-                              panels: tuple[int, int] = (48, 40),
-                              cross_order: int = 10) -> float:
+                              panels: tuple[int, int] = (48, 40)) -> float:
     """Relative discrepancy between both sides of the change of variables.
 
     Compares the pullback integral of f * |J| over a region of the model
@@ -156,12 +159,12 @@ def change_of_variables_check(f, cmap: CuspMap, box=None,
     """
     n, a, alpha = cmap.n, cmap.a, cmap.alpha
     gamma = cmap.params.gamma
-    xg, wg = gauss_nodes_01(cross_order)
+    xg, wg = gauss_nodes_01(CHECK_CROSS_ORDER)
 
     if box is None:
         rule_l = graded_interval_rule(min(0.0, a * gamma - 1.0), panels=panels[0])
         rule_r = graded_interval_rule(min(0.0, gamma - 1.0), panels=panels[1])
-        cpts, cwts = _tensor_cube_nodes(n - 1, cross_order)
+        cpts, cwts = _tensor_cube_nodes(n - 1, CHECK_CROSS_ORDER)
 
         def lhs_integrand(t):
             acc = np.zeros_like(t)
@@ -191,7 +194,7 @@ def change_of_variables_check(f, cmap: CuspMap, box=None,
         if np.any(lo < 0.0) or np.any(hi <= lo) or hi[-1] > 1.0 \
                 or np.any(hi[:-1] > lo[-1]):
             raise RangeViolation("box", "box must sit inside the model domain")
-        cpts, cwts = _tensor_cube_nodes(n - 1, cross_order)
+        cpts, cwts = _tensor_cube_nodes(n - 1, CHECK_CROSS_ORDER)
         yn = lo[-1] + (hi[-1] - lo[-1]) * xg
         wyn = (hi[-1] - lo[-1]) * wg
         widths = hi[:-1] - lo[:-1]
@@ -215,8 +218,7 @@ def change_of_variables_check(f, cmap: CuspMap, box=None,
     return abs(lhs - rhs) / max(abs(rhs), _EPS_FLOOR)
 
 
-def area_formula_check(g, cmap: CuspMap, rule: GradedRule | None = None,
-                       cross_order: int = 10) -> float:
+def area_formula_check(g, cmap: CuspMap, rule: GradedRule | None = None) -> float:
     """Max per-face discrepancy of the boundary area formula.
 
     For every face, compares the direct surface integral of g over the
@@ -228,8 +230,8 @@ def area_formula_check(g, cmap: CuspMap, rule: GradedRule | None = None,
     params = cmap.params
     if rule is None:
         rule = graded_interval_rule(0.0)
-    cpts, cwts = _tensor_cube_nodes(n - 2, cross_order)
-    top_pts, top_wts = _tensor_cube_nodes(n - 1, cross_order)
+    cpts, cwts = _tensor_cube_nodes(n - 2, CHECK_CROSS_ORDER)
+    top_pts, top_wts = _tensor_cube_nodes(n - 1, CHECK_CROSS_ORDER)
     worst = 0.0
     for face in boundary_faces(n):
         if face.kind == "top":
@@ -358,7 +360,7 @@ class Profile1D:
 
 
 def sobolev_norm(u, p: float, params: DomainParams | None = None,
-                 rule: GradedRule | None = None, tri_order: int = 5) -> NormValue:
+                 rule: GradedRule | None = None) -> NormValue:
     """Sobolev norm: gradient p-norm plus function p-norm (sum of the two).
 
     Accepts a height-only :class:`Profile1D` (reduced exactly to 1-D using
@@ -378,7 +380,7 @@ def sobolev_norm(u, p: float, params: DomainParams | None = None,
                          kind="sobolev_p",
                          quadrature=f"graded(panels={rule.panels})")
     # piecewise-linear mesh function
-    from .steklov.fem import fem_pnorms
-    gp, vp = fem_pnorms(u, p, tri_order=tri_order)
+    from .steklov.fem import TRI_ORDER, fem_pnorms
+    gp, vp = fem_pnorms(u, p)
     return NormValue(value=float(gp + vp), kind="sobolev_p",
-                     quadrature=f"mesh+triangle(order={tri_order})")
+                     quadrature=f"mesh+triangle(order={TRI_ORDER})")

@@ -34,6 +34,8 @@ __all__ = [
 _TAIL_TRIGGER = -0.6       # exponents below this get the deepened tail
 _TAIL_TARGET = 1e-9        # truncation target for the deepened tail
 _MIN_BREAKPOINT = 1e-250   # keep breakpoints well inside normal doubles
+GAUSS_ORDER = 8            # Gauss points per panel of a graded rule
+CROSS_ORDER = 8            # Gauss points per cross-section axis of a face
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +58,6 @@ class GradedRule:
     grading_ratio: float
     panels: int
     min_exponent: float
-    gauss_order: int
 
     def integrate(self, f, upper: float = 1.0) -> float:
         """Integrate f over (0, upper); grading scales with the interval."""
@@ -67,7 +68,7 @@ class GradedRule:
 
 
 def graded_interval_rule(min_exponent: float, panels: int = 40,
-                         ratio: float = 0.5, gauss_order: int = 8) -> GradedRule:
+                         ratio: float = 0.5) -> GradedRule:
     """Build a graded rule accurate for integrands c * t**sigma, sigma >= min_exponent.
 
     Raises NonIntegrable at or below the sigma = -1 threshold.
@@ -78,8 +79,6 @@ def graded_interval_rule(min_exponent: float, panels: int = 40,
         raise RangeViolation("panels", "panels >= 4")
     if not 0.0 < ratio < 1.0:
         raise RangeViolation("ratio", "0 < ratio < 1")
-    if gauss_order < 2:
-        raise RangeViolation("gauss_order", "gauss_order >= 2")
 
     depth = 2 * panels - 1
     if min_exponent < _TAIL_TRIGGER:
@@ -89,7 +88,7 @@ def graded_interval_rule(min_exponent: float, panels: int = 40,
 
     breaks = ratio ** np.arange(depth + 1)
     lows = np.append(breaks[1:], 0.0)
-    xg, wg = gauss_nodes_01(gauss_order)
+    xg, wg = gauss_nodes_01(GAUSS_ORDER)
     widths = breaks - lows
     nodes = (lows[:, None] + widths[:, None] * xg[None, :]).ravel()
     weights = (widths[:, None] * wg[None, :]).ravel()
@@ -98,8 +97,7 @@ def graded_interval_rule(min_exponent: float, panels: int = 40,
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return GradedRule(nodes=nodes, weights=weights, grading_ratio=ratio,
-                      panels=panels, min_exponent=min_exponent,
-                      gauss_order=gauss_order)
+                      panels=panels, min_exponent=min_exponent)
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +198,7 @@ def side_exponent(theta: float, params: DomainParams) -> float:
 
 
 def boundary_integral(f, theta: float, faces, params: DomainParams,
-                      rule: GradedRule | None = None, cross_order: int = 8) -> float:
+                      rule: GradedRule | None = None) -> float:
     """Weighted boundary integral sum of f * x_n**theta over the given faces.
 
     f is called with points of shape (m, n). Side faces are reduced through
@@ -218,7 +216,7 @@ def boundary_integral(f, theta: float, faces, params: DomainParams,
     for face in faces:
         chart = face_parametrization(face, params)
         if face.kind == "top":
-            pts, wts = _tensor_cube_nodes(n - 1, cross_order)
+            pts, wts = _tensor_cube_nodes(n - 1, CROSS_ORDER)
             xs = np.ones((pts.shape[0], n))
             xs[:, :-1] = pts
             total += float(np.dot(wts, np.asarray(f(xs), dtype=float)))
@@ -226,7 +224,7 @@ def boundary_integral(f, theta: float, faces, params: DomainParams,
         t = rule.nodes
         width = powt(t, alpha)
         weight_t = powt(t, theta) * chart.slant_factor(t)
-        cpts, cwts = _tensor_cube_nodes(n - 2, cross_order)
+        cpts, cwts = _tensor_cube_nodes(n - 2, CROSS_ORDER)
         face_sum = np.zeros_like(t)
         for cp, cw in zip(cpts, cwts):
             xs = chart.point(t, cp[None, :] * width[:, None])

@@ -357,10 +357,10 @@ def weak_residual(mesh: TriMesh, solution, params: DomainParams,
     return ws.residual(vals, float(lam), reg_eps)
 
 
-def fem_pnorms(u: FemFunction, p: float, tri_order: int = 5):
+def fem_pnorms(u: FemFunction, p: float):
     """(gradient p-norm, function p-norm) of a mesh function."""
     mesh = u.mesh
-    rule = triangle_rule(tri_order)
+    rule = triangle_rule(TRI_ORDER)
     areas, grads = p1_geometry(mesh)
     ut = u.values[mesh.triangles]
     gu = np.einsum("tk,tkd->td", ut, grads)

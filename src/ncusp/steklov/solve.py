@@ -41,6 +41,9 @@ NEWTON_SWITCH = 1e-3
 MAX_HALVINGS = 30
 # both factored matrices are symmetric: order on A + A^T
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+# linear_oracle: relative quotient change counted as stable, and its step cap
+ORACLE_TOL = 1e-13
+ORACLE_MAX_ITER = 400
 
 
 def _changes_sign(u: np.ndarray) -> bool:
@@ -249,8 +252,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     )
 
 
-def linear_oracle(mesh: TriMesh, theta: float, tol: float = 1e-13,
-                  max_iter: int = 400) -> tuple[float, FemFunction]:
+def linear_oracle(mesh: TriMesh, theta: float) -> tuple[float, FemFunction]:
     """Smallest eigenvalue of (K + M) u = lambda * M_boundary u.
 
     Shifted inverse power iteration on the pencil; the boundary mass is
@@ -265,7 +267,7 @@ def linear_oracle(mesh: TriMesh, theta: float, tol: float = 1e-13,
     x = np.ones(ws.num_dof)
     lam_prev = lam_prev2 = math.inf
     stable = 0
-    for it in range(max_iter):
+    for it in range(ORACLE_MAX_ITER):
         z = solver.solve(Mb @ x)
         nrm = math.sqrt(float(z @ (Mb @ z)))
         if nrm <= 0.0 or not math.isfinite(nrm):
@@ -275,10 +277,10 @@ def linear_oracle(mesh: TriMesh, theta: float, tol: float = 1e-13,
         Mx = Mb @ x
         lam = float(x @ Ax) / float(x @ Mx)
         # at the rounding floor the iterate can alternate between two
-        # vectors whose quotients differ by more than tol; a quotient that
-        # repeats the one two steps back is as converged as it can get
+        # vectors whose quotients differ by more than ORACLE_TOL; a quotient
+        # that repeats the one two steps back is as converged as it can get
         step = min(abs(lam - lam_prev), abs(lam - lam_prev2))
-        stable = stable + 1 if step <= tol * abs(lam) else 0
+        stable = stable + 1 if step <= ORACLE_TOL * abs(lam) else 0
         if stable >= 3:
             u = x
             if ws.trace_integral(u) < 0.0:
@@ -288,7 +290,8 @@ def linear_oracle(mesh: TriMesh, theta: float, tol: float = 1e-13,
             # slow pencil: refactor close to the target and keep iterating
             solver = spla.splu((A - 0.95 * lam * Mb).tocsc())
         lam_prev, lam_prev2 = lam, lam_prev
-    raise IterationStall(f"inverse power iteration did not converge in {max_iter} steps")
+    raise IterationStall(
+        f"inverse power iteration did not converge in {ORACLE_MAX_ITER} steps")
 
 
 @dataclass(frozen=True)

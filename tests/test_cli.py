@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -213,6 +214,13 @@ class TestValidation:
         ("verify-geometry", "verify", "samples", 0),
         ("oracle-check", "oracle", "rtol", "x"), ("oracle-check", "oracle", "rtol", 0),
         ("exponents", "params", "p", "x"), ("exponents", "params", "gamma", "x"),
+        ("exponents", "params", "simplex", "no"),
+        ("scaling", "scaling", "q", "x"), ("scaling", "scaling", "q", 0),
+        ("scaling", "scaling", "theta", "x"),
+        ("scaling", "scaling", "theta_grid", [1, "a"]),
+        ("scaling", "scaling", "theta_grid", "abc"),
+        ("scaling", "scaling", "theta_grid", []),
+        ("verify-geometry", "map", "a", "x"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, block,
                                               key, value):
@@ -232,6 +240,14 @@ class TestValidation:
         path = _write_config(tmp_path, "bad.json", {"params": params})
         assert main(["exponents", "--config", path, "--out", str(tmp_path / "run")]) == 2
         assert "p:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["exponents", "verify-geometry"])
+    def test_simplex_string_exits_2(self, tmp_path, capsys, command):
+        path = _write_config(tmp_path, "bad.json", {
+            "params": {"n": 2, "p": 1.5, "gamma": 2.0, "simplex": "no"}})
+        assert main([command, "--config", path, "--out", str(tmp_path / "run")]) == 2
+        assert "simplex:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_trace_command_defaults_q_to_critical_exponent(self, tmp_path):
@@ -307,12 +323,53 @@ class TestReproducibility:
         assert outs[0] == outs[1]
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is loaded only when Halton points are drawn
-    code = "import sys, ncusp.cli; print('scipy.stats' in sys.modules)"
-    src = str(Path(ncusp.__file__).resolve().parents[1])
+SRC = Path(ncusp.__file__).resolve().parents[1]
+
+
+def _run_python(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, ncusp.cli; print('scipy.stats' in sys.modules)"
+    assert _run_python(code) == "False"
+
+
+def test_halton_users_leave_out_scipy_stats():
+    code = (
+        "import sys, ncusp\n"
+        "from ncusp.operators import K_pp_estimate\n"
+        "from ncusp.verify import jacobian_suite\n"
+        "for args in ((2, 3.0, 1.5), (3, 4.0, 2.0)):\n"
+        "    cmap = ncusp.cusp_map(ncusp.validate_params(*args))\n"
+        "    assert jacobian_suite(cmap, 500).ok\n"
+        "    K_pp_estimate(cmap, 500)\n"
+        "print('scipy.stats' in sys.modules)")
+    assert _run_python(code) == "False"
+
+
+def _imports_scipy_stats(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "scipy.stats" or alias.name.startswith("scipy.stats.")
+                   for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return (node.module == "scipy.stats" or node.module.startswith("scipy.stats.")
+                or (node.module == "scipy"
+                    and any(alias.name == "stats" for alias in node.names)))
+    return False
+
+
+def test_no_module_imports_scipy_stats():
+    # importing scipy.stats costs about 0.8 s per process; a lazy import
+    # inside a function would bring it back unseen by the import test above
+    modules = sorted((SRC / "ncusp").rglob("*.py"))
+    assert modules
+    offenders = [f"{path.relative_to(SRC)}:{node.lineno}"
+                 for path in modules
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if _imports_scipy_stats(node)]
+    assert offenders == []

@@ -3,14 +3,17 @@ import pytest
 
 from ncusp.embedding import (
     CUBIC_CUTOFF,
+    DEFAULT_EPS_GRID,
     QUINTIC_CUTOFF,
+    _transition_integral,
     cutoff_eta,
     scaling_slopes,
     sharpness_scan,
 )
 from ncusp.embedding import test_function_norms as cutoff_norms
 from ncusp.errors import NonIntegrable, RangeViolation
-from ncusp.geometry import derived_exponents, validate_params
+from ncusp.geometry import derived_exponents, powt, validate_params
+from ncusp.quadrature import gauss_nodes_01
 
 
 class TestCutoff:
@@ -45,6 +48,29 @@ class TestCutoff:
     def test_negative_rejected(self):
         with pytest.raises(RangeViolation):
             cutoff_eta(-0.1)
+
+
+def _panel_loop(fn, eps, order=16, panels=4):
+    # reference: one fn call per panel of (eps, 2*eps)
+    xg, wg = gauss_nodes_01(order)
+    edges = np.linspace(eps, 2.0 * eps, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += (hi - lo) * float(np.dot(wg, fn(lo + (hi - lo) * xg)))
+    return total
+
+
+@pytest.mark.parametrize("eps", [*DEFAULT_EPS_GRID, 0.003, 0.01, 0.03])
+def test_transition_integral_matches_panel_loop(eps):
+    # bitwise: the per-panel sums are added in the loop's order
+    integrands = [
+        lambda t: powt(t, 1.7),
+        lambda t: CUBIC_CUTOFF.value(t / eps) ** 3.0 * powt(t, -0.4),
+        lambda t: eps ** -1.5 * np.abs(CUBIC_CUTOFF.derivative(t / eps)) ** 1.5
+        * powt(t, 2.0),
+    ]
+    for fn in integrands:
+        assert _transition_integral(fn, eps) == _panel_loop(fn, eps)
 
 
 class TestNorms:

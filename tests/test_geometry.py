@@ -12,6 +12,7 @@ from ncusp.errors import (
 )
 from ncusp.geometry import (
     BoundaryFace,
+    _halton,
     boundary_faces,
     classify_face,
     cusp_map,
@@ -88,6 +89,12 @@ class TestValidateParams:
         with pytest.raises(RangeViolation) as err:
             validate_params(**args)
         assert err.value.field == key
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_simplex_must_be_a_boolean(self, value):
+        with pytest.raises(RangeViolation) as err:
+            validate_params(2, 2.0, 1.5, simplex=value)
+        assert err.value.field == "simplex"
 
     def test_discrete_mode_requires_explicit_theta_at_p_ge_n(self):
         with pytest.raises(RangeViolation):
@@ -200,8 +207,10 @@ class TestMap:
     def test_map_parameter_validation(self, p1_params):
         with pytest.raises(MapParameterTooLarge):
             cusp_map(p1_params, a=0.34)
-        with pytest.raises(RangeViolation):
-            cusp_map(p1_params, a=0.0)
+        for a in (0.0, "x", float("nan")):
+            with pytest.raises(RangeViolation) as err:
+                cusp_map(p1_params, a=a)
+            assert err.value.field == "a"
 
 
 class TestJacobians:
@@ -364,3 +373,22 @@ def test_quasi_random_points_strictly_interior(p1_params):
     assert np.all(y > 0) and np.all(y[:, 0] < y[:, 1]) and np.all(y[:, 1] < 1)
     x = quasi_random_interior(p1_params, 4096)
     assert np.all(x > 0) and np.all(x[:, 0] < powt(x[:, 1], 2.0))
+
+
+class TestHalton:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("skip", [0, 1, 7, 10001])
+    def test_equals_scipy_unscrambled_sequence(self, dim, skip):
+        from scipy.stats import qmc
+
+        for m in (1, 7, 10_000):
+            sampler = qmc.Halton(d=dim, scramble=False)
+            sampler.fast_forward(max(1, skip))
+            assert _halton(dim, m, skip).tobytes() == sampler.random(m).tobytes()
+
+    def test_cached_points_are_read_only(self):
+        u = _halton(3, 500, 1)
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.5
+        assert np.array_equal(_halton(3, 500, 1), u)
