@@ -27,7 +27,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+# the FEM and solver names of `steklov` load scipy: commands reach them
+# through the package, which imports their modules on first use
+from . import __version__, steklov
 from .embedding import scaling_slopes, sharpness_scan
 from .errors import (
     ConfigError,
@@ -38,16 +40,8 @@ from .errors import (
 )
 from .geometry import cusp_map, derived_exponents, validate_params
 from .operators import embedding_ranges
-from .steklov import (
-    SolverOptions,
-    generate_cusp_mesh,
-    linear_oracle,
-    minimize_rayleigh,
-    save_mesh,
-    trace_constant,
-    weak_residual,
-)
-from .steklov.mesh import mesh_area
+from .steklov.mesh import generate_cusp_mesh, mesh_area, save_mesh
+from .steklov.options import SolverOptions
 from .verify import jacobian_suite, measure_suite
 
 SCHEMA = "ncusp-artifact v1"
@@ -260,8 +254,8 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
     params = _params_from(cfg, usage=usage)
     options = _solver_options(cfg)
     grid = _build_mesh(cfg, params)
-    sol = minimize_rayleigh(grid, params, options)
-    bound = trace_constant(sol.lam, params) if usage == "steklov" else None
+    sol = steklov.minimize_rayleigh(grid, params, options)
+    bound = steklov.trace_constant(sol.lam, params) if usage == "steklov" else None
     body = {
         "lambda": sol.lam,
         "mu": sol.mu,
@@ -301,8 +295,8 @@ def cmd_oracle_check(cfg: dict, outdir: Path) -> int:
     rtol = check_number("rtol", cfg["oracle"]["rtol"], 0.0)
     options = _solver_options(cfg)
     grid = _build_mesh(cfg, params)
-    lam_oracle, u_oracle = linear_oracle(grid, params.theta)
-    sol = minimize_rayleigh(grid, params, options)
+    lam_oracle, u_oracle = steklov.linear_oracle(grid, params.theta)
+    sol = steklov.minimize_rayleigh(grid, params, options)
     rel = abs(sol.lam - lam_oracle) / lam_oracle
     body = {
         "lambda_descent": sol.lam,
@@ -310,8 +304,8 @@ def cmd_oracle_check(cfg: dict, outdir: Path) -> int:
         "rel_difference": rel,
         "rtol": rtol,
         "descent_residual": sol.residual,
-        "oracle_residual": weak_residual(grid, (u_oracle, lam_oracle), params,
-                                         reg_eps=cfg["solver"]["reg_eps"]),
+        "oracle_residual": steklov.weak_residual(
+            grid, (u_oracle, lam_oracle), params, reg_eps=cfg["solver"]["reg_eps"]),
         "dof": sol.dof,
         "agree": bool(rel < rtol),
     }

@@ -18,6 +18,7 @@ from .errors import (
     DivergentIntegral,
     MapParameterTooLarge,
     RangeViolation,
+    check_number,
 )
 from .geometry import (
     BoundaryFace,
@@ -99,6 +100,7 @@ def K_pp_estimate(cmap: CuspMap, samples: int = 20000) -> KDistortion:
     sample; the bound (1/a)^(1/p) * ((n-1)((a*alpha-1)^2+1) + a^2)^(1/2) is
     exact at a = (n-p)/(gamma-p) where the height power degenerates.
     """
+    check_number("samples", samples, 1, integer=True)
     exps = derived_exponents(cmap.params)
     if cmap.a > exps.a_max:
         raise MapParameterTooLarge(

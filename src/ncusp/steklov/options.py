@@ -1,0 +1,41 @@
+"""Solver settings, kept apart from the solver so reading them needs no scipy."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ..errors import RangeViolation, check_number
+
+__all__ = ["SolverOptions"]
+
+
+def _changes_sign(u: np.ndarray) -> bool:
+    return bool(u.min() < 0.0 < u.max())
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Settings of `minimize_rayleigh`.
+
+    ``max_iter`` caps the inverse-iteration plus Newton steps of one start,
+    which has converged once the weak residual is below ``10 * tol_rel``.
+    ``restarts > 1`` adds random starts, uniform on [0, 1) and drawn from
+    ``seed``, after u = 1 (or ``initial``, which must not change sign).
+    """
+
+    max_iter: int = 500
+    tol_rel: float = 1e-8
+    reg_eps: float = 1e-8
+    restarts: int = 1
+    seed: int = 0
+    initial: np.ndarray | None = None
+
+    def __post_init__(self):
+        for key, low in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
+            check_number(key, getattr(self, key), low, integer=True)
+        for key in ("tol_rel", "reg_eps"):
+            check_number(key, getattr(self, key), 0.0)
+        if self.initial is not None and _changes_sign(np.asarray(self.initial)):
+            raise RangeViolation("initial", "a start that does not change sign")

@@ -21,10 +21,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import IterationStall, NumericalError, RangeViolation, ZeroTrace, check_number
+from ..errors import IterationStall, NumericalError, RangeViolation, ZeroTrace
 from ..geometry import DomainParams, derived_exponents
 from .fem import FemFunction, FemWorkspace, linear_workspace, workspace_for
 from .mesh import TriMesh
+from .options import SolverOptions, _changes_sign
 
 __all__ = [
     "SolverOptions",
@@ -44,36 +45,6 @@ LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
 # linear_oracle: relative quotient change counted as stable, and its step cap
 ORACLE_TOL = 1e-13
 ORACLE_MAX_ITER = 400
-
-
-def _changes_sign(u: np.ndarray) -> bool:
-    return bool(u.min() < 0.0 < u.max())
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Settings of `minimize_rayleigh`.
-
-    ``max_iter`` caps the inverse-iteration plus Newton steps of one start,
-    which has converged once the weak residual is below ``10 * tol_rel``.
-    ``restarts > 1`` adds random starts, uniform on [0, 1) and drawn from
-    ``seed``, after u = 1 (or ``initial``, which must not change sign).
-    """
-
-    max_iter: int = 500
-    tol_rel: float = 1e-8
-    reg_eps: float = 1e-8
-    restarts: int = 1
-    seed: int = 0
-    initial: np.ndarray | None = None
-
-    def __post_init__(self):
-        for key, low in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
-            check_number(key, getattr(self, key), low, integer=True)
-        for key in ("tol_rel", "reg_eps"):
-            check_number(key, getattr(self, key), 0.0)
-        if self.initial is not None and _changes_sign(np.asarray(self.initial)):
-            raise RangeViolation("initial", "a start that does not change sign")
 
 
 @dataclass(frozen=True)
@@ -155,6 +126,40 @@ def _bordered(a: sp.csr_matrix, border: np.ndarray):
          template.indptr), shape=template.shape)
 
 
+class _PatternLU:
+    """LU factors of a sequence of symmetric matrices in one CSC pattern.
+
+    The first is ordered with LU_OPTIONS. The later ones are gathered, through
+    an index computed once, into that fill-reducing order and factored with
+    NATURAL ordering, so the ordering is computed once per pattern.
+    """
+
+    def __init__(self):
+        self._order = None
+
+    def solve(self, a: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        """Solve a x = rhs through a fresh LU factorization of a."""
+        if self._order is None:
+            lu = spla.splu(a, **LU_OPTIONS)
+            x = lu.solve(rhs)
+            # column j of the ordered matrix is column order[j] of a
+            self._order = np.argsort(lu.perm_c)
+            # holding the factor while the index is built raised the peak RSS
+            del lu
+            ids = sp.csc_matrix((np.arange(1.0, a.nnz + 1.0), a.indices, a.indptr),
+                                shape=a.shape)[self._order][:, self._order]
+            ids.sort_indices()
+            self._gather = ids.data.astype(np.intp) - 1
+            self._pattern = (ids.indices, ids.indptr)
+            return x
+        order = self._order
+        x = np.empty_like(rhs)
+        x[order] = spla.splu(
+            sp.csc_matrix((a.data[self._gather], *self._pattern), shape=a.shape),
+            permc_spec="NATURAL", options=LU_OPTIONS["options"]).solve(rhs[order])
+        return x
+
+
 def _solve_start(ws: FemWorkspace, u: np.ndarray, opts: SolverOptions):
     """Inverse iteration, then damped Newton, from one start.
 
@@ -164,9 +169,11 @@ def _solve_start(ws: FemWorkspace, u: np.ndarray, opts: SolverOptions):
     why = f"(p = {p:g}, q = {q:g}, reg_eps = {eps:g})"
     pt = _evaluate(ws, _normalize(ws, u, eps), eps)
     history = []
+    metric_lu, newton_lu = _PatternLU(), _PatternLU()
     while pt.res > NEWTON_SWITCH and len(history) < opts.max_iter:
-        # each factor is used once and released before the next is made
-        z = spla.splu(ws.metric_matrix(pt.u, eps).tocsc(), **LU_OPTIONS).solve(pt.gb)
+        # each factor is used once and released before the next is made; the
+        # metric is symmetric, so its CSR transpose is itself in CSC, uncopied
+        z = metric_lu.solve(ws.metric_matrix(pt.u, eps).T, pt.gb)
         pt = _evaluate(ws, _normalize(ws, z, eps), eps)
         history.append(pt.res)
         if _changes_sign(pt.u):
@@ -181,8 +188,7 @@ def _solve_start(ws: FemWorkspace, u: np.ndarray, opts: SolverOptions):
         a = ws.hessian(pt.u, eps)
         a.data -= mu * ws.boundary_hessian(pt.u, eps).data   # same fixed pattern
         build = build or _bordered(a, np.unique(ws.edge_op.indices))
-        step = spla.splu(build(a, pt.gb), **LU_OPTIONS).solve(
-            np.append(mu * pt.gb - pt.ge, pt.b - 1.0))
+        step = newton_lu.solve(build(a, pt.gb), np.append(mu * pt.gb - pt.ge, pt.b - 1.0))
         t = 1.0
         for _ in range(MAX_HALVINGS):
             cand, cand_mu = _evaluate(ws, pt.u + t * step[:-1], eps), mu + t * step[-1]

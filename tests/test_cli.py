@@ -339,6 +339,23 @@ def test_cli_import_leaves_out_scipy_stats():
     assert _run_python(code) == "False"
 
 
+def test_light_commands_leave_out_scipy(tmp_path):
+    # the trace side and mesh need numpy only; scipy loads with the solver
+    ref = {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0}
+    runs = [("exponents", {"params": ref}),
+            ("mesh", {"params": ref, "mesh": {"levels": 4, "rows_per_strip": 6}}),
+            ("scaling", {"params": {**ref, "q": 3.0, "theta": 2.0}}),
+            ("scaling", {"params": ref, "scaling": {"theta_grid": [0.5, 1.0, 1.5]}}),
+            ("verify-geometry", {"params": ref, "verify": {"samples": 500}})]
+    argvs = [[command, "--config", _write_config(tmp_path, f"{k}.json", cfg),
+              "--out", str(tmp_path / f"out{k}")]
+             for k, (command, cfg) in enumerate(runs)]
+    code = ("import sys, ncusp.cli\n"
+            f"codes = [ncusp.cli.main(argv) for argv in {argvs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code) == f"{[0] * len(runs)} []"
+
+
 def test_halton_users_leave_out_scipy_stats():
     code = (
         "import sys, ncusp\n"
@@ -372,4 +389,29 @@ def test_no_module_imports_scipy_stats():
                  for path in modules
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if _imports_scipy_stats(node)]
+    assert offenders == []
+
+
+# the only modules that may import scipy, relative to src/ncusp
+SCIPY_MODULES = {"steklov/fem.py", "steklov/solve.py"}
+
+
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy")
+
+
+def test_only_fem_and_solver_import_scipy():
+    # scipy.sparse costs about 0.3 s per process: the trace side and mesh
+    # must run without it, so an import anywhere else, even inside a
+    # function, is a regression
+    root = SRC / "ncusp"
+    assert all((root / name).is_file() for name in SCIPY_MODULES)
+    offenders = [f"{path.relative_to(root).as_posix()}:{node.lineno}"
+                 for path in sorted(root.rglob("*.py"))
+                 if path.relative_to(root).as_posix() not in SCIPY_MODULES
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if _imports_scipy(node)]
     assert offenders == []

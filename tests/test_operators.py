@@ -34,6 +34,12 @@ class TestKpp:
         est = K_pp_estimate(simplex_map, samples=5000)
         assert est.sampled == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("samples", [0, 2.5, -3])
+    def test_bad_sample_count_rejected(self, p1_map, samples):
+        with pytest.raises(RangeViolation) as err:
+            K_pp_estimate(p1_map, samples=samples)
+        assert err.value.field == "samples"
+
     def test_oversized_parameter_rejected(self, p1_params):
         with pytest.raises(MapParameterTooLarge):
             cusp_map(p1_params, a=1 / 3 + 1e-6)

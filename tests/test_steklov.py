@@ -17,9 +17,12 @@ from ncusp.steklov.fem import (
 )
 from ncusp.quadrature import gauss_nodes_01, graded_interval_rule
 from ncusp.steklov.mesh import generate_cusp_mesh, mesh_area
+from ncusp.steklov import fem, solve
 from ncusp.steklov.solve import (
+    LU_OPTIONS,
     NEWTON_SWITCH,
     SolverOptions,
+    _PatternLU,
     linear_oracle,
     minimize_rayleigh,
     trace_constant,
@@ -169,6 +172,25 @@ class TestOperators:
             mu = ws.metric_matrix(u, 1e-8) @ u
             assert np.max(np.abs(mu - ge)) <= 1e-12 * np.max(np.abs(ge))
 
+    def test_pattern_lu_orders_once(self, small_mesh, rng, monkeypatch):
+        # the first factor orders the pattern, the later ones reuse its order
+        specs = []
+        splu = solve.spla.splu
+
+        def recording_splu(a, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(solve.spla, "splu", recording_splu)
+        ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
+        lu = _PatternLU()
+        for _ in range(3):
+            a = ws.metric_matrix(1.0 + rng.random(ws.num_dof), 1e-8).tocsc()
+            b = rng.standard_normal(ws.num_dof)
+            x = lu.solve(a, b)
+            ref = splu(a, **LU_OPTIONS).solve(b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert specs == [LU_OPTIONS["permc_spec"], "NATURAL", "NATURAL"]
 
     def test_workspace_cache_releases_dropped_meshes(self, p1_params):
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
@@ -298,6 +320,26 @@ class TestOptions:
         with pytest.raises(RangeViolation) as exc:
             SolverOptions(**{key: value})
         assert exc.value.field == key
+
+
+class TestPackageNames:
+    FEM = ("FemFunction", "FemWorkspace", "assemble_functionals",
+           "rayleigh_quotient", "weak_residual")
+    SOLVE = ("SolverOptions", "SteklovSolution", "TraceConstantBound",
+             "linear_oracle", "minimize_rayleigh", "trace_constant")
+
+    def test_lazy_names_are_the_module_objects(self):
+        import ncusp.steklov as st
+        for module, names in ((fem, self.FEM), (solve, self.SOLVE)):
+            for name in names:
+                assert getattr(st, name) is getattr(module, name)
+        assert set(st.__all__) == {"TriMesh", "generate_cusp_mesh", "load_mesh",
+                                   "save_mesh", *self.FEM, *self.SOLVE}
+
+    def test_unknown_name_raises_attribute_error(self):
+        import ncusp.steklov as st
+        with pytest.raises(AttributeError, match="no_such_name"):
+            st.no_such_name
 
 
 class TestHardInputs:
