@@ -87,8 +87,8 @@ def load_config(path: str) -> dict:
     _reject_unknown(raw, _TOP_KEYS, "config")
     if "params" not in raw:
         raise ConfigError("config requires a 'params' block")
-    _reject_unknown(raw["params"], _PARAM_KEYS, "params")
-    for block, keys in (("mesh", _MESH_KEYS), ("solver", _SOLVER_KEYS),
+    for block, keys in (("params", _PARAM_KEYS), ("mesh", _MESH_KEYS),
+                        ("solver", _SOLVER_KEYS),
                         ("scaling", _SCALING_KEYS), ("verify", _VERIFY_KEYS),
                         ("oracle", _ORACLE_KEYS), ("map", _MAP_KEYS)):
         if block in raw:

@@ -47,7 +47,6 @@ __all__ = [
 class Cutoff:
     """C^1 profile equal to 1 on [0, 1], 0 on [2, inf), monotone between."""
 
-    name: str
     value: Callable
     derivative: Callable
     derivative_bound: float
@@ -80,8 +79,8 @@ def _quintic_derivative(s):
     return np.where(inside, -30.0 * u**2 * (1.0 - u) ** 2, 0.0)
 
 
-CUBIC_CUTOFF = Cutoff("cubic", _cubic_value, _cubic_derivative, 1.5)
-QUINTIC_CUTOFF = Cutoff("quintic", _quintic_value, _quintic_derivative, 1.875)
+CUBIC_CUTOFF = Cutoff(_cubic_value, _cubic_derivative, 1.5)
+QUINTIC_CUTOFF = Cutoff(_quintic_value, _quintic_derivative, 1.875)
 
 
 def cutoff_eta(s):
@@ -136,8 +135,7 @@ def _plateau_plus_transition(sigma: float, extra, eta_pow, eps: float,
 
 
 def test_function_norms(params: DomainParams, theta: float, q: float, eps: float,
-                        cutoff: Cutoff = CUBIC_CUTOFF,
-                        rule: GradedRule | None = None) -> tuple[float, float]:
+                        cutoff: Cutoff = CUBIC_CUTOFF) -> tuple[float, float]:
     """Boundary and Sobolev norms of the cutoff test function at scale eps.
 
     Both are exact one-dimensional reductions: the boundary norm sums the
@@ -148,8 +146,7 @@ def test_function_norms(params: DomainParams, theta: float, q: float, eps: float
         raise RangeViolation("eps", "0 < eps < 1/2")
     n, p = params.n, params.p
     sigma_b = side_exponent(theta, params)
-    if rule is None:
-        rule = graded_interval_rule(min(0.0, sigma_b))
+    rule = graded_interval_rule(min(0.0, sigma_b))
 
     slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
     flat = _plateau_plus_transition(sigma_b, None,
@@ -203,12 +200,10 @@ def scaling_slopes(params: DomainParams, theta: float, q: float,
     grid = _check_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     n, p, alpha = params.n, params.p, params.alpha
     sigma_b = side_exponent(theta, params)
-    rule = graded_interval_rule(min(0.0, sigma_b))
     lhs = np.empty(grid.size)
     rhs = np.empty(grid.size)
     for k, eps in enumerate(grid):
-        lhs[k], rhs[k] = test_function_norms(params, theta, q, eps,
-                                             cutoff=cutoff, rule=rule)
+        lhs[k], rhs[k] = test_function_norms(params, theta, q, eps, cutoff=cutoff)
     x = np.log2(grid)
     lhs_slope = float(np.polyfit(x, np.log2(lhs), 1)[0])
     rhs_slope = float(np.polyfit(x, np.log2(rhs), 1)[0])
@@ -231,8 +226,7 @@ class SharpnessScan:
     rows: np.ndarray  # columns: theta, lhs_slope - rhs_slope, theta - theta_min
 
 
-def sharpness_scan(params: DomainParams, q: float, theta_grid,
-                   eps_grid=None, cutoff: Cutoff = CUBIC_CUTOFF) -> SharpnessScan:
+def sharpness_scan(params: DomainParams, q: float, theta_grid) -> SharpnessScan:
     """Scan weight exponents across the necessary threshold.
 
     For each theta, records the fitted slope gap; its sign matches the sign
@@ -244,6 +238,6 @@ def sharpness_scan(params: DomainParams, q: float, theta_grid,
         raise RangeViolation("theta_grid", "grid must straddle theta_min")
     rows = np.empty((thetas.size, 3))
     for k, theta in enumerate(thetas):
-        res = scaling_slopes(params, theta, q, eps_grid=eps_grid, cutoff=cutoff)
+        res = scaling_slopes(params, theta, q)
         rows[k] = (theta, res.lhs_slope - res.rhs_slope, theta - theta_min)
     return SharpnessScan(theta_min=theta_min, rows=rows)

@@ -396,10 +396,6 @@ class FaceChart:
     n: int
     alpha: float
 
-    @property
-    def cross_dim(self) -> int:
-        return self.n - 1 if self.face.kind == "top" else self.n - 2
-
     def slant_factor(self, t):
         """Pointwise surface element of the chart (1 except on slanted faces)."""
         if self.face.kind != "slanted":
@@ -443,7 +439,11 @@ def face_parametrization(face: BoundaryFace, params: DomainParams) -> FaceChart:
     return FaceChart(face=face, n=params.n, alpha=params.alpha)
 
 
-def classify_face(params: DomainParams, x, tol: float = 1e-14) -> BoundaryFace:
+# how far from a face a point may lie and still be classified onto it
+FACE_TOL = 1e-14
+
+
+def classify_face(params: DomainParams, x) -> BoundaryFace:
     """Assign a boundary point to a face; lowest face tag wins near edges."""
     x = np.asarray(x, dtype=float)
     n = params.n
@@ -454,12 +454,12 @@ def classify_face(params: DomainParams, x, tol: float = 1e-14) -> BoundaryFace:
         raise OutsideDomain("height coordinate outside (0, 1]")
     width = float(powt(xn, params.alpha))
     for i in range(1, n):
-        if abs(x[i - 1]) <= tol:
+        if abs(x[i - 1]) <= FACE_TOL:
             return BoundaryFace.flat(i)
     for i in range(1, n):
-        if abs(x[i - 1] - width) <= tol * max(1.0, width):
+        if abs(x[i - 1] - width) <= FACE_TOL * max(1.0, width):
             return BoundaryFace.slanted(i)
-    if abs(xn - 1.0) <= tol:
+    if abs(xn - 1.0) <= FACE_TOL:
         return BoundaryFace.top()
     raise OutsideDomain("point is not within tolerance of any boundary face")
 

@@ -115,8 +115,7 @@ def K_pp_estimate(cmap: CuspMap, samples: int = 20000) -> KDistortion:
                        samples=samples)
 
 
-def K_ps_estimate(cmap: CuspMap, p: float, s: float,
-                  rule: GradedRule | None = None) -> float:
+def K_ps_estimate(cmap: CuspMap, p: float, s: float) -> float:
     """Lebesgue-exponent distortion (integral branch) for 1 < s < p.
 
     Reduces along the height with tensor Gauss quadrature across the
@@ -131,8 +130,6 @@ def K_ps_estimate(cmap: CuspMap, p: float, s: float,
     tip = (p * (a - 1.0) - (a * gamma - n)) * expo + (n - 1)
     if tip <= -1.0:
         raise DivergentIntegral(tip)
-    if rule is None:
-        rule = graded_interval_rule(min(0.0, tip))
     cpts, cwts = _tensor_cube_nodes(n - 1, CROSS_ORDER)
 
     def integrand(t):
@@ -145,7 +142,7 @@ def K_ps_estimate(cmap: CuspMap, p: float, s: float,
             acc += cw * (dphi_spectral_norm(cmap, y) ** p / jac) ** expo
         return powt(t, float(n - 1)) * acc
 
-    integral = rule.integrate(integrand)
+    integral = graded_interval_rule(min(0.0, tip)).integrate(integrand)
     return float(integral ** ((p - s) / (p * s)))
 
 
@@ -312,16 +309,13 @@ def embedding_ranges(params: DomainParams) -> RangeReport:
 
 @dataclass(frozen=True)
 class NormValue:
-    """A computed norm with its kind and quadrature provenance."""
+    """A computed norm."""
 
     value: float
-    kind: str
-    quadrature: str
 
 
 def weighted_boundary_norm(traces: Mapping[BoundaryFace, Callable | float],
-                           q: float, theta: float, params: DomainParams,
-                           rule: GradedRule | None = None) -> NormValue:
+                           q: float, theta: float, params: DomainParams) -> NormValue:
     """Weighted L^q norm of per-face trace data.
 
     Side-face entries are functions of the height t (exact for traces that
@@ -332,8 +326,7 @@ def weighted_boundary_norm(traces: Mapping[BoundaryFace, Callable | float],
         raise RangeViolation("q", "q >= 1")
     n = params.n
     if any(face.is_side for face in traces):
-        sigma = side_exponent(theta, params)
-        rule = graded_interval_rule(min(0.0, sigma)) if rule is None else rule
+        rule = graded_interval_rule(min(0.0, side_exponent(theta, params)))
     xg, wg = gauss_nodes_01(12)
     total = 0.0
     for face, tr in sorted(traces.items()):
@@ -349,8 +342,7 @@ def weighted_boundary_norm(traces: Mapping[BoundaryFace, Callable | float],
         total += rule.integrate(
             lambda t: np.abs(np.asarray(fn(t), float)) ** q
             * powt(t, theta) * chart.density(t))
-    return NormValue(value=float(total ** (1.0 / q)), kind="boundary_q_theta",
-                     quadrature=f"graded(panels={rule.panels if rule else 0})+gauss12")
+    return NormValue(value=float(total ** (1.0 / q)))
 
 
 @dataclass(frozen=True)
@@ -361,8 +353,7 @@ class Profile1D:
     derivative: Callable
 
 
-def sobolev_norm(u, p: float, params: DomainParams | None = None,
-                 rule: GradedRule | None = None) -> NormValue:
+def sobolev_norm(u, p: float, params: DomainParams | None = None) -> NormValue:
     """Sobolev norm: gradient p-norm plus function p-norm (sum of the two).
 
     Accepts a height-only :class:`Profile1D` (reduced exactly to 1-D using
@@ -371,18 +362,14 @@ def sobolev_norm(u, p: float, params: DomainParams | None = None,
     if isinstance(u, Profile1D):
         if params is None:
             raise RangeViolation("params", "params required for 1-D profiles")
-        if rule is None:
-            rule = graded_interval_rule(0.0)
+        rule = graded_interval_rule(0.0)
         sigma = params.alpha * (params.n - 1)
         gp = rule.integrate(
             lambda t: np.abs(np.asarray(u.derivative(t), float)) ** p * powt(t, sigma))
         vp = rule.integrate(
             lambda t: np.abs(np.asarray(u.value(t), float)) ** p * powt(t, sigma))
-        return NormValue(value=float(gp ** (1.0 / p) + vp ** (1.0 / p)),
-                         kind="sobolev_p",
-                         quadrature=f"graded(panels={rule.panels})")
+        return NormValue(value=float(gp ** (1.0 / p) + vp ** (1.0 / p)))
     # piecewise-linear mesh function
-    from .steklov.fem import TRI_ORDER, fem_pnorms
+    from .steklov.fem import fem_pnorms
     gp, vp = fem_pnorms(u, p)
-    return NormValue(value=float(gp + vp), kind="sobolev_p",
-                     quadrature=f"mesh+triangle(order={TRI_ORDER})")
+    return NormValue(value=float(gp + vp))

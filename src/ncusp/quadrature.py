@@ -38,26 +38,29 @@ GAUSS_ORDER = 8            # Gauss points per panel of a graded rule
 CROSS_ORDER = 8            # Gauss points per cross-section axis of a face
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def gauss_nodes_01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights transplanted to (0, 1)."""
+    """Gauss-Legendre nodes and weights transplanted to (0, 1), read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
 @dataclass(frozen=True)
 class GradedRule:
     """Composite Gauss rule on (0, 1), graded toward 0.
 
-    ``panels`` records the requested grading depth; ``nodes`` includes the
-    automatically extended tail. All nodes are strictly interior.
+    ``nodes`` includes the automatically extended tail. All nodes are
+    strictly interior.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    grading_ratio: float
-    panels: int
-    min_exponent: float
 
     def integrate(self, f, upper: float = 1.0) -> float:
         """Integrate f over (0, upper); grading scales with the interval."""
@@ -67,11 +70,13 @@ class GradedRule:
         return float(upper * np.dot(self.weights, vals))
 
 
+@lru_cache(maxsize=64)
 def graded_interval_rule(min_exponent: float, panels: int = 40,
                          ratio: float = 0.5) -> GradedRule:
-    """Build a graded rule accurate for integrands c * t**sigma, sigma >= min_exponent.
+    """Graded rule accurate for integrands c * t**sigma, sigma >= min_exponent.
 
-    Raises NonIntegrable at or below the sigma = -1 threshold.
+    Equal arguments return the same read-only rule. Raises NonIntegrable at
+    or below the sigma = -1 threshold.
     """
     if not math.isfinite(min_exponent) or min_exponent <= -1.0:
         raise NonIntegrable(f"min_exponent = {min_exponent:g} is <= -1")
@@ -93,11 +98,7 @@ def graded_interval_rule(min_exponent: float, panels: int = 40,
     nodes = (lows[:, None] + widths[:, None] * xg[None, :]).ravel()
     weights = (widths[:, None] * wg[None, :]).ravel()
     order = np.argsort(nodes)
-    nodes, weights = nodes[order], weights[order]
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return GradedRule(nodes=nodes, weights=weights, grading_ratio=ratio,
-                      panels=panels, min_exponent=min_exponent)
+    return GradedRule(*_read_only(nodes[order], weights[order]))
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +111,6 @@ class TriangleRule:
 
     barycentric: np.ndarray  # (k, 3)
     weights: np.ndarray      # (k,), sums to 1
-    order: int
 
     def integrate(self, f, v0, v1, v2) -> float:
         """Integrate f over one triangle with the given vertices."""
@@ -152,32 +152,33 @@ def _triangle_tables():
     bary5 = np.vstack([np.array([[third, third, third]]), b5])
     wts5 = np.concatenate([[0.225], w5])
     tables[5] = (bary5, wts5)
-    return tables
+    return {order: _read_only(*table) for order, table in tables.items()}
 
 
 _TRI_TABLES = _triangle_tables()
 
 
+@lru_cache(maxsize=None)
 def triangle_rule(order: int) -> TriangleRule:
-    """Rule exact for polynomials up to ``order`` on a triangle, order in 1..5."""
+    """Rule exact for polynomials up to ``order`` on a triangle, order in 1..5.
+
+    Equal orders return the same read-only rule.
+    """
     if order not in _TRI_TABLES:
         raise UnsupportedOrder(f"triangle rule order must be in 1..5, got {order}")
-    bary, w = _TRI_TABLES[order]
-    bary = bary.copy()
-    w = w.copy()
-    bary.flags.writeable = False
-    w.flags.writeable = False
-    return TriangleRule(barycentric=bary, weights=w, order=order)
+    return TriangleRule(*_TRI_TABLES[order])
 
 
 # --------------------------------------------------------------------------
 # boundary and volume integrals
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _tensor_cube_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss nodes/weights on (0, 1)^dim; dim = 0 yields one unit point."""
+    """Read-only tensor Gauss nodes/weights on (0, 1)^dim; dim = 0 yields one
+    unit point."""
     if dim == 0:
-        return np.zeros((1, 0)), np.array([1.0])
+        return _read_only(np.zeros((1, 0)), np.array([1.0]))
     x, w = gauss_nodes_01(order)
     grids = np.meshgrid(*([x] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -185,7 +186,7 @@ def _tensor_cube_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     wts = np.ones(pts.shape[0])
     for g in wgrids:
         wts *= g.ravel()
-    return pts, wts
+    return _read_only(pts, wts)
 
 
 def side_exponent(theta: float, params: DomainParams) -> float:
@@ -235,29 +236,26 @@ def boundary_integral(f, theta: float, faces, params: DomainParams,
 
 
 def volume_integral(f, params: DomainParams, mode: str = "reduced",
-                    rule: GradedRule | None = None, mesh=None,
-                    levels: int = 10, order: int = 5) -> float:
+                    levels: int = 10) -> float:
     """Integral of f over the cuspidal domain.
 
     mode="reduced": f depends on the height alone and is called as f(t);
     the cross section contributes the exact factor t**(alpha*(n-1)).
-    mode="mesh": n = 2 only; f(x) with x of shape (m, 2), integrated with a
-    triangle rule over a graded triangulation (supplied or generated).
+    mode="mesh": n = 2 only; f(x) with x of shape (m, 2), integrated with the
+    order-5 triangle rule over a graded triangulation with ``levels`` strips.
     """
     n, alpha = params.n, params.alpha
     if mode == "reduced":
-        if rule is None:
-            rule = graded_interval_rule(0.0)
         sigma = alpha * (n - 1)
-        return rule.integrate(lambda t: np.asarray(f(t), float) * powt(t, sigma))
+        return graded_interval_rule(0.0).integrate(
+            lambda t: np.asarray(f(t), float) * powt(t, sigma))
     if mode != "mesh":
         raise RangeViolation("mode", "mode in {'reduced', 'mesh'}")
     if n != 2:
         raise RangeViolation("n", "mesh-based volume integrals are n = 2 only")
     from .steklov.mesh import generate_cusp_mesh, p1_geometry
-    if mesh is None:
-        mesh = generate_cusp_mesh(params, levels=levels)
-    tri = triangle_rule(order)
+    mesh = generate_cusp_mesh(params, levels=levels)
+    tri = triangle_rule(5)
     verts = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
     areas = np.abs(p1_geometry(mesh)[0])
     total = 0.0

@@ -45,8 +45,6 @@ class TriMesh:
     boundary_normals: np.ndarray
     tip_height: float
     min_quality: float
-    levels: int | None = None
-    grading_ratio: float | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -222,8 +220,6 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
         boundary_normals=_outward_normals(vertices, edges, tags),
         tip_height=float(tip_height),
         min_quality=quality,
-        levels=levels,
-        grading_ratio=grading_ratio,
     ))
 
 
@@ -245,34 +241,53 @@ def save_mesh(mesh: TriMesh, path) -> None:
 
 
 def load_mesh(path) -> TriMesh:
-    """Read a mesh in the ncusp-mesh v1 text format; normals are recomputed."""
+    """Read a mesh in the ncusp-mesh v1 text format; normals are recomputed.
+
+    Raises ConfigError naming the line or the triangle for a number that does
+    not parse, a vertex index outside [0, nv), or a triangle whose signed
+    area is not positive (every triangle must be counter-clockwise).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "ncusp-mesh v1":
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != "ncusp-mesh v1":
         raise ConfigError("not an ncusp-mesh v1 file")
     verts, tris, edges, tags = [], [], [], []
-    for ln in lines[1:]:
+    for k, ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "v" and len(parts) == 3:
-            verts.append((float(parts[1]), float(parts[2])))
-        elif parts[0] == "t" and len(parts) == 4:
-            tris.append(tuple(int(x) for x in parts[1:]))
-        elif parts[0] == "b" and len(parts) == 4:
-            if parts[3] not in (FLAT, SLANTED, TOP):
-                raise ConfigError(f"unknown boundary tag {parts[3]}")
-            edges.append((int(parts[1]), int(parts[2])))
-            tags.append(parts[3])
-        else:
-            raise ConfigError(f"malformed mesh line: {ln}")
-    vertices = np.asarray(verts, dtype=float)
-    triangles = np.asarray(tris, dtype=np.int64)
-    edge_arr = np.asarray(edges, dtype=np.int64)
+        try:
+            if parts[0] == "v" and len(parts) == 3:
+                verts.append((float(parts[1]), float(parts[2])))
+            elif parts[0] == "t" and len(parts) == 4:
+                tris.append(tuple(int(x) for x in parts[1:]))
+            elif parts[0] == "b" and len(parts) == 4:
+                if parts[3] not in (FLAT, SLANTED, TOP):
+                    raise ConfigError(f"line {k}: unknown boundary tag {parts[3]}")
+                edges.append((int(parts[1]), int(parts[2])))
+                tags.append(parts[3])
+            else:
+                raise ConfigError(f"line {k}: malformed mesh line: {ln}")
+        except ValueError:
+            raise ConfigError(f"line {k}: a field does not parse: {ln}") from None
+    vertices = np.asarray(verts, dtype=float).reshape(-1, 2)
+    triangles = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     tag_arr = np.asarray(tags)
+    nv = vertices.shape[0]
+    if not np.isfinite(vertices).all():
+        raise ConfigError("vertex coordinates must be finite")
+    if triangles.shape[0] == 0:
+        raise ConfigError("mesh has no triangles")
+    for what, arr in (("triangle", triangles), ("boundary edge", edge_arr)):
+        bad = np.flatnonzero(((arr < 0) | (arr >= nv)).any(axis=1))
+        if bad.size:
+            j = int(bad[0])
+            raise ConfigError(f"{what} {j} {arr[j].tolist()}: vertex index "
+                              f"outside [0, {nv})")
     heights = vertices[:, 1]
     positive = heights[np.unique(edge_arr.ravel())]
     positive = positive[positive > 0.0]
     tip = float(positive.min()) if positive.size else 0.0
-    return _freeze(TriMesh(
+    mesh = _freeze(TriMesh(
         vertices=vertices,
         triangles=triangles,
         boundary_edges=edge_arr,
@@ -281,3 +296,12 @@ def load_mesh(path) -> TriMesh:
         tip_height=tip,
         min_quality=_triangle_quality(vertices, triangles),
     ))
+    # a zero area divides the gradients; only the areas are used here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        areas = p1_geometry(mesh)[0]
+    bad = np.flatnonzero(~(areas > 0.0))
+    if bad.size:
+        j = int(bad[0])
+        raise ConfigError(f"triangle {j} {triangles[j].tolist()}: signed area "
+                          f"{areas[j]:.3g} is not positive (not counter-clockwise)")
+    return mesh

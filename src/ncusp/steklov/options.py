@@ -35,7 +35,8 @@ class SolverOptions:
     def __post_init__(self):
         for key, low in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
             check_number(key, getattr(self, key), low, integer=True)
-        for key in ("tol_rel", "reg_eps"):
-            check_number(key, getattr(self, key), 0.0)
+        check_number("tol_rel", self.tol_rel, 0.0)
+        # a regularization is small; reg_eps ** q overflows for large values
+        check_number("reg_eps", self.reg_eps, 0.0, 1.0)
         if self.initial is not None and _changes_sign(np.asarray(self.initial)):
             raise RangeViolation("initial", "a start that does not change sign")

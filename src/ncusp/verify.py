@@ -26,7 +26,7 @@ from .geometry import (
     tangential_jacobian_bounds,
 )
 from .operators import area_formula_check, change_of_variables_check
-from .quadrature import graded_interval_rule, volume_integral
+from .quadrature import volume_integral
 
 __all__ = ["JacobianSuiteReport", "MeasureSuiteReport",
            "jacobian_suite", "measure_suite"]
@@ -152,8 +152,7 @@ class MeasureSuiteReport:
 def measure_suite(cmap: CuspMap) -> MeasureSuiteReport:
     """Volume identity, area formula for three probes, change of variables."""
     params = cmap.params
-    rule = graded_interval_rule(0.0)
-    vol = volume_integral(lambda t: np.ones_like(t), params, rule=rule)
+    vol = volume_integral(lambda t: np.ones_like(t), params)
     vol_err = abs(vol - 1.0 / params.gamma) * params.gamma
     probes = [
         lambda yx: np.ones(yx.shape[0]),

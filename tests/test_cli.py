@@ -169,6 +169,13 @@ class TestValidation:
         })
         assert main(["exponents", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("params", [5, [{"n": 2}]])
+    def test_non_object_params_exits_2(self, tmp_path, capsys, params):
+        cfg = _write_config(tmp_path, "bad.json", {"params": params})
+        assert main(["exponents", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "'params' must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_oracle_check_requires_p2(self, tmp_path):
         cfg = _write_config(tmp_path, "bad.json", {
             "params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0, "theta": 2.0},
@@ -194,7 +201,8 @@ class TestValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("key,value", [
-        ("max_iter", "abc"), ("reg_eps", 0), ("tol_rel", -1), ("restarts", 0)])
+        ("max_iter", "abc"), ("reg_eps", 0), ("reg_eps", 1e300), ("tol_rel", -1),
+        ("restarts", 0)])
     def test_invalid_solver_value_exits_2_naming_key(self, tmp_path, capsys, key, value):
         cfg = _write_config(tmp_path, "bad.json", {
             "params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0},

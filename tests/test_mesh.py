@@ -161,3 +161,38 @@ class TestMeshIO:
         path.write_text("ncusp-mesh v1\nv 0.0 0.0\nv 1.0 1.0\nb 0 1 WALL\n")
         with pytest.raises(ConfigError):
             load_mesh(path)
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        ("v", lambda ln: "v 0.5 abc", "line 2: a field does not parse"),
+        ("t", lambda ln: "t 0 1 x", "line {line}: a field does not parse"),
+        ("t", lambda ln: "t 0 1 {nv}", "triangle 0 [0, 1, {nv}]: vertex index outside"),
+        ("t", lambda ln: "t 0 -1 2", "triangle 0 [0, -1, 2]: vertex index outside"),
+        ("b", lambda ln: "b 0 {nv} FLAT", "boundary edge 0 [0, {nv}]: vertex index"),
+        ("b", lambda ln: "b -1 0 FLAT", "boundary edge 0 [-1, 0]: vertex index"),
+        ("t", lambda ln: "t " + " ".join(reversed(ln.split()[1:])),
+         "triangle 0 {tri}: signed area"),
+        ("t", lambda ln: "t 0 0 1", "triangle 0 [0, 0, 1]: signed area"),
+    ], ids=["vertex-text", "index-text", "index-past-nv", "negative-index",
+            "edge-past-nv", "negative-edge", "clockwise", "zero-area"])
+    def test_rejects_bad_content_naming_line_or_triangle(self, p1_params, tmp_path,
+                                                         kind, edit, message):
+        m = generate_cusp_mesh(p1_params, levels=4)
+        path = tmp_path / "mesh.txt"
+        save_mesh(m, path)
+        lines = path.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
+        lines[k] = edit(lines[k]).format(nv=m.num_vertices)
+        path.write_text("\n".join(lines) + "\n")
+        tri = list(reversed(m.triangles[0].tolist()))
+        with pytest.raises(ConfigError) as exc:
+            load_mesh(path)
+        assert message.format(line=k + 1, nv=m.num_vertices, tri=tri) in str(exc.value)
+
+    def test_rejects_empty_and_non_finite(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("ncusp-mesh v1\nv 0.0 0.0\n")
+        with pytest.raises(ConfigError, match="no triangles"):
+            load_mesh(path)
+        path.write_text("ncusp-mesh v1\nv 0.0 0.0\nv 1.0 nan\nv 0.0 1.0\nt 0 1 2\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_mesh(path)

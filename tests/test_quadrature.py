@@ -6,7 +6,9 @@ import pytest
 from ncusp.errors import NonIntegrable, RangeViolation, UnsupportedOrder
 from ncusp.geometry import BoundaryFace
 from ncusp.quadrature import (
+    _tensor_cube_nodes,
     boundary_integral,
+    gauss_nodes_01,
     graded_interval_rule,
     triangle_rule,
     volume_integral,
@@ -114,6 +116,24 @@ class TestTriangleRule:
             triangle_rule(6)
         with pytest.raises(UnsupportedOrder):
             triangle_rule(0)
+
+
+@pytest.mark.parametrize("build,args", [
+    (gauss_nodes_01, (8,)),
+    (graded_interval_rule, (-0.5, 12)),
+    (graded_interval_rule, (0.0,)),
+    (triangle_rule, (5,)),
+    (_tensor_cube_nodes, (2, 8)),
+    (_tensor_cube_nodes, (0, 8)),
+])
+def test_rules_are_cached_and_read_only(build, args):
+    rule = build(*args)
+    assert build(*args) is rule
+    arrays = rule if isinstance(rule, tuple) else tuple(vars(rule).values())
+    assert arrays
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
 
 
 class TestBoundaryIntegral:

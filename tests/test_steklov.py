@@ -315,6 +315,7 @@ class TestOptions:
         ("tol_rel", 0.0), ("tol_rel", -1.0), ("tol_rel", float("nan")),
         ("reg_eps", 0), ("reg_eps", float("inf")), ("reg_eps", "1e-8"),
         ("restarts", 0), ("seed", -1), ("initial", np.array([1.0, -1.0])),
+        ("reg_eps", 1.0), ("reg_eps", 1e300),
     ])
     def test_invalid_values_name_the_key(self, key, value):
         with pytest.raises(RangeViolation) as exc:
