@@ -53,6 +53,8 @@ _MESH_DEFAULTS = {"levels": 10, **{
     name: arg.default
     for name, arg in inspect.signature(generate_cusp_mesh).parameters.items()
     if arg.default is not inspect.Parameter.empty}}
+# verify.samples takes jacobian_suite's default
+_SAMPLES_DEFAULT = inspect.signature(jacobian_suite).parameters["samples"].default
 # every SolverOptions field but the start vector is a config key
 _SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverOptions)
                     if f.name != "initial"}
@@ -109,7 +111,7 @@ def _resolve(raw: dict, seed_override: int | None) -> dict:
         "mesh": mesh_cfg,
         "solver": solver_cfg,
         "scaling": dict(raw.get("scaling", {})),
-        "verify": {"samples": raw.get("verify", {}).get("samples", 10000)},
+        "verify": {"samples": raw.get("verify", {}).get("samples", _SAMPLES_DEFAULT)},
         "oracle": {"rtol": raw.get("oracle", {}).get("rtol", 1e-6)},
         "map": dict(raw.get("map", {})),
         "version": __version__,
@@ -320,13 +322,14 @@ def cmd_mesh(cfg: dict, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     save_mesh(grid, outdir / "mesh.txt")
     log.info("wrote %s", outdir / "mesh.txt")
+    area = mesh_area(grid)
     body = {
         "vertices": grid.num_vertices,
         "triangles": grid.num_triangles,
         "boundary_edges": int(grid.boundary_edges.shape[0]),
         "min_quality": grid.min_quality,
-        "area": mesh_area(grid),
-        "area_rel_err": abs(mesh_area(grid) - 1.0 / params.gamma) * params.gamma,
+        "area": area,
+        "area_rel_err": abs(area - 1.0 / params.gamma) * params.gamma,
         "tip_height": grid.tip_height,
     }
     _write(outdir, "mesh.json", _json_text(_artifact(cfg, "mesh", body)))

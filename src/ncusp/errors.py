@@ -28,7 +28,11 @@ __all__ = [
     "IterationStall",
     "ConfigError",
     "check_number",
+    "SIZE_BUDGET",
 ]
+
+# the most mesh vertices, or sample points, that one input may ask for
+SIZE_BUDGET = 10**6
 
 
 class NcuspError(Exception):
@@ -100,15 +104,25 @@ class ConfigError(ValidationError):
     """Malformed run configuration (unknown keys, wrong types, missing data)."""
 
 
+def _fits_float(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def check_number(key: str, value, low: float, high: float = math.inf,
                  integer: bool = False):
-    """Return value if it is an integer >= low (with ``integer``) or a number
-    with low < value < high; otherwise raise a RangeViolation naming key."""
+    """Return value if it is an integer with low <= value <= high (with
+    ``integer``) or a number with low < value < high, and a finite float can
+    hold it; otherwise raise a RangeViolation naming key."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, kind) and not isinstance(value, bool) \
-            and (low <= value if integer else low < value < high):
+            and (low <= value <= high if integer else low < value < high) \
+            and _fits_float(value):
         return value
     if integer:
-        raise RangeViolation(key, f"an integer >= {low}")
+        raise RangeViolation(key, f"an integer >= {low}" if high == math.inf
+                             else f"an integer in [{low}, {high}]")
     bounds = f" > {low:g}" if high == math.inf else f" in ({low:g}, {high:g})"
     raise RangeViolation(key, "a finite number" + ("" if low == -math.inf else bounds))

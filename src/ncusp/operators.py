@@ -15,6 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (
+    SIZE_BUDGET,
     DivergentIntegral,
     MapParameterTooLarge,
     RangeViolation,
@@ -100,7 +101,7 @@ def K_pp_estimate(cmap: CuspMap, samples: int = 20000) -> KDistortion:
     sample; the bound (1/a)^(1/p) * ((n-1)((a*alpha-1)^2+1) + a^2)^(1/2) is
     exact at a = (n-p)/(gamma-p) where the height power degenerates.
     """
-    check_number("samples", samples, 1, integer=True)
+    check_number("samples", samples, 1, SIZE_BUDGET, integer=True)
     exps = derived_exponents(cmap.params)
     if cmap.a > exps.a_max:
         raise MapParameterTooLarge(

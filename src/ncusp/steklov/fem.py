@@ -266,16 +266,9 @@ class FemWorkspace:
         """Weighted trace integral of u (sign-normalization functional)."""
         return float(np.dot(self.edge_wf, self.edge_op @ u))
 
-    def residual(self, u: np.ndarray, lam: float, reg_eps: float,
-                 energy: tuple | None = None, gb: np.ndarray | None = None) -> float:
-        """Scaled sup-norm of the weak-form residual over nodal test functions.
-
-        A caller that already holds ``energy(u, reg_eps)`` (the value and
-        gradient) or the boundary gradient at u passes them in.
-        """
-        e, ge = self.energy(u, reg_eps) if energy is None else energy
-        if gb is None:
-            _, gb = self.boundary(u, reg_eps)
+    def residual(self, e: float, ge: np.ndarray, gb: np.ndarray, lam: float) -> float:
+        """Scaled sup-norm of the weak-form residual over nodal test functions,
+        from the energy e, its gradient ge and the boundary gradient gb at u."""
         r = ge / self.p - lam * gb / self.q
         return float(np.max(np.abs(r)) / max(1.0, e))
 
@@ -354,7 +347,9 @@ def weak_residual(mesh: TriMesh, solution, params: DomainParams,
     b, _ = ws.boundary(vals, 0.0, with_grad=False)
     if b <= 0.0:
         raise ZeroTrace("residual is defined for unit-boundary-norm candidates")
-    return ws.residual(vals, float(lam), reg_eps)
+    e, ge = ws.energy(vals, reg_eps)
+    _, gb = ws.boundary(vals, reg_eps)
+    return ws.residual(e, ge, gb, float(lam))
 
 
 def fem_pnorms(u: FemFunction, p: float):

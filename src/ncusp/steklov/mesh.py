@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateTriangle, RangeViolation, check_number
+from ..errors import (
+    SIZE_BUDGET,
+    ConfigError,
+    DegenerateTriangle,
+    RangeViolation,
+    check_number,
+)
 from ..geometry import DomainParams, powt
 
 __all__ = ["TriMesh", "generate_cusp_mesh", "save_mesh", "load_mesh", "mesh_area",
@@ -149,6 +155,9 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
     if rows_per_strip is None:
         rows_per_strip = max(4, 4 * levels)
     check_number("rows_per_strip", rows_per_strip, 1, integer=True)
+    if levels * rows_per_strip + 1 > SIZE_BUDGET:
+        raise RangeViolation("levels * rows_per_strip",
+                             f"at most {SIZE_BUDGET} rows of vertices")
     alpha = params.alpha
 
     heights = [1.0]
@@ -159,13 +168,18 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
     heights = np.asarray(heights)
     tip_height = heights[-1]
 
-    # columns per row: near-unit aspect against the local row spacing
+    # columns per row: near-unit aspect against the local row spacing, kept
+    # in floats until the vertex count they give is known to be in budget
     spacings = np.empty_like(heights)
     spacings[1:] = heights[:-1] - heights[1:]
     spacings[0] = spacings[1]
-    cols = np.maximum(
-        1, np.rint(powt(heights, alpha) / (aspect * spacings)).astype(int))
-    cols[-1] = 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cols = np.maximum(1.0, np.rint(powt(heights, alpha) / (aspect * spacings)))
+    cols[-1] = 1.0
+    if not np.sum(cols + 1.0) + 1.0 <= SIZE_BUDGET:
+        raise RangeViolation("levels, grading_ratio, rows_per_strip, aspect",
+                             f"a mesh of at most {SIZE_BUDGET} vertices")
+    cols = cols.astype(int)
 
     verts = []
     row_indices = []

@@ -53,8 +53,9 @@ class SteklovSolution:
 
     ``lam`` is the eigenvalue estimate (equal to the energy at the unit
     boundary norm), ``mu`` the Lagrange multiplier lam * p / q.
-    ``iterations`` counts inverse-iteration plus Newton steps over all starts
-    and ``history`` the weak residual after each step of the returned start.
+    ``iterations`` counts inverse-iteration plus Newton steps over the starts
+    that returned, and ``history`` the weak residual after each step of the
+    returned start.
     ``start_spread`` is (max - min) / min of the eigenvalues reached by the
     converged starts of a multi-start solve, and None for a single start.
     """
@@ -103,60 +104,63 @@ def _evaluate(ws: FemWorkspace, u: np.ndarray, reg_eps: float) -> _Point:
     e, ge = ws.energy(u, reg_eps)
     b, gb = ws.boundary(u, reg_eps)
     lam = e / b ** (ws.p / ws.q)
-    return _Point(u, e, ge, b, gb, lam,
-                  ws.residual(u, lam, reg_eps, energy=(e, ge), gb=gb))
+    return _Point(u, e, ge, b, gb, lam, ws.residual(e, ge, gb, lam))
 
 
 def _kkt(pt: _Point, mu: float) -> float:
     return float(np.max(np.abs(pt.ge - mu * pt.gb))) + abs(1.0 - pt.b)
 
 
-def _bordered(a: sp.csr_matrix, border: np.ndarray):
-    """A function that fills [[A, -g], [-g^T, 0]] into one CSC pattern, for
-    every A in the fixed nodal pattern of ``a`` and g zero off ``border``."""
-    nnz, k = a.nnz, border.size
-    ids = sp.csr_matrix((np.arange(1.0, nnz + 1.0), a.indices, a.indptr), shape=a.shape)
-    col = sp.csr_matrix((np.arange(nnz + 1.0, nnz + k + 1.0),
-                         (border, np.zeros(k, dtype=int))), shape=(a.shape[0], 1))
-    template = sp.bmat([[ids, col], [col.T, None]], format="csc")
-    template.sort_indices()
-    order = template.data.astype(np.intp) - 1
-    return lambda a, g: sp.csc_matrix(
-        (np.concatenate([a.data, -g[border]])[order], template.indices,
-         template.indptr), shape=template.shape)
-
-
 class _PatternLU:
-    """LU factors of a sequence of symmetric matrices in one CSC pattern.
+    """LU factors of a sequence of matrices A in the fixed nodal pattern of
+    ``a``, bordered as [[A, -g], [-g^T, 0]] with g zero off ``border`` if given.
 
-    The first is ordered with LU_OPTIONS. The later ones are gathered, through
-    an index computed once, into that fill-reducing order and factored with
-    NATURAL ordering, so the ordering is computed once per pattern.
+    One integer index gathers [A.data, -g[border]] into the CSC data that is
+    factored. The first matrix is ordered with LU_OPTIONS and the index is
+    rebuilt once in that fill-reducing order; each later one is one gather
+    and a factorization with NATURAL ordering.
     """
 
-    def __init__(self):
+    def __init__(self, a: sp.csr_matrix, border: np.ndarray | None = None):
+        # 1-based ids of the data entries, so that none is a structural zero
+        ids = sp.csr_matrix((np.arange(1.0, a.nnz + 1.0), a.indices, a.indptr),
+                            shape=a.shape)
+        if border is not None:
+            k = border.size
+            col = sp.csr_matrix((np.arange(a.nnz + 1.0, a.nnz + k + 1.0),
+                                 (border, np.zeros(k, dtype=int))), shape=(a.shape[0], 1))
+            ids = sp.bmat([[ids, col], [col.T, None]])
+        self._border = border
         self._order = None
+        self._index(ids.tocsc())
 
-    def solve(self, a: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve a x = rhs through a fresh LU factorization of a."""
+    def _index(self, ids: sp.csc_matrix) -> None:
+        ids.sort_indices()
+        self._gather = ids.data.astype(np.intp) - 1
+        self._pattern = (ids.indices, ids.indptr)
+        self._shape = ids.shape
+
+    def solve(self, a_data: np.ndarray, rhs: np.ndarray,
+              g: np.ndarray | None = None) -> np.ndarray:
+        """Solve M x = rhs through a fresh LU factorization of the matrix M
+        with data ``a_data`` in the nodal pattern, bordered by ``g``."""
+        data = a_data if self._border is None \
+            else np.concatenate([a_data, -g[self._border]])
+        m = sp.csc_matrix((data[self._gather], *self._pattern), shape=self._shape)
         if self._order is None:
-            lu = spla.splu(a, **LU_OPTIONS)
+            lu = spla.splu(m, **LU_OPTIONS)
             x = lu.solve(rhs)
-            # column j of the ordered matrix is column order[j] of a
+            # column j of the ordered matrix is column order[j] of M
             self._order = np.argsort(lu.perm_c)
             # holding the factor while the index is built raised the peak RSS
             del lu
-            ids = sp.csc_matrix((np.arange(1.0, a.nnz + 1.0), a.indices, a.indptr),
-                                shape=a.shape)[self._order][:, self._order]
-            ids.sort_indices()
-            self._gather = ids.data.astype(np.intp) - 1
-            self._pattern = (ids.indices, ids.indptr)
+            ids = sp.csc_matrix((self._gather + 1.0, *self._pattern), shape=self._shape)
+            self._index(ids[self._order][:, self._order])
             return x
         order = self._order
         x = np.empty_like(rhs)
-        x[order] = spla.splu(
-            sp.csc_matrix((a.data[self._gather], *self._pattern), shape=a.shape),
-            permc_spec="NATURAL", options=LU_OPTIONS["options"]).solve(rhs[order])
+        x[order] = spla.splu(m, permc_spec="NATURAL",
+                             options=LU_OPTIONS["options"]).solve(rhs[order])
         return x
 
 
@@ -169,11 +173,10 @@ def _solve_start(ws: FemWorkspace, u: np.ndarray, opts: SolverOptions):
     why = f"(p = {p:g}, q = {q:g}, reg_eps = {eps:g})"
     pt = _evaluate(ws, _normalize(ws, u, eps), eps)
     history = []
-    metric_lu, newton_lu = _PatternLU(), _PatternLU()
+    metric_lu = _PatternLU(ws.stiffness)
     while pt.res > NEWTON_SWITCH and len(history) < opts.max_iter:
-        # each factor is used once and released before the next is made; the
-        # metric is symmetric, so its CSR transpose is itself in CSC, uncopied
-        z = metric_lu.solve(ws.metric_matrix(pt.u, eps).T, pt.gb)
+        # each factor is used once and released before the next is made
+        z = metric_lu.solve(ws.metric_matrix(pt.u, eps).data, pt.gb)
         pt = _evaluate(ws, _normalize(ws, z, eps), eps)
         history.append(pt.res)
         if _changes_sign(pt.u):
@@ -183,12 +186,11 @@ def _solve_start(ws: FemWorkspace, u: np.ndarray, opts: SolverOptions):
                 f"eigenfunction {why}")
     mu = pt.lam * p / q
     kkt = _kkt(pt, mu)
-    build = None
+    newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
     while pt.res >= 10.0 * opts.tol_rel and len(history) < opts.max_iter:
-        a = ws.hessian(pt.u, eps)
-        a.data -= mu * ws.boundary_hessian(pt.u, eps).data   # same fixed pattern
-        build = build or _bordered(a, np.unique(ws.edge_op.indices))
-        step = newton_lu.solve(build(a, pt.gb), np.append(mu * pt.gb - pt.ge, pt.b - 1.0))
+        # the Hessians and the stiffness share one fixed pattern
+        a_data = ws.hessian(pt.u, eps).data - mu * ws.boundary_hessian(pt.u, eps).data
+        step = newton_lu.solve(a_data, np.append(mu * pt.gb - pt.ge, pt.b - 1.0), pt.gb)
         t = 1.0
         for _ in range(MAX_HALVINGS):
             cand, cand_mu = _evaluate(ws, pt.u + t * step[:-1], eps), mu + t * step[-1]

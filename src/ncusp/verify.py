@@ -8,11 +8,11 @@ volume identity, and the boundary area formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import check_number
+from .errors import SIZE_BUDGET, check_number
 from .geometry import (
     CuspMap,
     boundary_faces,
@@ -53,14 +53,7 @@ class JacobianSuiteReport:
                 and self.max_sandwich_violation <= SANDWICH_SLACK)
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_roundtrip": self.max_roundtrip,
-            "max_reciprocity": self.max_reciprocity,
-            "max_fd_rel": self.max_fd_rel,
-            "max_sandwich_violation": self.max_sandwich_violation,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _fd_jacobian_determinant(cmap: CuspMap, y: np.ndarray, h: float = 1e-6):
@@ -77,7 +70,7 @@ def _fd_jacobian_determinant(cmap: CuspMap, y: np.ndarray, h: float = 1e-6):
 
 def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
     """Roundtrip, reciprocity, finite-difference, and sandwich checks."""
-    check_number("samples", samples, 1, integer=True)
+    check_number("samples", samples, 1, SIZE_BUDGET, integer=True)
     n = cmap.n
     y = quasi_random_model_interior(n, samples)
     x = forward_map(cmap, y)
@@ -139,14 +132,7 @@ class MeasureSuiteReport:
                 and self.change_of_variables < 1e-8)
 
     def as_dict(self) -> dict:
-        return {
-            "volume_rel_err": self.volume_rel_err,
-            "area_discrepancy_const": self.area_discrepancy_const,
-            "area_discrepancy_height": self.area_discrepancy_height,
-            "area_discrepancy_first": self.area_discrepancy_first,
-            "change_of_variables": self.change_of_variables,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def measure_suite(cmap: CuspMap) -> MeasureSuiteReport:

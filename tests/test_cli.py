@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -202,7 +203,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("max_iter", "abc"), ("reg_eps", 0), ("reg_eps", 1e300), ("tol_rel", -1),
-        ("restarts", 0)])
+        ("restarts", 0), pytest.param("tol_rel", 10**400, id="tol_rel-10**400")])
     def test_invalid_solver_value_exits_2_naming_key(self, tmp_path, capsys, key, value):
         cfg = _write_config(tmp_path, "bad.json", {
             "params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0},
@@ -229,6 +230,14 @@ class TestValidation:
         ("scaling", "scaling", "theta_grid", "abc"),
         ("scaling", "scaling", "theta_grid", []),
         ("verify-geometry", "map", "a", "x"),
+        # integers that no float can hold
+        pytest.param("exponents", "params", "gamma", 10**400, id="gamma-10**400"),
+        pytest.param("verify-geometry", "map", "a", 10**400, id="a-10**400"),
+        pytest.param("mesh", "mesh", "levels", 10**400, id="levels-10**400"),
+        pytest.param("verify-geometry", "verify", "samples", 10**400,
+                     id="samples-10**400"),
+        # over the size budget of 10**6 sample points
+        ("verify-geometry", "verify", "samples", 10**6 + 1),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, block,
                                               key, value):
@@ -240,6 +249,27 @@ class TestValidation:
         path = _write_config(tmp_path, "bad.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "run")]) == 2
         assert f"{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command,block,values,keys", [
+        ("mesh", "mesh", {"levels": 10**6}, ["levels", "rows_per_strip"]),
+        ("mesh", "mesh", {"rows_per_strip": 10**8}, ["levels", "rows_per_strip"]),
+        ("mesh", "mesh", {"aspect": 1e-320}, ["aspect"]),
+        ("mesh", "mesh", {"aspect": 1e-9}, ["aspect"]),
+        ("mesh", "mesh", {"grading_ratio": 0.999}, ["grading_ratio"]),
+        ("solve", "mesh", {"aspect": 1e-9}, ["aspect"]),
+    ])
+    def test_oversized_input_exits_2_naming_keys(self, tmp_path, capsys, command,
+                                                 block, values, keys):
+        # the size budget of 10**6 mesh vertices, checked before anything is
+        # allocated and before any overflow warning
+        cfg = {"params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0}, block: values}
+        path = _write_config(tmp_path, "big.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("params", [{"n": 2, "p": 2, "gamma": 3},

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ncusp.errors import MapParameterTooLarge, RangeViolation
+from ncusp.errors import SIZE_BUDGET, MapParameterTooLarge, RangeViolation
 from ncusp.geometry import BoundaryFace, cusp_map, validate_params
 from ncusp.operators import (
     K_pp_estimate,
@@ -34,7 +34,8 @@ class TestKpp:
         est = K_pp_estimate(simplex_map, samples=5000)
         assert est.sampled == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("samples", [0, 2.5, -3])
+    @pytest.mark.parametrize("samples", [0, 2.5, -3, SIZE_BUDGET + 1,
+                                         pytest.param(10**400, id="10**400")])
     def test_bad_sample_count_rejected(self, p1_map, samples):
         with pytest.raises(RangeViolation) as err:
             K_pp_estimate(p1_map, samples=samples)

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ncusp.errors import NumericalError, RangeViolation, ZeroTrace
 from ncusp.geometry import validate_params
@@ -112,14 +113,6 @@ class TestAssemble:
         assert abs(he - a).max() <= 1e-13 * abs(a).max()
         assert abs(hb - 2.0 * ws.boundary_mass).max() <= 1e-13 * abs(hb).max()
 
-    def test_residual_reuses_given_gradients(self, small_mesh, rng):
-        ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
-        u = rng.standard_normal(ws.num_dof)
-        energy = ws.energy(u, 1e-8)
-        _, gb = ws.boundary(u, 1e-8)
-        assert ws.residual(u, 0.3, 1e-8, energy=energy, gb=gb) \
-            == ws.residual(u, 0.3, 1e-8)
-
 
 def _boundary_by_edges(mesh, theta, q, u):
     """Edge-by-edge reference of the unregularized boundary functional:
@@ -164,7 +157,7 @@ class TestOperators:
             assert b == pytest.approx(u @ (ws.boundary_mass @ u), rel=1e-13)
 
     def test_metric_times_u_is_energy_gradient(self, small_mesh, rng):
-        # the Picard polish relies on grad E(u) = metric(u) @ u
+        # inverse iteration relies on grad E(u) = metric(u) @ u
         ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
         for _ in range(3):
             u = rng.standard_normal(ws.num_dof)
@@ -173,7 +166,8 @@ class TestOperators:
             assert np.max(np.abs(mu - ge)) <= 1e-12 * np.max(np.abs(ge))
 
     def test_pattern_lu_orders_once(self, small_mesh, rng, monkeypatch):
-        # the first factor orders the pattern, the later ones reuse its order
+        # the first factor orders the pattern, the later ones reuse its order;
+        # with a border the matrix is [[A, -g], [-g^T, 0]]
         specs = []
         splu = solve.spla.splu
 
@@ -183,14 +177,23 @@ class TestOperators:
 
         monkeypatch.setattr(solve.spla, "splu", recording_splu)
         ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
-        lu = _PatternLU()
-        for _ in range(3):
-            a = ws.metric_matrix(1.0 + rng.random(ws.num_dof), 1e-8).tocsc()
-            b = rng.standard_normal(ws.num_dof)
-            x = lu.solve(a, b)
-            ref = splu(a, **LU_OPTIONS).solve(b)
-            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert specs == [LU_OPTIONS["permc_spec"], "NATURAL", "NATURAL"]
+        for border in (None, np.unique(ws.edge_op.indices)):
+            specs.clear()
+            lu = _PatternLU(ws.stiffness, border)
+            for _ in range(3):
+                a = ws.metric_matrix(1.0 + rng.random(ws.num_dof), 1e-8)
+                b = rng.standard_normal(ws.num_dof)
+                g, full = None, a.tocsc()
+                if border is not None:
+                    g = np.zeros(ws.num_dof)
+                    g[border] = 0.5 + rng.random(border.size)
+                    col = sp.csr_matrix(-g[:, None])
+                    full = sp.bmat([[a, col], [col.T, None]], format="csc")
+                    b = np.append(b, rng.standard_normal())
+                x = lu.solve(a.data, b, g)
+                ref = splu(full, **LU_OPTIONS).solve(b)
+                assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert specs == [LU_OPTIONS["permc_spec"], "NATURAL", "NATURAL"]
 
     def test_workspace_cache_releases_dropped_meshes(self, p1_params):
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
