@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import RangeViolation
+from .errors import NumericalError, RangeViolation
 from .geometry import (
     BoundaryFace,
     DomainParams,
@@ -196,14 +196,25 @@ def _check_grid(eps_grid) -> np.ndarray:
 
 def scaling_slopes(params: DomainParams, theta: float, q: float,
                    eps_grid=None, cutoff: Cutoff = CUBIC_CUTOFF) -> ScalingResult:
-    """Least-squares slopes of both norms on a dyadic eps grid."""
+    """Least-squares slopes of both norms on a dyadic eps grid.
+
+    Raises NumericalError naming gamma when a norm is not finite and positive
+    (for a large gamma the boundary norm at the smallest eps underflows).
+    """
     grid = _check_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     n, p, alpha = params.n, params.p, params.alpha
     sigma_b = side_exponent(theta, params)
     lhs = np.empty(grid.size)
     rhs = np.empty(grid.size)
-    for k, eps in enumerate(grid):
-        lhs[k], rhs[k] = test_function_norms(params, theta, q, eps, cutoff=cutoff)
+    # a norm that over- or underflows is reported below, not warned about
+    with np.errstate(all="ignore"):
+        for k, eps in enumerate(grid):
+            lhs[k], rhs[k] = test_function_norms(params, theta, q, eps, cutoff=cutoff)
+    norms = np.concatenate([lhs, rhs])
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise NumericalError(
+            f"gamma = {params.gamma:g}: a test-function norm on the eps grid is not "
+            "a finite positive number, so no slope can be fitted")
     x = np.log2(grid)
     lhs_slope = float(np.polyfit(x, np.log2(lhs), 1)[0])
     rhs_slope = float(np.polyfit(x, np.log2(rhs), 1)[0])

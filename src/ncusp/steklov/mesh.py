@@ -5,13 +5,13 @@ the geometric grading ratio, every strip is split into equal sub-rows, and
 each row carries enough columns to keep cells near unit aspect. Adjacent
 rows with different column counts are stitched by a monotone two-pointer
 sweep, and a single tip triangle closes the mesh to the origin. Boundary
-edges are tagged FLAT (x1 = 0), SLANTED (x1 = x2**alpha), and TOP (x2 = 1),
-with outward normals.
+edges are tagged FLAT (x1 = 0), SLANTED (x1 = x2**alpha), and TOP (x2 = 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,21 +36,27 @@ FLAT, SLANTED, TOP = "FLAT", "SLANTED", "TOP"
 class TriMesh:
     """Immutable triangulation with face-tagged boundary edges.
 
+    Stored, read-only, and exactly what the ncusp-mesh v1 file holds:
     vertices        (nv, 2) coordinates
     triangles       (nt, 3) CCW vertex indices
     boundary_edges  (ne, 2) vertex indices, chained per face
     boundary_tags   (ne,) strings FLAT / SLANTED / TOP
-    boundary_normals(ne, 2) outward unit normals
-    tip_height      height of the lowest full row (the tip triangle sits below)
+
+    Derived: ``num_vertices``, ``num_triangles``, ``tip_height`` (the lowest
+    positive height on the boundary, i.e. the lowest row; the tip triangle
+    sits below it) and ``min_quality`` (the smallest shortest-to-longest edge
+    ratio of a triangle, computed once).
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    boundary_normals: np.ndarray
-    tip_height: float
-    min_quality: float
+
+    def __post_init__(self):
+        for arr in (self.vertices, self.triangles, self.boundary_edges,
+                    self.boundary_tags):
+            arr.flags.writeable = False
 
     @property
     def num_vertices(self) -> int:
@@ -60,12 +66,21 @@ class TriMesh:
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    @property
+    def tip_height(self) -> float:
+        heights = self.vertices[self.boundary_edges.ravel(), 1]
+        heights = heights[heights > 0.0]
+        return float(heights.min()) if heights.size else 0.0
 
-def _freeze(mesh: TriMesh) -> TriMesh:
-    for arr in (mesh.vertices, mesh.triangles, mesh.boundary_edges,
-                mesh.boundary_normals):
-        arr.flags.writeable = False
-    return mesh
+    @cached_property
+    def min_quality(self) -> float:
+        v = self.vertices[self.triangles]
+        lengths = np.stack([
+            np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
+            np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
+            np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
+        ])
+        return float(np.min(lengths.min(axis=0) / lengths.max(axis=0)))
 
 
 def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -89,34 +104,6 @@ def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
 def mesh_area(mesh: TriMesh) -> float:
     """Total area of the triangulation."""
     return float(np.sum(p1_geometry(mesh)[0]))
-
-
-def _triangle_quality(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    v = vertices[triangles]
-    lengths = np.stack([
-        np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
-        np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
-        np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
-    ])
-    return float(np.min(lengths.min(axis=0) / lengths.max(axis=0)))
-
-
-def _outward_normals(vertices: np.ndarray, edges: np.ndarray,
-                     tags: np.ndarray) -> np.ndarray:
-    """Outward unit normals of the tagged boundary edges."""
-    normals = np.empty((edges.shape[0], 2))
-    for k, (i, j) in enumerate(edges):
-        if tags[k] == FLAT:
-            normals[k] = (-1.0, 0.0)
-        elif tags[k] == TOP:
-            normals[k] = (0.0, 1.0)
-        else:
-            d = vertices[j] - vertices[i]
-            nvec = np.array([-d[1], d[0]])
-            if nvec[0] < 0:
-                nvec = -nvec
-            normals[k] = nvec / np.linalg.norm(nvec)
-    return normals
 
 
 def _stitch_band(top_idx, bot_idx, top_frac, bot_frac):
@@ -166,75 +153,49 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
                           rows_per_strip + 1)
         heights.extend(seg[1:])
     heights = np.asarray(heights)
-    tip_height = heights[-1]
 
     # columns per row: near-unit aspect against the local row spacing, kept
     # in floats until the vertex count they give is known to be in budget
     spacings = np.empty_like(heights)
     spacings[1:] = heights[:-1] - heights[1:]
     spacings[0] = spacings[1]
+    widths = powt(heights, alpha)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cols = np.maximum(1.0, np.rint(powt(heights, alpha) / (aspect * spacings)))
+        cols = np.maximum(1.0, np.rint(widths / (aspect * spacings)))
     cols[-1] = 1.0
     if not np.sum(cols + 1.0) + 1.0 <= SIZE_BUDGET:
         raise RangeViolation("levels, grading_ratio, rows_per_strip, aspect",
                              f"a mesh of at most {SIZE_BUDGET} vertices")
     cols = cols.astype(int)
 
-    verts = []
-    row_indices = []
-    row_fracs = []
-    for t, m in zip(heights, cols):
-        fracs = np.linspace(0.0, 1.0, m + 1)
-        width = float(powt(t, alpha))
-        start = len(verts)
-        verts.extend((f * width, t) for f in fracs)
-        row_indices.append(list(range(start, start + m + 1)))
-        row_fracs.append(fracs)
-    origin = len(verts)
-    verts.append((0.0, 0.0))
-    vertices = np.asarray(verts, dtype=float)
+    # row r holds vertices starts[r] .. starts[r + 1] - 1; the origin comes last
+    starts = np.concatenate(([0], np.cumsum(cols + 1)))
+    origin = int(starts[-1])
+    row_fracs = [np.linspace(0.0, 1.0, m + 1) for m in cols]
+    vertices = np.zeros((origin + 1, 2))
+    vertices[:origin, 0] = np.concatenate(row_fracs) * np.repeat(widths, cols + 1)
+    vertices[:origin, 1] = np.repeat(heights, cols + 1)
 
+    rows = [range(a, b) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
     triangles = []
-    for r in range(len(heights) - 1):
-        triangles.extend(_stitch_band(row_indices[r], row_indices[r + 1],
+    for r in range(len(rows) - 1):
+        triangles.extend(_stitch_band(rows[r], rows[r + 1],
                                       row_fracs[r], row_fracs[r + 1]))
-    last = row_indices[-1]
-    triangles.append((origin, last[1], last[0]))  # single tip triangle
+    triangles.append((origin, origin - 1, origin - 2))  # single tip triangle
     triangles = np.asarray(triangles, dtype=np.int64)
 
-    quality = _triangle_quality(vertices, triangles)
-    if quality < QUALITY_FLOOR:
+    # FLAT and SLANTED run down the first and last vertex of each row to the
+    # origin; TOP runs along the first row
+    chains = [np.append(starts[:-1], origin), np.append(starts[1:] - 1, origin),
+              np.arange(starts[1])]
+    edges = np.concatenate([np.stack([c[:-1], c[1:]], axis=1) for c in chains])
+    tags = np.repeat([FLAT, SLANTED, TOP], [c.size - 1 for c in chains])
+
+    mesh = TriMesh(vertices, triangles, edges, tags)
+    if mesh.min_quality < QUALITY_FLOOR:
         raise DegenerateTriangle(
-            f"minimum edge ratio {quality:.3e} below {QUALITY_FLOOR:g}")
-
-    edges, tags = [], []
-    for r in range(len(heights) - 1):
-        edges.append((row_indices[r][0], row_indices[r + 1][0]))
-        tags.append(FLAT)
-    edges.append((row_indices[-1][0], origin))
-    tags.append(FLAT)
-    for r in range(len(heights) - 1):
-        edges.append((row_indices[r][-1], row_indices[r + 1][-1]))
-        tags.append(SLANTED)
-    edges.append((row_indices[-1][-1], origin))
-    tags.append(SLANTED)
-    top_row = row_indices[0]
-    for i in range(len(top_row) - 1):
-        edges.append((top_row[i], top_row[i + 1]))
-        tags.append(TOP)
-    edges = np.asarray(edges, dtype=np.int64)
-    tags = np.asarray(tags)
-
-    return _freeze(TriMesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=edges,
-        boundary_tags=tags,
-        boundary_normals=_outward_normals(vertices, edges, tags),
-        tip_height=float(tip_height),
-        min_quality=quality,
-    ))
+            f"minimum edge ratio {mesh.min_quality:.3e} below {QUALITY_FLOOR:g}")
+    return mesh
 
 
 # --------------------------------------------------------------------------
@@ -255,11 +216,12 @@ def save_mesh(mesh: TriMesh, path) -> None:
 
 
 def load_mesh(path) -> TriMesh:
-    """Read a mesh in the ncusp-mesh v1 text format; normals are recomputed.
+    """Read a mesh in the ncusp-mesh v1 text format.
 
-    Raises ConfigError naming the line or the triangle for a number that does
-    not parse, a vertex index outside [0, nv), or a triangle whose signed
-    area is not positive (every triangle must be counter-clockwise).
+    Raises ConfigError naming the line, the triangle or the boundary edge for
+    a number that does not parse, a vertex index outside [0, nv), a triangle
+    whose signed area is not positive (every triangle must be
+    counter-clockwise), or a boundary edge that is no side of a triangle.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
@@ -297,19 +259,7 @@ def load_mesh(path) -> TriMesh:
             j = int(bad[0])
             raise ConfigError(f"{what} {j} {arr[j].tolist()}: vertex index "
                               f"outside [0, {nv})")
-    heights = vertices[:, 1]
-    positive = heights[np.unique(edge_arr.ravel())]
-    positive = positive[positive > 0.0]
-    tip = float(positive.min()) if positive.size else 0.0
-    mesh = _freeze(TriMesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=edge_arr,
-        boundary_tags=tag_arr,
-        boundary_normals=_outward_normals(vertices, edge_arr, tag_arr),
-        tip_height=tip,
-        min_quality=_triangle_quality(vertices, triangles),
-    ))
+    mesh = TriMesh(vertices, triangles, edge_arr, tag_arr)
     # a zero area divides the gradients; only the areas are used here
     with np.errstate(divide="ignore", invalid="ignore"):
         areas = p1_geometry(mesh)[0]
@@ -318,4 +268,12 @@ def load_mesh(path) -> TriMesh:
         j = int(bad[0])
         raise ConfigError(f"triangle {j} {triangles[j].tolist()}: signed area "
                           f"{areas[j]:.3g} is not positive (not counter-clockwise)")
+    sides = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    ends = np.sort(edge_arr, axis=1)
+    bad = np.flatnonzero(~np.isin(ends[:, 0] * nv + ends[:, 1],
+                                  sides[:, 0] * nv + sides[:, 1]))
+    if bad.size:
+        j = int(bad[0])
+        raise ConfigError(f"boundary edge {j} {edge_arr[j].tolist()}: not an edge "
+                          f"of any triangle")
     return mesh

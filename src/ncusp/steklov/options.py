@@ -22,7 +22,8 @@ class SolverOptions:
     ``max_iter`` caps the inverse-iteration plus Newton steps of one start,
     which has converged once the weak residual is below ``10 * tol_rel``.
     ``restarts > 1`` adds random starts, uniform on [0, 1) and drawn from
-    ``seed``, after u = 1 (or ``initial``, which must not change sign).
+    ``seed``, after u = 1 (or ``initial``: finite reals, one per mesh vertex,
+    that do not change sign).
     """
 
     max_iter: int = 500
@@ -38,5 +39,13 @@ class SolverOptions:
         check_number("tol_rel", self.tol_rel, 0.0)
         # a regularization is small; reg_eps ** q overflows for large values
         check_number("reg_eps", self.reg_eps, 0.0, 1.0)
-        if self.initial is not None and _changes_sign(np.asarray(self.initial)):
-            raise RangeViolation("initial", "a start that does not change sign")
+        if self.initial is not None:
+            try:
+                start = np.asarray(self.initial)
+            except ValueError:  # a ragged list
+                start = None
+            if start is None or start.dtype.kind not in "iuf" or start.ndim != 1 \
+                    or start.size == 0 or not np.isfinite(start).all():
+                raise RangeViolation("initial", "a non-empty 1-D array of finite reals")
+            if _changes_sign(start):
+                raise RangeViolation("initial", "a start that does not change sign")

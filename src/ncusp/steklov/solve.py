@@ -209,7 +209,8 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
                       options: SolverOptions | None = None) -> SteklovSolution:
     """First eigenpair: minimize the Rayleigh quotient over B(u) = 1.
 
-    Starts from u = 1 (or ``options.initial``) and, with ``restarts > 1``,
+    Starts from u = 1 (or ``options.initial``, one value per mesh vertex, else
+    a RangeViolation naming ``initial``) and, with ``restarts > 1``,
     keeps the smallest eigenvalue over the starts that returned; u is signed
     so its weighted trace integral is >= 0. A start that used up max_iter
     steps returns with converged=False. An iterate that changes sign, or a
@@ -218,6 +219,8 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     opts = options or SolverOptions()
     ws = workspace_for(mesh, params)
     p, q = ws.p, ws.q
+    if opts.initial is not None and len(opts.initial) != ws.num_dof:
+        raise RangeViolation("initial", f"one value per mesh vertex ({ws.num_dof})")
 
     results, failures = [], []
     total_iters = 0

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -271,6 +272,23 @@ class TestValidation:
         err = capsys.readouterr().err
         assert all(key in err for key in keys), err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("gamma,code", [(40.0, 0), (50.0, 3), (1e200, 3)])
+    def test_scaling_norm_underflow_exits_3_naming_gamma(self, tmp_path, capsys,
+                                                          gamma, code):
+        # from gamma 50 on, the boundary norm at eps = 2**-12 underflows to 0.0
+        path = _write_config(tmp_path, "sc.json",
+                             {"params": {"n": 2, "p": 1.5, "gamma": gamma}})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scaling", "--config", path, "--out", str(out)]) == code
+        if code:
+            assert f"gamma = {gamma:g}" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            doc = _json_artifact(out, "scaling.json")
+            assert math.isfinite(doc["lhs_slope"]) and math.isfinite(doc["rhs_slope"])
 
     @pytest.mark.parametrize("params", [{"n": 2, "p": 2, "gamma": 3},
                                         {"n": 2, "p": "x", "gamma": 3}])

@@ -79,20 +79,20 @@ class TestGeneration:
         tip_tris = np.sum((m.triangles == origin).any(axis=1))
         assert tip_tris == 1
 
-    def test_outward_normals(self, p1_params):
-        # outward means pointing away from the third vertex of the triangle
-        # that owns the edge
-        m = generate_cusp_mesh(p1_params, levels=5)
-        owner = {}
-        for tri in m.triangles:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                owner[frozenset((tri[a], tri[b]))] = tri
-        for (i, j), nvec in zip(m.boundary_edges, m.boundary_normals):
-            tri = owner[frozenset((i, j))]
-            third = [v for v in tri if v not in (i, j)][0]
-            mid = 0.5 * (m.vertices[i] + m.vertices[j])
-            assert np.dot(nvec, mid - m.vertices[third]) > 0
-            assert np.linalg.norm(nvec) == pytest.approx(1.0)
+    @pytest.mark.parametrize("case", ["reference", "simplex", "one-row-per-strip"])
+    def test_boundary_is_the_sides_of_one_triangle(self, p1_params, simplex_params,
+                                                   case):
+        params, kw = {"reference": (p1_params, {}),
+                      "simplex": (simplex_params, {}),
+                      "one-row-per-strip": (p1_params, {"rows_per_strip": 1})}[case]
+        m = generate_cusp_mesh(params, levels=5, **kw)
+        sides = np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        pairs, owners = np.unique(sides, axis=0, return_counts=True)
+        assert owners.max() <= 2
+        boundary = np.sort(m.boundary_edges, axis=1)
+        assert len(np.unique(boundary, axis=0)) == len(boundary)
+        assert set(map(tuple, boundary.tolist())) == \
+            set(map(tuple, pairs[owners == 1].tolist()))
 
     def test_validation(self, p1_params, p2_params):
         with pytest.raises(RangeViolation):
@@ -141,8 +141,8 @@ class TestMeshIO:
         assert np.array_equal(m.triangles, m2.triangles)
         assert np.array_equal(m.boundary_edges, m2.boundary_edges)
         assert np.all(m.boundary_tags == m2.boundary_tags)
-        assert m.boundary_normals.tobytes() == m2.boundary_normals.tobytes()
-        assert m2.tip_height == pytest.approx(m.tip_height)
+        assert m2.tip_height == m.tip_height
+        assert m2.min_quality == m.min_quality
 
     def test_header_line(self, p1_params, tmp_path):
         m = generate_cusp_mesh(p1_params, levels=4)
@@ -172,8 +172,9 @@ class TestMeshIO:
         ("t", lambda ln: "t " + " ".join(reversed(ln.split()[1:])),
          "triangle 0 {tri}: signed area"),
         ("t", lambda ln: "t 0 0 1", "triangle 0 [0, 0, 1]: signed area"),
+        ("b", lambda ln: "b 0 {tip} FLAT", "boundary edge 0 [0, {tip}]: not an edge"),
     ], ids=["vertex-text", "index-text", "index-past-nv", "negative-index",
-            "edge-past-nv", "negative-edge", "clockwise", "zero-area"])
+            "edge-past-nv", "negative-edge", "clockwise", "zero-area", "edge-not-a-side"])
     def test_rejects_bad_content_naming_line_or_triangle(self, p1_params, tmp_path,
                                                          kind, edit, message):
         m = generate_cusp_mesh(p1_params, levels=4)
@@ -181,12 +182,14 @@ class TestMeshIO:
         save_mesh(m, path)
         lines = path.read_text().splitlines()
         k = next(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
-        lines[k] = edit(lines[k]).format(nv=m.num_vertices)
+        tip = m.num_vertices - 2  # a vertex of the lowest row, far from vertex 0
+        lines[k] = edit(lines[k]).format(nv=m.num_vertices, tip=tip)
         path.write_text("\n".join(lines) + "\n")
         tri = list(reversed(m.triangles[0].tolist()))
         with pytest.raises(ConfigError) as exc:
             load_mesh(path)
-        assert message.format(line=k + 1, nv=m.num_vertices, tri=tri) in str(exc.value)
+        assert message.format(line=k + 1, nv=m.num_vertices, tri=tri, tip=tip) \
+            in str(exc.value)
 
     def test_rejects_empty_and_non_finite(self, tmp_path):
         path = tmp_path / "mesh.txt"

@@ -2,6 +2,7 @@
 ValidationError, never another exception."""
 
 import dataclasses
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import configuration, given, settings, strategies as st  # noqa: E402
 
+from ncusp.cli import load_config  # noqa: E402
 from ncusp.errors import ValidationError, check_number  # noqa: E402
 from ncusp.geometry import DomainParams, validate_params  # noqa: E402
 from ncusp.steklov.options import SolverOptions  # noqa: E402
@@ -75,3 +77,26 @@ def test_check_number_returns_only_finite_floats(value, low, high, integer):
     except ValidationError:
         return
     assert out is value and math.isfinite(float(out))
+
+
+# config documents: objects with any of the blocks, each an object over value
+# names or any JSON value; any other JSON value; or text that may not parse
+BLOCKS = ["params", "mesh", "solver", "scaling", "verify", "oracle", "map"]
+VALUE_KEYS = ["n", "p", "gamma", "q", "levels", "seed", "samples", "a"]
+BLOCK = st.dictionaries(st.sampled_from(VALUE_KEYS), JSON, max_size=3)
+CONFIG = st.fixed_dictionaries({}, optional={key: BLOCK | JSON for key in BLOCKS})
+CONFIG_TEXT = (CONFIG | JSON).map(json.dumps) | st.text(alphabet='{}[]":,.1aeNn ',
+                                                        max_size=12)
+
+
+@DETERMINISTIC
+@given(text=CONFIG_TEXT)
+def test_load_config_returns_config_or_raises(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            raw = load_config(str(path))
+        except ValidationError:
+            return
+    assert isinstance(raw, dict) and isinstance(raw["params"], dict)

@@ -319,11 +319,20 @@ class TestOptions:
         ("reg_eps", 0), ("reg_eps", float("inf")), ("reg_eps", "1e-8"),
         ("restarts", 0), ("seed", -1), ("initial", np.array([1.0, -1.0])),
         ("reg_eps", 1.0), ("reg_eps", 1e300),
+        ("initial", "abc"), ("initial", [1.0, [2.0, 3.0]]), ("initial", np.ones((2, 2))),
+        ("initial", np.full(3, np.nan)), ("initial", []),
     ])
     def test_invalid_values_name_the_key(self, key, value):
         with pytest.raises(RangeViolation) as exc:
             SolverOptions(**{key: value})
         assert exc.value.field == key
+
+    def test_start_of_wrong_length_names_initial(self, p1_params):
+        grid = generate_cusp_mesh(p1_params, levels=4)
+        with pytest.raises(RangeViolation) as exc:
+            minimize_rayleigh(grid, p1_params, SolverOptions(initial=[1.0, 2.0]))
+        assert exc.value.field == "initial"
+        assert str(grid.num_vertices) in str(exc.value)
 
 
 class TestPackageNames:
