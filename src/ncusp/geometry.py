@@ -129,7 +129,8 @@ class ExponentSet:
             - self.alpha * (self.n - 2) - 1.0
 
     def weight_exponent(self, a: float) -> float:
-        """Boundary weight exponent produced by map parameter a."""
+        """Boundary weight exponent produced by map parameter a: the power of
+        x_n common to every tangential Jacobian of the inverse map."""
         return (self.n - 1) / a - (self.n - 2) * self.alpha - 1.0
 
 
@@ -468,11 +469,6 @@ def classify_face(params: DomainParams, x) -> BoundaryFace:
 # tangential Jacobians and weights
 # --------------------------------------------------------------------------
 
-def _height_exponent(cmap: CuspMap) -> float:
-    # common power of x_n in every tangential-Jacobian expression
-    return (cmap.n - 1) / cmap.a - (cmap.n - 2) * cmap.alpha - 1.0
-
-
 def tangential_bound_constant(cmap: CuspMap) -> float:
     """C(a, n, alpha) bounding the tangential Jacobian from above."""
     a, alpha, n = cmap.a, cmap.alpha, cmap.n
@@ -491,8 +487,7 @@ def tangential_jacobian(cmap: CuspMap, face: BoundaryFace, t, xhat=None):
         raise FaceMismatch("height t must lie in (0, 1]")
     if face.kind == "top":
         return np.ones_like(t) if t.ndim else 1.0
-    E = _height_exponent(cmap)
-    base = powt(t, E)
+    base = powt(t, derived_exponents(cmap.params).weight_exponent(cmap.a))
     if face.kind == "flat":
         out = base / cmap.a
         return out if np.ndim(out) else float(out)
@@ -516,7 +511,7 @@ def tangential_jacobian_bounds(cmap: CuspMap, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0) or np.any(t >= 1.0):
         raise RangeViolation("t", "0 < t < 1")
-    base = powt(t, _height_exponent(cmap))
+    base = powt(t, derived_exponents(cmap.params).weight_exponent(cmap.a))
     lo = base / cmap.a
     hi = tangential_bound_constant(cmap) * base
     return lo, hi
@@ -539,7 +534,7 @@ def face_pullback_weight(cmap: CuspMap, face: BoundaryFace, t):
     if face.kind == "top":
         t = np.asarray(t, dtype=float)
         return np.ones_like(t) if t.ndim else 1.0
-    base = powt(t, _height_exponent(cmap))
+    base = powt(t, derived_exponents(cmap.params).weight_exponent(cmap.a))
     if face.kind == "flat":
         return base / cmap.a
     return base * (math.sqrt(2.0) / cmap.a)

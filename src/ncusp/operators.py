@@ -9,7 +9,7 @@ unscrambled Halton sequence so every run is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -38,16 +38,16 @@ from .geometry import (
 from .quadrature import (
     CROSS_ORDER,
     GradedRule,
-    _tensor_cube_nodes,
+    boundary_integral,
     gauss_nodes_01,
     graded_interval_rule,
-    side_exponent,
+    section_sum,
+    volume_integral,
 )
 
 __all__ = [
     "KDistortion",
     "RangeReport",
-    "NormValue",
     "Profile1D",
     "dphi_spectral_norm",
     "K_pp_estimate",
@@ -63,6 +63,14 @@ _EPS_FLOOR = 1e-300
 # Gauss points per cross-section axis in the change-of-variables and area
 # formula checks (the distortion integral uses quadrature.CROSS_ORDER)
 CHECK_CROSS_ORDER = 10
+
+
+def _with_height(cross, t) -> np.ndarray:
+    """Rows (cross, t_k), one per height; cross broadcasts over the rows."""
+    pts = np.empty((t.shape[0], cross.shape[-1] + 1))
+    pts[:, -1] = t
+    pts[:, :-1] = cross
+    return pts
 
 
 def dphi_spectral_norm(cmap: CuspMap, y) -> np.ndarray:
@@ -131,16 +139,12 @@ def K_ps_estimate(cmap: CuspMap, p: float, s: float) -> float:
     tip = (p * (a - 1.0) - (a * gamma - n)) * expo + (n - 1)
     if tip <= -1.0:
         raise DivergentIntegral(tip)
-    cpts, cwts = _tensor_cube_nodes(n - 1, CROSS_ORDER)
 
     def integrand(t):
         jac = map_jacobian(cmap, t)
-        acc = np.zeros_like(t)
-        for cp, cw in zip(cpts, cwts):
-            y = np.empty((t.shape[0], n))
-            y[:, -1] = t
-            y[:, :-1] = cp[None, :] * t[:, None]
-            acc += cw * (dphi_spectral_norm(cmap, y) ** p / jac) ** expo
+        acc = section_sum(lambda y: (dphi_spectral_norm(cmap, y) ** p / jac) ** expo,
+                          t, lambda c: _with_height(c * t[:, None], t),
+                          n - 1, CROSS_ORDER)
         return powt(t, float(n - 1)) * acc
 
     integral = graded_interval_rule(min(0.0, tip)).integrate(integrand)
@@ -164,24 +168,17 @@ def change_of_variables_check(f, cmap: CuspMap, box=None,
     if box is None:
         rule_l = graded_interval_rule(min(0.0, a * gamma - 1.0), panels=panels[0])
         rule_r = graded_interval_rule(min(0.0, gamma - 1.0), panels=panels[1])
-        cpts, cwts = _tensor_cube_nodes(n - 1, CHECK_CROSS_ORDER)
 
         def lhs_integrand(t):
-            acc = np.zeros_like(t)
-            for cp, cw in zip(cpts, cwts):
-                y = np.empty((t.shape[0], n))
-                y[:, -1] = t
-                y[:, :-1] = cp[None, :] * t[:, None]
-                acc += cw * np.asarray(f(map_points(cmap, y)), dtype=float)
+            acc = section_sum(lambda y: f(map_points(cmap, y)), t,
+                              lambda c: _with_height(c * t[:, None], t),
+                              n - 1, CHECK_CROSS_ORDER)
             return powt(t, float(n - 1)) * map_jacobian(cmap, t) * acc
 
         def rhs_integrand(t):
-            acc = np.zeros_like(t)
-            for cp, cw in zip(cpts, cwts):
-                x = np.empty((t.shape[0], n))
-                x[:, -1] = t
-                x[:, :-1] = cp[None, :] * powt(t, alpha)[:, None]
-                acc += cw * np.asarray(f(x), dtype=float)
+            width = powt(t, alpha)
+            acc = section_sum(f, t, lambda c: _with_height(c * width[:, None], t),
+                              n - 1, CHECK_CROSS_ORDER)
             return powt(t, alpha * (n - 1)) * acc
 
         lhs = rule_l.integrate(lhs_integrand)
@@ -194,83 +191,53 @@ def change_of_variables_check(f, cmap: CuspMap, box=None,
         if np.any(lo < 0.0) or np.any(hi <= lo) or hi[-1] > 1.0 \
                 or np.any(hi[:-1] > lo[-1]):
             raise RangeViolation("box", "box must sit inside the model domain")
-        cpts, cwts = _tensor_cube_nodes(n - 1, CHECK_CROSS_ORDER)
         yn = lo[-1] + (hi[-1] - lo[-1]) * xg
         wyn = (hi[-1] - lo[-1]) * wg
         widths = hi[:-1] - lo[:-1]
-        lhs = 0.0
-        for t, wt in zip(yn, wyn):
-            y = np.empty((cpts.shape[0], n))
-            y[:, -1] = t
-            y[:, :-1] = lo[:-1] + cpts * widths
-            lhs += wt * np.prod(widths) * map_jacobian(cmap, t) \
-                * float(np.dot(cwts, f(map_points(cmap, y))))
+        acc = section_sum(lambda y: f(map_points(cmap, y)), yn,
+                          lambda c: _with_height(lo[:-1] + c * widths, yn),
+                          n - 1, CHECK_CROSS_ORDER)
+        lhs = float(np.dot(wyn, np.prod(widths) * map_jacobian(cmap, yn) * acc))
         # image: x_n in (lo_n**a, hi_n**a), cross scaled by x_n**((a*alpha-1)/a)
         xn = powt(lo[-1], a) + (powt(hi[-1], a) - powt(lo[-1], a)) * xg
         wxn = (powt(hi[-1], a) - powt(lo[-1], a)) * wg
-        rhs = 0.0
-        for t, wt in zip(xn, wxn):
-            scale = powt(t, (a * alpha - 1.0) / a)
-            x = np.empty((cpts.shape[0], n))
-            x[:, -1] = t
-            x[:, :-1] = (lo[:-1] + cpts * widths) * scale
-            rhs += wt * np.prod(widths * scale) * float(np.dot(cwts, f(x)))
+        scale = powt(xn, (a * alpha - 1.0) / a)[:, None]
+        acc = section_sum(f, xn,
+                          lambda c: _with_height((lo[:-1] + c * widths) * scale, xn),
+                          n - 1, CHECK_CROSS_ORDER)
+        rhs = float(np.dot(wxn, np.prod(widths * scale, axis=1) * acc))
     return abs(lhs - rhs) / max(abs(rhs), _EPS_FLOOR)
 
 
 def area_formula_check(g, cmap: CuspMap, rule: GradedRule | None = None) -> float:
     """Max per-face discrepancy of the boundary area formula.
 
-    For every face, compares the direct surface integral of g over the
-    model-domain boundary with the pulled-back chart integral over the
-    matching face of the cuspidal boundary. Returns the worst relative
-    mismatch across faces.
+    For every side face, compares the direct surface integral of g over the
+    model-domain boundary (the simplex, the alpha = 1 chart) with the
+    pulled-back chart integral over the matching face of the cuspidal
+    boundary. Returns the worst relative mismatch across faces. The top face
+    is left out: the map fixes it pointwise with weight 1, so both of its
+    sides are the same sum.
     """
     n, alpha = cmap.n, cmap.alpha
     params = cmap.params
+    model = replace(params, gamma=float(n), theta=0.0, simplex=True)
     if rule is None:
         rule = graded_interval_rule(0.0)
-    cpts, cwts = _tensor_cube_nodes(n - 2, CHECK_CROSS_ORDER)
-    top_pts, top_wts = _tensor_cube_nodes(n - 1, CHECK_CROSS_ORDER)
     worst = 0.0
     for face in boundary_faces(n):
-        if face.kind == "top":
-            ys = np.ones((top_pts.shape[0], n))
-            ys[:, :-1] = top_pts
-            lhs = float(np.dot(top_wts, np.asarray(g(ys), dtype=float)))
-            rhs_pts = ys  # top face is fixed by the map
-            rhs = float(np.dot(top_wts, np.asarray(g(rhs_pts), dtype=float))
-                        * face_pullback_weight(cmap, face, 1.0))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), _EPS_FLOOR))
+        if not face.is_side:
             continue
-        i = face.index - 1
-        cross_cols = [j for j in range(n - 1) if j != i]
-
-        def model_integrand(s):
-            # direct chart of the model-domain face: cross width is s itself
-            acc = np.zeros_like(s)
-            for cp, cw in zip(cpts, cwts):
-                y = np.zeros((s.shape[0], n))
-                y[:, -1] = s
-                if face.kind == "slanted":
-                    y[:, i] = s
-                if cross_cols:
-                    y[:, cross_cols] = cp[None, :] * s[:, None]
-                acc += cw * np.asarray(g(y), dtype=float)
-            factor = math.sqrt(2.0) if face.kind == "slanted" else 1.0
-            return factor * powt(s, float(n - 2)) * acc
-
         chart = face_parametrization(face, params)
 
         def pulled_back_integrand(t):
             width = powt(t, alpha)
-            acc = np.zeros_like(t)
-            for cp, cw in zip(cpts, cwts):
-                x = chart.point(t, cp[None, :] * width[:, None])
-                acc += cw * np.asarray(g(unmap_points(cmap, x)), dtype=float)
+            acc = section_sum(lambda x: g(unmap_points(cmap, x)), t,
+                              lambda c: chart.point(t, c * width[:, None]),
+                              n - 2, CHECK_CROSS_ORDER)
             return powt(t, alpha * (n - 2)) * face_pullback_weight(cmap, face, t) * acc
 
-        lhs = rule.integrate(model_integrand)
+        lhs = boundary_integral(g, 0.0, [face], model, rule=rule)
         rhs = rule.integrate(pulled_back_integrand)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), _EPS_FLOOR))
     return worst
@@ -308,31 +275,22 @@ def embedding_ranges(params: DomainParams) -> RangeReport:
     )
 
 
-@dataclass(frozen=True)
-class NormValue:
-    """A computed norm."""
-
-    value: float
-
-
 def weighted_boundary_norm(traces: Mapping[BoundaryFace, Callable | float],
-                           q: float, theta: float, params: DomainParams) -> NormValue:
+                           q: float, theta: float, params: DomainParams) -> float:
     """Weighted L^q norm of per-face trace data.
 
     Side-face entries are functions of the height t (exact for traces that
-    depend on x_n alone); the top-face entry is a function of the chart
-    coordinate for n = 2, or a constant. Values may be plain constants.
+    depend on x_n alone), integrated with :func:`boundary_integral`; the
+    top-face entry is a function of the chart coordinate for n = 2, or a
+    constant. Values may be plain constants.
     """
     if q < 1.0:
         raise RangeViolation("q", "q >= 1")
     n = params.n
-    if any(face.is_side for face in traces):
-        rule = graded_interval_rule(min(0.0, side_exponent(theta, params)))
     xg, wg = gauss_nodes_01(12)
     total = 0.0
     for face, tr in sorted(traces.items()):
         fn = tr if callable(tr) else (lambda t, c=float(tr): np.full_like(t, c))
-        chart = face_parametrization(face, params)
         if face.kind == "top":
             if callable(tr) and n == 2:
                 total += float(np.dot(wg, np.abs(np.asarray(fn(xg), float)) ** q))
@@ -340,10 +298,9 @@ def weighted_boundary_norm(traces: Mapping[BoundaryFace, Callable | float],
                 const = float(tr(np.array([0.5]))[0]) if callable(tr) else float(tr)
                 total += abs(const) ** q
             continue
-        total += rule.integrate(
-            lambda t: np.abs(np.asarray(fn(t), float)) ** q
-            * powt(t, theta) * chart.density(t))
-    return NormValue(value=float(total ** (1.0 / q)))
+        total += boundary_integral(lambda x: np.abs(np.asarray(fn(x[:, -1]), float)) ** q,
+                                   theta, [face], params)
+    return float(total ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -354,23 +311,9 @@ class Profile1D:
     derivative: Callable
 
 
-def sobolev_norm(u, p: float, params: DomainParams | None = None) -> NormValue:
-    """Sobolev norm: gradient p-norm plus function p-norm (sum of the two).
-
-    Accepts a height-only :class:`Profile1D` (reduced exactly to 1-D using
-    the cross-section volume) or a piecewise-linear mesh function.
-    """
-    if isinstance(u, Profile1D):
-        if params is None:
-            raise RangeViolation("params", "params required for 1-D profiles")
-        rule = graded_interval_rule(0.0)
-        sigma = params.alpha * (params.n - 1)
-        gp = rule.integrate(
-            lambda t: np.abs(np.asarray(u.derivative(t), float)) ** p * powt(t, sigma))
-        vp = rule.integrate(
-            lambda t: np.abs(np.asarray(u.value(t), float)) ** p * powt(t, sigma))
-        return NormValue(value=float(gp ** (1.0 / p) + vp ** (1.0 / p)))
-    # piecewise-linear mesh function
-    from .steklov.fem import fem_pnorms
-    gp, vp = fem_pnorms(u, p)
-    return NormValue(value=float(gp + vp))
+def sobolev_norm(u: Profile1D, p: float, params: DomainParams) -> float:
+    """Sobolev norm of a height-only profile: gradient p-norm plus function
+    p-norm, each reduced exactly to 1-D by :func:`volume_integral`."""
+    gp = volume_integral(lambda t: np.abs(np.asarray(u.derivative(t), float)) ** p, params)
+    vp = volume_integral(lambda t: np.abs(np.asarray(u.value(t), float)) ** p, params)
+    return float(gp ** (1.0 / p) + vp ** (1.0 / p))

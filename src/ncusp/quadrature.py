@@ -28,6 +28,7 @@ __all__ = [
     "side_exponent",
     "boundary_integral",
     "volume_integral",
+    "section_sum",
     "gauss_nodes_01",
 ]
 
@@ -189,6 +190,20 @@ def _tensor_cube_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(pts, wts)
 
 
+def section_sum(f, t, point, dim: int, order: int) -> np.ndarray:
+    """Tensor Gauss sum over a cross section, one value per height in t.
+
+    Returns sum_k w_k * f(point(c_k)) over the nodes c_k and weights w_k of
+    the order-``order`` tensor Gauss rule on (0, 1)^dim, added in node order.
+    ``point`` maps one node (shape (dim,)) to the rows, one per height, at
+    which f is evaluated.
+    """
+    acc = np.zeros_like(t)
+    for c, w in zip(*_tensor_cube_nodes(dim, order)):
+        acc += w * np.asarray(f(point(c)), dtype=float)
+    return acc
+
+
 def side_exponent(theta: float, params: DomainParams) -> float:
     """theta + alpha(n-2), the power of t in a weighted side-face integral once
     the cross section is integrated out; NonIntegrable unless it is > -1."""
@@ -203,9 +218,9 @@ def boundary_integral(f, theta: float, faces, params: DomainParams,
     """Weighted boundary integral sum of f * x_n**theta over the given faces.
 
     f is called with points of shape (m, n). Side faces are reduced through
-    their charts (graded rule in the height, tensor Gauss across); the top
-    face uses tensor Gauss alone. Requires theta + alpha*(n-2) > -1 whenever
-    a side face is present.
+    their charts (graded rule in the height, :func:`section_sum` across); the
+    top face uses tensor Gauss alone. Requires theta + alpha*(n-2) > -1
+    whenever a side face is present.
     """
     faces = list(faces)
     n, alpha = params.n, params.alpha
@@ -225,41 +240,19 @@ def boundary_integral(f, theta: float, faces, params: DomainParams,
         t = rule.nodes
         width = powt(t, alpha)
         weight_t = powt(t, theta) * chart.slant_factor(t)
-        cpts, cwts = _tensor_cube_nodes(n - 2, CROSS_ORDER)
-        face_sum = np.zeros_like(t)
-        for cp, cw in zip(cpts, cwts):
-            xs = chart.point(t, cp[None, :] * width[:, None])
-            face_sum += cw * np.asarray(f(xs), dtype=float)
+        face_sum = section_sum(f, t, lambda c: chart.point(t, c * width[:, None]),
+                               n - 2, CROSS_ORDER)
         cross_volume = powt(t, alpha * (n - 2))
         total += float(np.dot(rule.weights, weight_t * cross_volume * face_sum))
     return total
 
 
-def volume_integral(f, params: DomainParams, mode: str = "reduced",
-                    levels: int = 10) -> float:
-    """Integral of f over the cuspidal domain.
+def volume_integral(f, params: DomainParams) -> float:
+    """Integral over the cuspidal domain of f, a function of the height alone.
 
-    mode="reduced": f depends on the height alone and is called as f(t);
-    the cross section contributes the exact factor t**(alpha*(n-1)).
-    mode="mesh": n = 2 only; f(x) with x of shape (m, 2), integrated with the
-    order-5 triangle rule over a graded triangulation with ``levels`` strips.
+    f is called as f(t); the cross section contributes the exact factor
+    t**(alpha*(n-1)).
     """
-    n, alpha = params.n, params.alpha
-    if mode == "reduced":
-        sigma = alpha * (n - 1)
-        return graded_interval_rule(0.0).integrate(
-            lambda t: np.asarray(f(t), float) * powt(t, sigma))
-    if mode != "mesh":
-        raise RangeViolation("mode", "mode in {'reduced', 'mesh'}")
-    if n != 2:
-        raise RangeViolation("n", "mesh-based volume integrals are n = 2 only")
-    from .steklov.mesh import generate_cusp_mesh, p1_geometry
-    mesh = generate_cusp_mesh(params, levels=levels)
-    tri = triangle_rule(5)
-    verts = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-    areas = np.abs(p1_geometry(mesh)[0])
-    total = 0.0
-    for lam, w in zip(tri.barycentric, tri.weights):
-        pts = np.einsum("k,nkd->nd", lam, verts)
-        total += w * np.dot(areas, np.asarray(f(pts), dtype=float))
-    return float(total)
+    sigma = params.alpha * (params.n - 1)
+    return graded_interval_rule(0.0).integrate(
+        lambda t: np.asarray(f(t), float) * powt(t, sigma))

@@ -34,7 +34,6 @@ __all__ = [
     "assemble_functionals",
     "rayleigh_quotient",
     "weak_residual",
-    "fem_pnorms",
 ]
 
 # Gauss points per boundary edge, the triangle rule's order, and the graded
@@ -350,16 +349,3 @@ def weak_residual(mesh: TriMesh, solution, params: DomainParams,
     e, ge = ws.energy(vals, reg_eps)
     _, gb = ws.boundary(vals, reg_eps)
     return ws.residual(e, ge, gb, float(lam))
-
-
-def fem_pnorms(u: FemFunction, p: float):
-    """(gradient p-norm, function p-norm) of a mesh function."""
-    mesh = u.mesh
-    rule = triangle_rule(TRI_ORDER)
-    areas, grads = p1_geometry(mesh)
-    ut = u.values[mesh.triangles]
-    gu = np.einsum("tk,tkd->td", ut, grads)
-    gp = float(np.dot(areas, np.linalg.norm(gu, axis=1) ** p)) ** (1.0 / p)
-    uq = ut @ rule.barycentric.T
-    vp = float(np.dot(areas, (np.abs(uq) ** p) @ rule.weights)) ** (1.0 / p)
-    return gp, vp

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import SIZE_BUDGET, check_number
+from .errors import SIZE_BUDGET, NumericalError, check_number
 from .geometry import (
     CuspMap,
     boundary_faces,
@@ -69,11 +69,20 @@ def _fd_jacobian_determinant(cmap: CuspMap, y: np.ndarray, h: float = 1e-6):
 
 
 def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
-    """Roundtrip, reciprocity, finite-difference, and sandwich checks."""
+    """Roundtrip, reciprocity, finite-difference, and sandwich checks.
+
+    Raises NumericalError naming gamma and a when an image height y_n**a
+    rounds to 1 (with n = 2, p = 1.5 and the default a = (n-p)/(gamma-p) and
+    samples, already at gamma = 3e12): the map cannot then be inverted.
+    """
     check_number("samples", samples, 1, SIZE_BUDGET, integer=True)
     n = cmap.n
     y = quasi_random_model_interior(n, samples)
     x = forward_map(cmap, y)
+    if np.any(x[:, -1] >= 1.0):
+        raise NumericalError(
+            f"gamma = {cmap.params.gamma:g}, a = {cmap.a:g}: the image height "
+            "y_n**a of a sample point rounds to 1, so the map cannot be inverted")
     back = inverse_map(cmap, x)
     rt = np.max(np.abs(back - y).max(axis=1) / (1.0 + np.abs(y).max(axis=1)))
 

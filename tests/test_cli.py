@@ -290,6 +290,16 @@ class TestValidation:
             doc = _json_artifact(out, "scaling.json")
             assert math.isfinite(doc["lhs_slope"]) and math.isfinite(doc["rhs_slope"])
 
+    @pytest.mark.parametrize("gamma", [1e17, 1e200])
+    def test_verify_height_rounding_exits_3_naming_gamma(self, tmp_path, capsys, gamma):
+        # a = (n-p)/(gamma-p) is so small that y_n**a rounds to 1.0
+        path = _write_config(tmp_path, "vg.json",
+                             {"params": {"n": 2, "p": 1.5, "gamma": gamma}})
+        out = tmp_path / "run"
+        assert main(["verify-geometry", "--config", path, "--out", str(out)]) == 3
+        assert f"gamma = {gamma:g}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("params", [{"n": 2, "p": 2, "gamma": 3},
                                         {"n": 2, "p": "x", "gamma": 3}])
     def test_trace_command_without_q_names_p(self, tmp_path, capsys, params):
@@ -470,4 +480,33 @@ def test_only_fem_and_solver_import_scipy():
                  if path.relative_to(root).as_posix() not in SCIPY_MODULES
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if _imports_scipy(node)]
+    assert offenders == []
+
+
+# the trace side: each module lies directly in src/ncusp
+TRACE_MODULES = ("geometry.py", "quadrature.py", "operators.py", "embedding.py",
+                 "verify.py")
+
+
+def _imports_steklov(node) -> bool:
+    # a trace module sits in the ncusp package, so "from .steklov import x"
+    # and "from . import steklov" reach ncusp.steklov too
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["ncusp", "steklov"]
+                   for alias in node.names)
+    if not isinstance(node, ast.ImportFrom) or node.level > 1:
+        return False
+    module = ["ncusp"] * node.level + (node.module.split(".") if node.module else [])
+    return module[:2] == ["ncusp", "steklov"] or (
+        module == ["ncusp"] and any(alias.name == "steklov" for alias in node.names))
+
+
+def test_trace_side_imports_nothing_from_steklov():
+    # the trace side computes exact reductions and quadratures; the mesh and
+    # FEM layer is the solver's, so no trace module may reach into it
+    root = SRC / "ncusp"
+    offenders = [f"{name}:{node.lineno}"
+                 for name in TRACE_MODULES
+                 for node in ast.walk(ast.parse((root / name).read_text(), name))
+                 if _imports_steklov(node)]
     assert offenders == []

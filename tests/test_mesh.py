@@ -14,13 +14,27 @@ from ncusp.steklov.mesh import (
 )
 
 
-def _chain_is_closed(mesh, tag):
-    edges = mesh.boundary_edges[mesh.boundary_tags == tag]
-    # every chain vertex except the two ends appears exactly twice
-    counts = np.bincount(edges.ravel(), minlength=mesh.num_vertices)
-    interior = counts == 2
-    ends = np.where(counts == 1)[0]
-    return len(ends) == 2, ends
+def _chain_ends(mesh, tag):
+    """Coordinates of the two ends of a tag's edges when they form one simple
+    path, else None."""
+    edges = mesh.boundary_edges[mesh.boundary_tags == tag].tolist()
+    neighbours = {}
+    for a, b in edges:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    ends = [v for v, nb in neighbours.items() if len(nb) == 1]
+    if len(ends) != 2 or any(len(nb) > 2 for nb in neighbours.values()):
+        return None
+    # walk from one end; a single path reaches the other end over every edge
+    prev, cur, steps = None, ends[0], 0
+    while True:
+        ahead = [v for v in neighbours[cur] if v != prev]
+        if not ahead:
+            break
+        prev, cur, steps = cur, ahead[0], steps + 1
+    if cur != ends[1] or steps != len(edges):
+        return None
+    return {tuple(mesh.vertices[v].tolist()) for v in ends}
 
 
 class TestGeneration:
@@ -64,14 +78,13 @@ class TestGeneration:
         assert 1e-6 < m.min_quality < 1.0
 
     def test_boundary_chains_closed(self, p1_params):
+        # FLAT runs up x_1 = 0, SLANTED along x_1 = x_2**2, TOP along x_2 = 1
         m = generate_cusp_mesh(p1_params, levels=5)
-        origin = np.where((m.vertices == 0).all(axis=1))[0][0]
-        for tag in (FLAT, SLANTED):
-            ok, ends = _chain_is_closed(m, tag)
-            assert ok
-            assert origin in m.boundary_edges[m.boundary_tags == tag].ravel()
-        ok, _ = _chain_is_closed(m, TOP)
-        assert ok
+        corners = {FLAT: {(0.0, 0.0), (0.0, 1.0)},
+                   SLANTED: {(0.0, 0.0), (1.0, 1.0)},
+                   TOP: {(0.0, 1.0), (1.0, 1.0)}}
+        for tag, expected in corners.items():
+            assert _chain_ends(m, tag) == expected
 
     def test_single_tip_triangle(self, p1_params):
         m = generate_cusp_mesh(p1_params, levels=5)

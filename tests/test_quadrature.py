@@ -173,20 +173,6 @@ class TestVolumeIntegral:
             val = volume_integral(lambda t: np.ones_like(t), params)
             assert val == pytest.approx(1.0 / params.gamma, rel=1e-12)
 
-    def test_simplex_mesh_area(self, simplex_params):
-        val = volume_integral(lambda x: np.ones(x.shape[0]), simplex_params,
-                              mode="mesh", levels=4)
-        assert val == pytest.approx(0.5, rel=1e-13)
-
     def test_height_moment(self, p1_params):
         val = volume_integral(lambda t: t, p1_params)
         assert val == pytest.approx(0.25, rel=1e-12)
-
-    def test_mesh_mode_converges(self, p1_params):
-        val = volume_integral(lambda x: np.ones(x.shape[0]), p1_params,
-                              mode="mesh", levels=8)
-        assert val == pytest.approx(1 / 3, rel=2e-4)
-
-    def test_mesh_mode_rejects_3d(self, p2_params):
-        with pytest.raises(RangeViolation):
-            volume_integral(lambda x: np.ones(x.shape[0]), p2_params, mode="mesh")
