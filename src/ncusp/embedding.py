@@ -34,7 +34,6 @@ __all__ = [
     "Cutoff",
     "CUBIC_CUTOFF",
     "QUINTIC_CUTOFF",
-    "cutoff_eta",
     "ScalingResult",
     "SharpnessScan",
     "test_function_norms",
@@ -81,18 +80,6 @@ def _quintic_derivative(s):
 
 CUBIC_CUTOFF = Cutoff(_cubic_value, _cubic_derivative, 1.5)
 QUINTIC_CUTOFF = Cutoff(_quintic_value, _quintic_derivative, 1.875)
-
-
-def cutoff_eta(s):
-    """Cubic smoothstep cutoff: returns (value, derivative) at s >= 0."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0):
-        raise RangeViolation("s", "s >= 0")
-    val = _cubic_value(s_arr)
-    der = _cubic_derivative(s_arr)
-    if np.ndim(s) == 0:
-        return float(val), float(der)
-    return val, der
 
 
 # Gauss points per panel and panels of the transition band (eps, 2*eps)

@@ -55,7 +55,6 @@ __all__ = [
     "boundary_faces",
     "face_parametrization",
     "classify_face",
-    "weight_value",
     "powt",
     "quasi_random_interior",
     "quasi_random_model_interior",
@@ -69,7 +68,7 @@ def powt(t, exponent):
     callers combine several power factors into a single exponent.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if (t <= 0.0).any():
         raise RangeViolation("t", "t > 0")
     out = np.exp(exponent * np.log(t))
     return out if out.ndim else float(out)
@@ -132,6 +131,12 @@ class ExponentSet:
         """Boundary weight exponent produced by map parameter a: the power of
         x_n common to every tangential Jacobian of the inverse map."""
         return (self.n - 1) / a - (self.n - 2) * self.alpha - 1.0
+
+    def distortion(self, a: float) -> float:
+        """sqrt((n-1)((a*alpha-1)^2+1) + a^2): the height-free factor of the
+        map's distortion bound, which is sharp at a = a_max."""
+        n, alpha = self.n, self.alpha
+        return math.sqrt((n - 1) * ((a * alpha - 1.0) ** 2 + 1.0) + a * a)
 
 
 def validate_params(n, gamma, p, q=None, theta=None, simplex=False, usage="trace"):
@@ -230,11 +235,14 @@ class CuspMap:
 
     params: DomainParams
     a: float
-    alpha: float
 
     @property
     def n(self) -> int:
         return self.params.n
+
+    @property
+    def alpha(self) -> float:
+        return self.params.alpha
 
 
 def cusp_map(params: DomainParams, a: float | None = None) -> CuspMap:
@@ -246,7 +254,7 @@ def cusp_map(params: DomainParams, a: float | None = None) -> CuspMap:
     if a > exps.a_max:
         raise MapParameterTooLarge(
             f"a = {a:g} exceeds (n-p)/(gamma-p) = {exps.a_max:g}")
-    return CuspMap(params=params, a=a, alpha=exps.alpha)
+    return CuspMap(params=params, a=a)
 
 
 def _points(x, n: int) -> np.ndarray:
@@ -483,7 +491,7 @@ def tangential_jacobian(cmap: CuspMap, face: BoundaryFace, t, xhat=None):
     n-2 coordinates other than the face's own); the top face is fixed.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0) or np.any(t > 1.0):
+    if (t <= 0.0).any() or (t > 1.0).any():
         raise FaceMismatch("height t must lie in (0, 1]")
     if face.kind == "top":
         return np.ones_like(t) if t.ndim else 1.0
@@ -525,28 +533,16 @@ def face_pullback_weight(cmap: CuspMap, face: BoundaryFace, t):
         integral over the matching model-domain face of g dH^{n-1}
         = double integral of g(inverse_map(chart point)) * rho(t) dxhat dt.
 
-    Flat faces and the top face coincide with the tangential Jacobian times
-    the chart's own surface element. On slanted faces the exact Gram
-    determinant of the composed parametrization collapses to sqrt(2)/a times
-    the common height power; the cross terms cancel identically (verified
-    against a finite-difference Gram oracle in the test suite).
+    Flat faces and the top face coincide with the tangential Jacobian. On
+    slanted faces the exact Gram determinant of the composed parametrization
+    collapses to sqrt(2)/a times the common height power; the cross terms
+    cancel identically (verified against a finite-difference Gram oracle in
+    the test suite).
     """
-    if face.kind == "top":
-        t = np.asarray(t, dtype=float)
-        return np.ones_like(t) if t.ndim else 1.0
+    if face.kind != "slanted":
+        return tangential_jacobian(cmap, face, t)
     base = powt(t, derived_exponents(cmap.params).weight_exponent(cmap.a))
-    if face.kind == "flat":
-        return base / cmap.a
     return base * (math.sqrt(2.0) / cmap.a)
-
-
-def weight_value(theta: float, t):
-    """Power weight t**theta on (0, 1]."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0) or np.any(t > 1.0):
-        raise RangeViolation("t", "0 < t <= 1")
-    out = powt(t, theta)
-    return out if np.ndim(out) else float(out)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ unscrambled Halton sequence so every run is reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -117,9 +116,7 @@ def K_pp_estimate(cmap: CuspMap, samples: int = 20000) -> KDistortion:
     p = cmap.params.p
     y = quasi_random_model_interior(cmap.n, samples)
     vals = dphi_spectral_norm(cmap, y) / map_jacobian(cmap, y[:, -1]) ** (1.0 / p)
-    a, alpha, n = cmap.a, cmap.alpha, cmap.n
-    bound = (1.0 / a) ** (1.0 / p) * math.sqrt(
-        (n - 1) * ((a * alpha - 1.0) ** 2 + 1.0) + a * a)
+    bound = (1.0 / cmap.a) ** (1.0 / p) * exps.distortion(cmap.a)
     return KDistortion(sampled=float(np.max(vals)), analytic_bound=bound,
                        samples=samples)
 
@@ -279,27 +276,20 @@ def weighted_boundary_norm(traces: Mapping[BoundaryFace, Callable | float],
                            q: float, theta: float, params: DomainParams) -> float:
     """Weighted L^q norm of per-face trace data.
 
-    Side-face entries are functions of the height t (exact for traces that
-    depend on x_n alone), integrated with :func:`boundary_integral`; the
-    top-face entry is a function of the chart coordinate for n = 2, or a
-    constant. Values may be plain constants.
+    Every face is integrated with :func:`boundary_integral`. A callable entry
+    is a function of one coordinate: the height x_n on a side face, x_1 on
+    the top face (exact for side traces that depend on x_n alone). Values
+    may be plain constants.
     """
     if q < 1.0:
         raise RangeViolation("q", "q >= 1")
-    n = params.n
-    xg, wg = gauss_nodes_01(12)
     total = 0.0
     for face, tr in sorted(traces.items()):
         fn = tr if callable(tr) else (lambda t, c=float(tr): np.full_like(t, c))
-        if face.kind == "top":
-            if callable(tr) and n == 2:
-                total += float(np.dot(wg, np.abs(np.asarray(fn(xg), float)) ** q))
-            else:
-                const = float(tr(np.array([0.5]))[0]) if callable(tr) else float(tr)
-                total += abs(const) ** q
-            continue
-        total += boundary_integral(lambda x: np.abs(np.asarray(fn(x[:, -1]), float)) ** q,
-                                   theta, [face], params)
+        coord = 0 if face.kind == "top" else -1
+        total += boundary_integral(
+            lambda x: np.abs(np.asarray(fn(x[:, coord]), float)) ** q,
+            theta, [face], params)
     return float(total ** (1.0 / q))
 
 

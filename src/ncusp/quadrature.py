@@ -233,17 +233,14 @@ def boundary_integral(f, theta: float, faces, params: DomainParams,
         chart = face_parametrization(face, params)
         if face.kind == "top":
             pts, wts = _tensor_cube_nodes(n - 1, CROSS_ORDER)
-            xs = np.ones((pts.shape[0], n))
-            xs[:, :-1] = pts
+            xs = chart.point(np.ones(pts.shape[0]), pts)
             total += float(np.dot(wts, np.asarray(f(xs), dtype=float)))
             continue
         t = rule.nodes
         width = powt(t, alpha)
-        weight_t = powt(t, theta) * chart.slant_factor(t)
         face_sum = section_sum(f, t, lambda c: chart.point(t, c * width[:, None]),
                                n - 2, CROSS_ORDER)
-        cross_volume = powt(t, alpha * (n - 2))
-        total += float(np.dot(rule.weights, weight_t * cross_volume * face_sum))
+        total += float(np.dot(rule.weights, powt(t, theta) * chart.density(t) * face_sum))
     return total
 
 

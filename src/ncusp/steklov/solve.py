@@ -324,12 +324,10 @@ def trace_constant(lam: float, params: DomainParams,
     """
     if lam <= 0.0:
         raise RangeViolation("lam", "lam > 0")
-    n, gamma, p, q = params.n, params.gamma, params.p, params.q
+    p, q = params.p, params.q
     exps = derived_exponents(params)
     a = exps.a_max
-    inner = (n - 1) + (n - p) ** 2 / (gamma - p) ** 2 \
-        + (p - 1) ** 2 * (gamma - n) ** 2 / ((gamma - p) ** 2 * (n - 1))
-    factor = a ** (1.0 / q - 1.0 / p) * math.sqrt(inner)
+    factor = a ** (1.0 / q - 1.0 / p) * exps.distortion(a)
     c_tr = lam ** (-1.0 / p)
     hint = None
     if ctr_reference is not None:

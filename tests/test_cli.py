@@ -510,3 +510,35 @@ def test_trace_side_imports_nothing_from_steklov():
                  for node in ast.walk(ast.parse((root / name).read_text(), name))
                  if _imports_steklov(node)]
     assert offenders == []
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each module-level import bound name that the module
+    neither reads nor lists in __all__."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name.split(".")[0], node.lineno)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno)
+                      for alias in node.names if alias.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [(name, line) for name, line in bound if name not in used]
+
+
+def test_every_module_import_is_used():
+    # an import left behind when its last use moves elsewhere costs import
+    # time and hides where a name really comes from
+    root = SRC / "ncusp"
+    modules = sorted(root.rglob("*.py"))
+    assert modules
+    offenders = [f"{path.relative_to(root).as_posix()}:{line} {name}"
+                 for path in modules
+                 for name, line in _unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert offenders == []

@@ -6,7 +6,6 @@ from ncusp.embedding import (
     DEFAULT_EPS_GRID,
     QUINTIC_CUTOFF,
     _transition_integral,
-    cutoff_eta,
     scaling_slopes,
     sharpness_scan,
 )
@@ -18,22 +17,22 @@ from ncusp.quadrature import gauss_nodes_01
 
 class TestCutoff:
     def test_plateau(self):
-        val, der = cutoff_eta(0.5)
+        val, der = CUBIC_CUTOFF.value(0.5), CUBIC_CUTOFF.derivative(0.5)
         assert val == 1.0 and der == 0.0
 
     def test_outer_zero(self):
-        val, der = cutoff_eta(2.0)
+        val, der = CUBIC_CUTOFF.value(2.0), CUBIC_CUTOFF.derivative(2.0)
         assert val == 0.0 and der == 0.0
-        assert cutoff_eta(5.0)[0] == 0.0
+        assert CUBIC_CUTOFF.value(5.0) == 0.0
 
     def test_midpoint_symmetry(self):
-        assert cutoff_eta(1.5)[0] == pytest.approx(0.5, abs=1e-15)
+        assert CUBIC_CUTOFF.value(1.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_derivative_consistent(self):
         s = np.linspace(0.0, 2.5, 501)
-        val, der = cutoff_eta(s)
+        der = CUBIC_CUTOFF.derivative(s)
         h = 1e-6
-        fd = (cutoff_eta(s + h)[0] - cutoff_eta(np.maximum(s - h, 0))[0]) / (2 * h)
+        fd = (CUBIC_CUTOFF.value(s + h) - CUBIC_CUTOFF.value(np.maximum(s - h, 0))) / (2 * h)
         interior = (s > 1 + 1e-3) & (s < 2 - 1e-3)
         assert der[interior] == pytest.approx(fd[interior], abs=1e-8)
         assert np.max(np.abs(der)) <= CUBIC_CUTOFF.derivative_bound + 1e-12
@@ -44,10 +43,6 @@ class TestCutoff:
         der = QUINTIC_CUTOFF.derivative(s)
         assert np.all((0 <= val) & (val <= 1))
         assert np.max(np.abs(der)) <= QUINTIC_CUTOFF.derivative_bound + 1e-12
-
-    def test_negative_rejected(self):
-        with pytest.raises(RangeViolation):
-            cutoff_eta(-0.1)
 
 
 def _panel_loop(fn, eps, order=16, panels=4):

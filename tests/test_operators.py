@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ncusp.errors import SIZE_BUDGET, MapParameterTooLarge, RangeViolation
+from ncusp.errors import (
+    SIZE_BUDGET,
+    DivergentIntegral,
+    MapParameterTooLarge,
+    RangeViolation,
+)
 from ncusp.geometry import BoundaryFace, cusp_map, validate_params
 from ncusp.operators import (
     K_pp_estimate,
@@ -92,6 +97,13 @@ class TestKps:
             K_ps_estimate(p1_map, 1.5, 1.6)
         with pytest.raises(RangeViolation):
             K_ps_estimate(p1_map, 1.5, 1.0)
+
+    def test_divergent_tip_rejected(self, p1_map):
+        # a = 1/3: the tip exponent (p(a-1) - (a*gamma-n)) s/(p-s) + n-1 is
+        # -0.9333... * 28 + 1
+        with pytest.raises(DivergentIntegral) as err:
+            K_ps_estimate(p1_map, 2.9, 2.8)
+        assert err.value.exponent == pytest.approx(-25.1333333333, rel=1e-9)
 
 
 class TestChangeOfVariables:
@@ -204,6 +216,15 @@ class TestNorms:
             n1 = weighted_boundary_norm(traces, 2.5, 2.0, p1_params)
             n2 = weighted_boundary_norm(scaled, 2.5, 2.0, p1_params)
             assert n2 == pytest.approx(abs(c) * n1, rel=1e-12)
+
+    @pytest.mark.parametrize("cfg", [dict(n=2, gamma=3.0, p=1.5),
+                                     dict(n=3, gamma=4.0, p=2.0)])
+    def test_top_face_callable_of_x1(self, cfg):
+        # the L^2 norm of x_1 over the top face (0, 1)^(n-1) is sqrt(1/3)
+        params = validate_params(q=2.0, usage="trace", **cfg)
+        nv = weighted_boundary_norm({BoundaryFace.top(): lambda t: t}, 2.0, 0.0,
+                                    params)
+        assert nv == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
 
     def test_sobolev_constant_on_cusp(self, p1_params):
         prof = Profile1D(value=lambda t: np.ones_like(t),

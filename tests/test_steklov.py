@@ -11,13 +11,14 @@ from ncusp.geometry import validate_params
 from ncusp.operators import weighted_boundary_norm
 from ncusp.geometry import BoundaryFace
 from ncusp.steklov.fem import (
+    FemWorkspace,
     assemble_functionals,
     rayleigh_quotient,
     weak_residual,
     workspace_for,
 )
 from ncusp.quadrature import gauss_nodes_01, graded_interval_rule
-from ncusp.steklov.mesh import generate_cusp_mesh, mesh_area
+from ncusp.steklov.mesh import TriMesh, generate_cusp_mesh, mesh_area
 from ncusp.steklov import fem, solve
 from ncusp.steklov.solve import (
     LU_OPTIONS,
@@ -104,6 +105,16 @@ class TestAssemble:
             assert np.linalg.norm(fe - he) / np.linalg.norm(he) < 1e-6
             assert np.linalg.norm(fb - hb) / np.linalg.norm(hb) < 1e-6
             assert np.array_equal(he, he.T) and np.array_equal(hb, hb.T)
+
+    def test_boundary_edge_off_the_triangles_rejected(self):
+        # two triangles of a square split along (1, 2); (0, 3) is the other
+        # diagonal, so it is no side of a triangle
+        mesh = TriMesh(np.array([[0.0, 0.5], [1.0, 0.5], [0.0, 1.0], [1.0, 1.0]]),
+                       np.array([[0, 1, 2], [1, 3, 2]]),
+                       np.array([[0, 3]]), np.array(["TOP"]))
+        with pytest.raises(RangeViolation) as exc:
+            FemWorkspace(mesh, 0.0, 1.5, 2.0)
+        assert exc.value.field == "boundary_edges"
 
     def test_p2_hessians_are_the_matrices(self, small_mesh, rng):
         ws = workspace_for(small_mesh, _discrete(2.0))
@@ -333,6 +344,11 @@ class TestOptions:
             minimize_rayleigh(grid, p1_params, SolverOptions(initial=[1.0, 2.0]))
         assert exc.value.field == "initial"
         assert str(grid.num_vertices) in str(exc.value)
+
+    def test_zero_start_raises_zero_trace(self, small_mesh, p1_params):
+        start = np.zeros(small_mesh.num_vertices)
+        with pytest.raises(ZeroTrace):
+            minimize_rayleigh(small_mesh, p1_params, SolverOptions(initial=start))
 
 
 class TestPackageNames:
