@@ -9,8 +9,9 @@ exponents
     Sobolev side:   (alpha*(n-1) + 1 - p) / p.
 
 All integrals split at the cutoff's plateau edge, so quadrature sees only
-smooth pieces: the plateau is a pure power integral on (0, eps) handled by
-the graded rule, and the transition band (eps, 2*eps) uses panel Gauss.
+smooth pieces: the plateau (0, eps) is a pure power integral, exact for the
+self-similar terms and on the graded rule for the slanted face, and the
+transition band (eps, 2*eps) uses panel Gauss.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .geometry import (
     face_parametrization,
     powt,
 )
-from .quadrature import GradedRule, gauss_nodes_01, graded_interval_rule, side_exponent
+from .quadrature import gauss_nodes_01, graded_interval_rule, side_exponent
 
 __all__ = [
     "Cutoff",
@@ -87,69 +88,60 @@ TRANSITION_ORDER = 16
 TRANSITION_PANELS = 4
 
 
-def _transition_integral(fn, eps: float) -> float:
-    # integral over (eps, 2*eps); integrand smooth inside, mildly singular
-    # fractional powers only at the panel endpoints. fn sees every panel's
-    # nodes at once; the panel sums are added in order, as one loop would.
+def _transition_integral(fn, eps: np.ndarray) -> np.ndarray:
+    # integral over (eps, 2*eps) for each entry of the 1-D array eps; the
+    # integrand is smooth inside, mildly singular fractional powers only at
+    # the panel endpoints. fn sees all nodes as one (eps, panel, node) array.
     xg, wg = gauss_nodes_01(TRANSITION_ORDER)
-    edges = np.linspace(eps, 2.0 * eps, TRANSITION_PANELS + 1)
-    widths = edges[1:] - edges[:-1]
-    values = fn(edges[:-1, None] + widths[:, None] * xg)
-    total = 0.0
-    for h, row in zip(widths, values):
-        total += h * float(np.dot(wg, row))
-    return total
+    edges = eps[:, None] * np.linspace(1.0, 2.0, TRANSITION_PANELS + 1)
+    widths = np.diff(edges)
+    values = fn(edges[:, :-1, None] + widths[..., None] * xg)
+    return (widths * (values * wg).sum(axis=-1)).sum(axis=-1)
 
 
-def _plateau_plus_transition(sigma: float, extra, eta_pow, eps: float,
-                             rule: GradedRule) -> float:
-    """Integral over (0, 1) of eta(t/eps)**k * t**sigma * extra(t).
-
-    The plateau (0, eps) has eta = 1; the transition lives on (eps, 2*eps).
-    """
-    def plateau(t):
-        vals = powt(t, sigma)
-        return vals * extra(t) if extra is not None else vals
-
-    total = rule.integrate(plateau, upper=eps)
-
-    def band(t):
-        vals = eta_pow(t / eps) * powt(t, sigma)
-        return vals * extra(t) if extra is not None else vals
-
-    total += _transition_integral(band, eps)
-    return total
-
-
-def test_function_norms(params: DomainParams, theta: float, q: float, eps: float,
-                        cutoff: Cutoff = CUBIC_CUTOFF) -> tuple[float, float]:
+def test_function_norms(params: DomainParams, theta: float, q: float, eps,
+                        cutoff: Cutoff = CUBIC_CUTOFF):
     """Boundary and Sobolev norms of the cutoff test function at scale eps.
 
-    Both are exact one-dimensional reductions: the boundary norm sums the
-    flat and slanted faces (the top face sees a vanished cutoff), and the
-    Sobolev norm combines the gradient and function p-norms.
+    eps is a number (floats out) or a 1-D array (one norm per entry). Both
+    are exact one-dimensional reductions: the boundary norm sums the flat and
+    slanted faces (the top face sees a vanished cutoff), and the Sobolev norm
+    combines the gradient and function p-norms. Every term but the slanted
+    face is self-similar, eps**(e+1) times an eps-free integral over (0, 2)
+    whose plateau (0, 1) is 1/(e+1); only the slanted face, whose surface
+    factor is not a power of t, is integrated at each eps.
     """
-    if not 0.0 < eps < 0.5:
-        raise RangeViolation("eps", "0 < eps < 1/2")
+    grid = np.atleast_1d(np.asarray(eps, dtype=float))
+    if grid.ndim != 1 or not np.all((0.0 < grid) & (grid < 0.5)):
+        raise RangeViolation("eps", "0 < eps < 1/2, as a number or a 1-D array")
     n, p = params.n, params.p
     sigma_b = side_exponent(theta, params)
-    rule = graded_interval_rule(min(0.0, sigma_b))
+    nu = params.alpha * (n - 1)
+
+    def scaled(e, plateau, band):
+        # eps**(e+1) * (plateau + integral of band over (1, 2)), multiplied in
+        # log space so neither factor under- or overflows on its own
+        total = plateau + _transition_integral(band, np.ones(1))
+        return np.exp((e + 1.0) * np.log(grid) + np.log(total))
+
+    flat = scaled(sigma_b, 1.0 / (sigma_b + 1.0),
+                  lambda s: cutoff.value(s) ** q * powt(s, sigma_b))
+    val_p = scaled(nu, 1.0 / (nu + 1.0), lambda s: cutoff.value(s) ** p * powt(s, nu))
+    grad_p = scaled(nu - p, 0.0,
+                    lambda s: np.abs(cutoff.derivative(s)) ** p * powt(s, nu))
 
     slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
-    flat = _plateau_plus_transition(sigma_b, None,
-                                    lambda s: cutoff.value(s) ** q, eps, rule)
-    slanted = _plateau_plus_transition(sigma_b, slant,
-                                       lambda s: cutoff.value(s) ** q, eps, rule)
-    boundary_q = (n - 1) * (flat + slanted)
-    boundary_norm = boundary_q ** (1.0 / q)
+    rule = graded_interval_rule(min(0.0, sigma_b))
+    t = grid[:, None] * rule.nodes
+    slanted = grid * (powt(t, sigma_b) * slant(t) * rule.weights).sum(axis=-1)
+    slanted += _transition_integral(
+        lambda t: cutoff.value(t / grid[:, None, None]) ** q * powt(t, sigma_b)
+        * slant(t), grid)
 
-    nu = params.alpha * (n - 1)
-    val_p = _plateau_plus_transition(nu, None,
-                                     lambda s: cutoff.value(s) ** p, eps, rule)
-    grad_p = _transition_integral(
-        lambda t: eps ** (-p) * np.abs(cutoff.derivative(t / eps)) ** p
-        * powt(t, nu), eps)
+    boundary_norm = ((n - 1) * (flat + slanted)) ** (1.0 / q)
     sobolev = grad_p ** (1.0 / p) + val_p ** (1.0 / p)
+    if np.ndim(eps) == 0:
+        return float(boundary_norm[0]), float(sobolev[0])
     return boundary_norm, sobolev
 
 
@@ -171,6 +163,8 @@ class ScalingResult:
 
 def _check_grid(eps_grid) -> np.ndarray:
     grid = np.asarray(eps_grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise RangeViolation("eps_grid", "finite entries")
     if grid.size < 6:
         raise RangeViolation("eps_grid", "at least 6 points")
     if np.any(np.diff(grid) >= 0.0):
@@ -191,12 +185,9 @@ def scaling_slopes(params: DomainParams, theta: float, q: float,
     grid = _check_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     n, p, alpha = params.n, params.p, params.alpha
     sigma_b = side_exponent(theta, params)
-    lhs = np.empty(grid.size)
-    rhs = np.empty(grid.size)
     # a norm that over- or underflows is reported below, not warned about
     with np.errstate(all="ignore"):
-        for k, eps in enumerate(grid):
-            lhs[k], rhs[k] = test_function_norms(params, theta, q, eps, cutoff=cutoff)
+        lhs, rhs = test_function_norms(params, theta, q, grid, cutoff=cutoff)
     norms = np.concatenate([lhs, rhs])
     if not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise NumericalError(
@@ -231,6 +222,8 @@ def sharpness_scan(params: DomainParams, q: float, theta_grid) -> SharpnessScan:
     of theta - theta_min away from the threshold.
     """
     thetas = np.sort(np.asarray(theta_grid, dtype=float))
+    if not np.all(np.isfinite(thetas)):
+        raise RangeViolation("theta_grid", "finite entries")
     theta_min = derived_exponents(params).theta_min(q)
     if not thetas[0] <= theta_min <= thetas[-1]:
         raise RangeViolation("theta_grid", "grid must straddle theta_min")

@@ -62,7 +62,7 @@ __all__ = [
 
 
 def powt(t, exponent):
-    """t**exponent for t in (0, 1], computed in log space.
+    """t**exponent for t > 0, computed in log space.
 
     Keeps large negative exponents from underflowing prematurely and lets
     callers combine several power factors into a single exponent.

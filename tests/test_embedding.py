@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncusp import embedding
 from ncusp.embedding import (
     CUBIC_CUTOFF,
     DEFAULT_EPS_GRID,
@@ -11,8 +12,14 @@ from ncusp.embedding import (
 )
 from ncusp.embedding import test_function_norms as cutoff_norms
 from ncusp.errors import NonIntegrable, RangeViolation
-from ncusp.geometry import derived_exponents, powt, validate_params
-from ncusp.quadrature import gauss_nodes_01
+from ncusp.geometry import (
+    BoundaryFace,
+    derived_exponents,
+    face_parametrization,
+    powt,
+    validate_params,
+)
+from ncusp.quadrature import gauss_nodes_01, graded_interval_rule, side_exponent
 
 
 class TestCutoff:
@@ -55,20 +62,71 @@ def _panel_loop(fn, eps, order=16, panels=4):
     return total
 
 
-@pytest.mark.parametrize("eps", [*DEFAULT_EPS_GRID, 0.003, 0.01, 0.03])
+EPS = np.array([*DEFAULT_EPS_GRID, 0.003, 0.01, 0.03])
+
+
+@pytest.mark.parametrize("eps", EPS)
 def test_transition_integral_matches_panel_loop(eps):
-    # bitwise: the per-panel sums are added in the loop's order
+    # the row of eps in a whole-array call; its Gauss sums are not added in
+    # the loop's order, so it agrees to rounding, not bitwise
     integrands = [
-        lambda t: powt(t, 1.7),
-        lambda t: CUBIC_CUTOFF.value(t / eps) ** 3.0 * powt(t, -0.4),
-        lambda t: eps ** -1.5 * np.abs(CUBIC_CUTOFF.derivative(t / eps)) ** 1.5
+        lambda t, e: powt(t, 1.7),
+        lambda t, e: CUBIC_CUTOFF.value(t / e) ** 3.0 * powt(t, -0.4),
+        lambda t, e: e ** -1.5 * np.abs(CUBIC_CUTOFF.derivative(t / e)) ** 1.5
         * powt(t, 2.0),
     ]
+    row = list(EPS).index(eps)
     for fn in integrands:
-        assert _transition_integral(fn, eps) == _panel_loop(fn, eps)
+        rows = _transition_integral(lambda t: fn(t, EPS[:, None, None]), EPS)
+        ref = _panel_loop(lambda t: fn(t, eps), eps)
+        assert rows[row] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def _reference_norms(params, theta, q, eps, cutoff=CUBIC_CUTOFF):
+    # one eps at a time, every term on the graded-rule plateau plus the band
+    n, p = params.n, params.p
+    sigma = side_exponent(theta, params)
+    nu = params.alpha * (n - 1)
+    rule = graded_interval_rule(min(0.0, sigma))
+    slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
+
+    def term(e, eta_pow, extra=lambda t: 1.0):
+        plateau = rule.integrate(lambda t: powt(t, e) * extra(t), upper=eps)
+        return plateau + _panel_loop(lambda t: eta_pow(t / eps) * powt(t, e) * extra(t),
+                                     eps)
+
+    def eta_q(s):
+        return cutoff.value(s) ** q
+
+    boundary = (n - 1) * (term(sigma, eta_q) + term(sigma, eta_q, slant))
+    val = term(nu, lambda s: cutoff.value(s) ** p)
+    grad = _panel_loop(lambda t: eps ** -p * np.abs(cutoff.derivative(t / eps)) ** p
+                       * powt(t, nu), eps)
+    return boundary ** (1.0 / q), grad ** (1.0 / p) + val ** (1.0 / p)
+
+
+@pytest.mark.parametrize("n,gamma,p,q", [(2, 3.0, 1.5, 3.0), (3, 4.0, 2.0, 4.0)])
+@pytest.mark.parametrize("sigma,rel", [(-0.95, 1e-9), (-0.5, 1e-13), (0.0, 1e-13),
+                                       (2.0, 1e-13), (10.0, 1e-13)])
+def test_grid_norms_match_per_eps_reference(n, gamma, p, q, sigma, rel):
+    # at sigma -0.95 the reference's graded-rule tail (truncated near 1e-9)
+    # is the error; the exact plateau 1/(sigma+1) is not
+    params = validate_params(n, gamma, p, q, usage="trace")
+    theta = sigma - params.alpha * (n - 2)
+    boundary, sobolev = cutoff_norms(params, theta, q, DEFAULT_EPS_GRID)
+    ref = np.array([_reference_norms(params, theta, q, eps) for eps in DEFAULT_EPS_GRID])
+    assert boundary == pytest.approx(ref[:, 0], rel=rel, abs=0.0)
+    assert sobolev == pytest.approx(ref[:, 1], rel=1e-13, abs=0.0)
 
 
 class TestNorms:
+    def test_scalar_call_is_its_grid_entry(self, p1_trace):
+        boundary, sobolev = cutoff_norms(p1_trace, 2.0, 3.0, EPS)
+        for k, eps in enumerate(EPS):
+            b, s = cutoff_norms(p1_trace, 2.0, 3.0, float(eps))
+            assert type(b) is float and type(s) is float
+            assert (b, s) == (boundary[k], sobolev[k])
+
     def test_boundary_halving_ratio(self, p1_trace):
         # exponent (theta + 1)/q = 1 at theta=2, q=3: halving eps halves the norm
         b1, _ = cutoff_norms(p1_trace, 2.0, 3.0, 2.0 ** -7)
@@ -80,6 +138,8 @@ class TestNorms:
             cutoff_norms(p1_trace, 2.0, 3.0, 0.5)
         with pytest.raises(RangeViolation):
             cutoff_norms(p1_trace, 2.0, 3.0, 0.0)
+        with pytest.raises(RangeViolation):
+            cutoff_norms(p1_trace, 2.0, 3.0, [0.01, np.nan])
 
     def test_integrability_precondition(self, p1_trace):
         with pytest.raises(NonIntegrable):
@@ -134,6 +194,25 @@ class TestScalingSlopes:
             scaling_slopes(p1_trace, 2.0, 3.0,
                            eps_grid=2.0 ** -np.arange(4, 16, dtype=float))
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_grid_rejects_non_finite_entries(self, p1_trace, bad):
+        grid = list(DEFAULT_EPS_GRID)
+        grid[bad] = np.nan
+        with pytest.raises(RangeViolation) as err:
+            scaling_slopes(p1_trace, 2.0, 3.0, eps_grid=grid)
+        assert err.value.field == "eps_grid"
+
+    def test_norms_computed_once_per_theta(self, p1_trace, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return cutoff_norms(*args, **kwargs)
+
+        monkeypatch.setattr(embedding, "test_function_norms", counted)
+        scaling_slopes(p1_trace, 2.0, 3.0)
+        assert len(calls) == 1 and np.array_equal(calls[0], DEFAULT_EPS_GRID)
+
     def test_cutoff_independence(self, p1_trace):
         a = scaling_slopes(p1_trace, 2.0, 3.0, cutoff=CUBIC_CUTOFF)
         b = scaling_slopes(p1_trace, 2.0, 3.0, cutoff=QUINTIC_CUTOFF)
@@ -175,6 +254,12 @@ class TestSharpnessScan:
     def test_grid_must_straddle(self, p1_trace):
         with pytest.raises(RangeViolation):
             sharpness_scan(p1_trace, 2.0, [1.5, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_rejects_non_finite_theta(self, p1_trace, bad):
+        with pytest.raises(RangeViolation) as err:
+            sharpness_scan(p1_trace, 2.0, [0.0, bad, 2.0])
+        assert err.value.field == "theta_grid"
 
     def test_sign_agreement_away_from_threshold(self, p1_trace):
         scan = sharpness_scan(p1_trace, 2.0, [0.7, 0.95, 1.0, 1.05, 1.3])
