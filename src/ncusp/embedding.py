@@ -175,12 +175,20 @@ def _check_grid(eps_grid) -> np.ndarray:
     return grid
 
 
+def _unfit(key: str, side: str) -> NumericalError:
+    return NumericalError(
+        f"{key}: the {side} norm of the test function on the eps grid is not a "
+        "finite positive number, so no slope can be fitted")
+
+
 def scaling_slopes(params: DomainParams, theta: float, q: float,
                    eps_grid=None, cutoff: Cutoff = CUBIC_CUTOFF) -> ScalingResult:
     """Least-squares slopes of both norms on a dyadic eps grid.
 
-    Raises NumericalError naming gamma when a norm is not finite and positive
-    (for a large gamma the boundary norm at the smallest eps underflows).
+    Raises NumericalError when a norm is not finite and positive: naming gamma
+    for the Sobolev norm, whose exponents come from gamma, and theta for the
+    boundary norm, whose power of eps is theta + alpha(n-2) + 1. For a large
+    gamma or theta the norm at the smallest eps underflows.
     """
     grid = _check_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
     n, p, alpha = params.n, params.p, params.alpha
@@ -188,11 +196,14 @@ def scaling_slopes(params: DomainParams, theta: float, q: float,
     # a norm that over- or underflows is reported below, not warned about
     with np.errstate(all="ignore"):
         lhs, rhs = test_function_norms(params, theta, q, grid, cutoff=cutoff)
-    norms = np.concatenate([lhs, rhs])
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
-        raise NumericalError(
-            f"gamma = {params.gamma:g}: a test-function norm on the eps grid is not "
-            "a finite positive number, so no slope can be fitted")
+    if not np.all(np.isfinite(rhs) & (rhs > 0.0)):
+        raise _unfit(f"gamma = {params.gamma:g}", "Sobolev")
+    if not np.all(np.isfinite(lhs) & (lhs > 0.0)):
+        key = f"theta = {theta:g}"
+        if p < n and theta == derived_exponents(params).beta:
+            # the default theta is the sharp weight, which grows with gamma
+            key += f" (the sharp weight at gamma = {params.gamma:g})"
+        raise _unfit(key, "boundary")
     x = np.log2(grid)
     lhs_slope = float(np.polyfit(x, np.log2(lhs), 1)[0])
     rhs_slope = float(np.polyfit(x, np.log2(rhs), 1)[0])

@@ -4,12 +4,13 @@ The eigenvalue is the minimum of E(u) / B(u)^(p/q). `minimize_rayleigh` runs
 nonlinear inverse iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 257,
 2009) from a one-signed start until the weak residual is at most 1e-3: as
 grad E(u) = metric(u) @ u, each step factors the lagged-diffusivity metric
-once and maps u to metric(u)^{-1} grad B(u), renormalized. Damped Newton on the
-bordered system grad E = mu grad B, B = 1 (Ruhe, SIAM J. Numer. Anal. 10, 1973)
-then converges quadratically. The first eigenfunction does not change sign, so
-an iterate that does ends the solve with an error: near p = 1 the discrete map
-can lose positivity and settle in another basin. `linear_oracle` solves
-p = q = 2 independently, on the matrix pencil.
+once, a banded Cholesky in height order, and maps u to metric(u)^{-1} grad B(u),
+renormalized. Damped Newton on the bordered system grad E = mu grad B, B = 1
+(Ruhe, SIAM J. Numer. Anal. 10, 1973) then converges quadratically, on SuperLU.
+The first eigenfunction does not change sign, so an iterate that does, or a
+metric that is numerically not positive definite, ends the solve with an error:
+near p = 1 the discrete map can lose positivity and settle in another basin.
+`linear_oracle` solves p = q = 2 independently, on the matrix pencil.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -40,7 +42,7 @@ __all__ = [
 NEWTON_SWITCH = 1e-3
 # step halvings a damped Newton step may take before the solve stalls
 MAX_HALVINGS = 30
-# both factored matrices are symmetric: order on A + A^T
+# the bordered Newton matrix is symmetric: order on A + A^T
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
 # linear_oracle: relative quotient change counted as stable, and its step cap
 ORACLE_TOL = 1e-13
@@ -111,9 +113,50 @@ def _kkt(pt: _Point, mu: float) -> float:
     return float(np.max(np.abs(pt.ge - mu * pt.gb))) + abs(1.0 - pt.b)
 
 
+class _BandCholesky:
+    """Cholesky factors of a sequence of symmetric positive definite matrices
+    A in the fixed nodal pattern of ``a``, held as a lower band (LAPACK pbtrf).
+
+    The vertices are ordered by (height, x). The generated meshes come in rows
+    of vertices, and each vertex couples only to its own row and the rows next
+    to it, so in this order the band is about one row wide however the
+    vertices are numbered. One integer index scatters A.data into the band
+    storage, column-major as LAPACK keeps it so that it is factored in place.
+    """
+
+    def __init__(self, a: sp.csr_matrix, vertices: np.ndarray):
+        order = np.lexsort((vertices[:, 0], vertices[:, 1]))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        rows = rank[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))]
+        cols = rank[a.indices]
+        depth = rows - cols
+        lower = depth >= 0
+        self.width = int(depth.max())
+        self._order = order
+        self._source = np.flatnonzero(lower)
+        # band entry A[i, j], i >= j, sits at (i - j, j) of a
+        # (width + 1) x n column-major array
+        self._target = cols[lower] * (self.width + 1) + depth[lower]
+
+    def solve(self, a_data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs through a fresh factorization of the matrix A with
+        data ``a_data`` in the nodal pattern; LinAlgError if it is not
+        numerically positive definite."""
+        n = self._order.size
+        band = np.zeros(n * (self.width + 1))
+        band[self._target] = a_data[self._source]
+        factor = sla.cholesky_banded(band.reshape((self.width + 1, n), order="F"),
+                                     overwrite_ab=True, lower=True, check_finite=False)
+        x = np.empty_like(rhs)
+        x[self._order] = sla.cho_solve_banded((factor, True), rhs[self._order],
+                                              overwrite_b=True, check_finite=False)
+        return x
+
+
 class _PatternLU:
-    """LU factors of a sequence of matrices A in the fixed nodal pattern of
-    ``a``, bordered as [[A, -g], [-g^T, 0]] with g zero off ``border`` if given.
+    """LU factors of a sequence of bordered matrices [[A, -g], [-g^T, 0]],
+    with A in the fixed nodal pattern of ``a`` and g zero off ``border``.
 
     One integer index gathers [A.data, -g[border]] into the CSC data that is
     factored. The first matrix is ordered with LU_OPTIONS and the index is
@@ -121,18 +164,16 @@ class _PatternLU:
     and a factorization with NATURAL ordering.
     """
 
-    def __init__(self, a: sp.csr_matrix, border: np.ndarray | None = None):
+    def __init__(self, a: sp.csr_matrix, border: np.ndarray):
         # 1-based ids of the data entries, so that none is a structural zero
         ids = sp.csr_matrix((np.arange(1.0, a.nnz + 1.0), a.indices, a.indptr),
                             shape=a.shape)
-        if border is not None:
-            k = border.size
-            col = sp.csr_matrix((np.arange(a.nnz + 1.0, a.nnz + k + 1.0),
-                                 (border, np.zeros(k, dtype=int))), shape=(a.shape[0], 1))
-            ids = sp.bmat([[ids, col], [col.T, None]])
+        k = border.size
+        col = sp.csr_matrix((np.arange(a.nnz + 1.0, a.nnz + k + 1.0),
+                             (border, np.zeros(k, dtype=int))), shape=(a.shape[0], 1))
         self._border = border
         self._order = None
-        self._index(ids.tocsc())
+        self._index(sp.bmat([[ids, col], [col.T, None]]).tocsc())
 
     def _index(self, ids: sp.csc_matrix) -> None:
         ids.sort_indices()
@@ -140,12 +181,10 @@ class _PatternLU:
         self._pattern = (ids.indices, ids.indptr)
         self._shape = ids.shape
 
-    def solve(self, a_data: np.ndarray, rhs: np.ndarray,
-              g: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, a_data: np.ndarray, rhs: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Solve M x = rhs through a fresh LU factorization of the matrix M
         with data ``a_data`` in the nodal pattern, bordered by ``g``."""
-        data = a_data if self._border is None \
-            else np.concatenate([a_data, -g[self._border]])
+        data = np.concatenate([a_data, -g[self._border]])
         m = sp.csc_matrix((data[self._gather], *self._pattern), shape=self._shape)
         if self._order is None:
             lu = spla.splu(m, **LU_OPTIONS)
@@ -164,19 +203,26 @@ class _PatternLU:
         return x
 
 
-def _solve_start(ws: FemWorkspace, u: np.ndarray, opts: SolverOptions):
+def _solve_start(ws: FemWorkspace, metric: _BandCholesky, u: np.ndarray,
+                 opts: SolverOptions):
     """Inverse iteration, then damped Newton, from one start.
 
-    Returns the last point and the weak residual after each step.
+    Every iterate is renormalized to B(u) = 1 before its weak residual is
+    taken, so the last point returned is the one the stop test judged. Returns
+    it and the weak residual after each step.
     """
     eps, p, q = opts.reg_eps, ws.p, ws.q
     why = f"(p = {p:g}, q = {q:g}, reg_eps = {eps:g})"
     pt = _evaluate(ws, _normalize(ws, u, eps), eps)
     history = []
-    metric_lu = _PatternLU(ws.stiffness)
     while pt.res > NEWTON_SWITCH and len(history) < opts.max_iter:
         # each factor is used once and released before the next is made
-        z = metric_lu.solve(ws.metric_matrix(pt.u, eps).data, pt.gb)
+        try:
+            z = metric.solve(ws.metric_matrix(pt.u, eps).data, pt.gb)
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                f"inverse-iteration step {len(history) + 1}: the metric is not "
+                f"numerically positive definite {why}") from None
         pt = _evaluate(ws, _normalize(ws, z, eps), eps)
         history.append(pt.res)
         if _changes_sign(pt.u):
@@ -193,7 +239,8 @@ def _solve_start(ws: FemWorkspace, u: np.ndarray, opts: SolverOptions):
         step = newton_lu.solve(a_data, np.append(mu * pt.gb - pt.ge, pt.b - 1.0), pt.gb)
         t = 1.0
         for _ in range(MAX_HALVINGS):
-            cand, cand_mu = _evaluate(ws, pt.u + t * step[:-1], eps), mu + t * step[-1]
+            cand = _evaluate(ws, _normalize(ws, pt.u + t * step[:-1], eps), eps)
+            cand_mu = mu + t * step[-1]
             cand_kkt = _kkt(cand, cand_mu)
             if cand_kkt < kkt and not _changes_sign(cand.u):
                 break
@@ -222,6 +269,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     if opts.initial is not None and len(opts.initial) != ws.num_dof:
         raise RangeViolation("initial", f"one value per mesh vertex ({ws.num_dof})")
 
+    metric = _BandCholesky(ws.stiffness, mesh.vertices)
     results, failures = [], []
     total_iters = 0
     for restart in range(opts.restarts):
@@ -230,9 +278,8 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
         else:
             u = np.ones(ws.num_dof) if opts.initial is None else np.asarray(opts.initial, float)
         try:
-            pt, history = _solve_start(ws, u, opts)
+            pt, history = _solve_start(ws, metric, u, opts)
             total_iters += len(history)
-            pt = _evaluate(ws, _normalize(ws, pt.u, opts.reg_eps), opts.reg_eps)
         except NumericalError as exc:
             failures.append(exc)
             continue

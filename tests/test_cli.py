@@ -290,6 +290,20 @@ class TestValidation:
             doc = _json_artifact(out, "scaling.json")
             assert math.isfinite(doc["lhs_slope"]) and math.isfinite(doc["rhs_slope"])
 
+    @pytest.mark.parametrize("theta", [200.0, 1e300])
+    def test_scaling_norm_underflow_exits_3_naming_theta(self, tmp_path, capsys, theta):
+        # at the reference gamma it is the weight exponent that underflows
+        # the boundary norm
+        path = _write_config(tmp_path, "sc.json", {
+            "params": {"n": 2, "p": 1.5, "gamma": 3.0}, "scaling": {"theta": theta}})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scaling", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"theta = {theta:g}" in err and "gamma" not in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("gamma", [1e17, 1e200])
     def test_verify_height_rounding_exits_3_naming_gamma(self, tmp_path, capsys, gamma):
         # a = (n-p)/(gamma-p) is so small that y_n**a rounds to 1.0

@@ -24,6 +24,7 @@ from ncusp.steklov.solve import (
     LU_OPTIONS,
     NEWTON_SWITCH,
     SolverOptions,
+    _BandCholesky,
     _PatternLU,
     linear_oracle,
     minimize_rayleigh,
@@ -178,7 +179,7 @@ class TestOperators:
 
     def test_pattern_lu_orders_once(self, small_mesh, rng, monkeypatch):
         # the first factor orders the pattern, the later ones reuse its order;
-        # with a border the matrix is [[A, -g], [-g^T, 0]]
+        # the matrix is [[A, -g], [-g^T, 0]]
         specs = []
         splu = solve.spla.splu
 
@@ -188,23 +189,19 @@ class TestOperators:
 
         monkeypatch.setattr(solve.spla, "splu", recording_splu)
         ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
-        for border in (None, np.unique(ws.edge_op.indices)):
-            specs.clear()
-            lu = _PatternLU(ws.stiffness, border)
-            for _ in range(3):
-                a = ws.metric_matrix(1.0 + rng.random(ws.num_dof), 1e-8)
-                b = rng.standard_normal(ws.num_dof)
-                g, full = None, a.tocsc()
-                if border is not None:
-                    g = np.zeros(ws.num_dof)
-                    g[border] = 0.5 + rng.random(border.size)
-                    col = sp.csr_matrix(-g[:, None])
-                    full = sp.bmat([[a, col], [col.T, None]], format="csc")
-                    b = np.append(b, rng.standard_normal())
-                x = lu.solve(a.data, b, g)
-                ref = splu(full, **LU_OPTIONS).solve(b)
-                assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert specs == [LU_OPTIONS["permc_spec"], "NATURAL", "NATURAL"]
+        border = np.unique(ws.edge_op.indices)
+        lu = _PatternLU(ws.stiffness, border)
+        for _ in range(3):
+            a = ws.metric_matrix(1.0 + rng.random(ws.num_dof), 1e-8)
+            g = np.zeros(ws.num_dof)
+            g[border] = 0.5 + rng.random(border.size)
+            col = sp.csr_matrix(-g[:, None])
+            full = sp.bmat([[a, col], [col.T, None]], format="csc")
+            b = rng.standard_normal(ws.num_dof + 1)
+            x = lu.solve(a.data, b, g)
+            ref = splu(full, **LU_OPTIONS).solve(b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert specs == [LU_OPTIONS["permc_spec"], "NATURAL", "NATURAL"]
 
     def test_workspace_cache_releases_dropped_meshes(self, p1_params):
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
@@ -213,6 +210,64 @@ class TestOperators:
         del grid
         gc.collect()
         assert alive() is None
+
+
+def _renumbered(mesh, perm):
+    """The same mesh with vertex k of the result being vertex perm[k]."""
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(perm.size)
+    return TriMesh(mesh.vertices[perm], new_id[mesh.triangles],
+                   new_id[mesh.boundary_edges], mesh.boundary_tags)
+
+
+class TestBandCholesky:
+    """The inverse-iteration metric on a banded Cholesky in height order."""
+
+    def test_solve_matches_superlu(self, p1_params):
+        # the metric at u = 1 has condition number about 2e10 at levels 8, so
+        # two backward-stable solves differ by up to about 1e-9 relative (the
+        # ordered SuperLU solve itself lies 1.4e-9 from an iteratively refined
+        # solution); the backward error is what pins the factorization
+        grid = generate_cusp_mesh(p1_params, levels=8)
+        ws = workspace_for(grid, p1_params)
+        band = _BandCholesky(ws.stiffness, grid.vertices)
+        sol = minimize_rayleigh(grid, p1_params)
+        for u in (np.ones(ws.num_dof), sol.u.values):
+            a = ws.metric_matrix(u, 1e-8)
+            rhs = ws.boundary(u, 1e-8)[1]
+            x = band.solve(a.data, rhs)
+            ref = solve.spla.splu(a.tocsc(), **LU_OPTIONS).solve(rhs)
+            assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+            scale = abs(a) @ np.abs(x) + np.abs(rhs)
+            assert np.max(np.abs(rhs - a @ x) / scale) <= 1e-14
+
+    def test_numbering_does_not_widen_the_band(self, p1_params):
+        grid = generate_cusp_mesh(p1_params, levels=6)
+        perm = np.random.default_rng(7).permutation(grid.num_vertices)
+        shuffled = _renumbered(grid, perm)
+        widths = [_BandCholesky(workspace_for(m, p1_params).stiffness, m.vertices).width
+                  for m in (grid, shuffled)]
+        assert widths[0] == widths[1] < 0.05 * grid.num_vertices
+        lam = [minimize_rayleigh(m, p1_params).lam for m in (grid, shuffled)]
+        assert abs(lam[1] - lam[0]) <= 1e-12 * lam[0]
+
+    def test_reference_solve_factorization_counts(self, p1_params, monkeypatch):
+        # 6 inverse-iteration steps on the band, 3 Newton steps on SuperLU
+        calls = {"band": 0, "splu": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solve.sla, "cholesky_banded",
+                            counted("band", solve.sla.cholesky_banded))
+        monkeypatch.setattr(solve.spla, "splu", counted("splu", solve.spla.splu))
+        grid = generate_cusp_mesh(p1_params, levels=10)
+        sol = minimize_rayleigh(grid, p1_params)
+        assert sol.converged and sol.iterations == 9
+        assert calls == {"band": 6, "splu": 3}
 
 
 class TestRayleigh:
@@ -386,6 +441,28 @@ class TestHardInputs:
         except NumericalError as exc:
             assert "p = 1.1" in str(exc)
             return
+        assert sol.converged and sol.residual < 1e-7
+        assert sol.u.values.min() > 0.0
+
+
+class TestExponentSweep:
+    """The 36-point exponent sweep at levels 6: gamma in {2.5, 3, 4, 5}, p in
+    {1.1, 1.5, 1.8}, and q at 10/50/90% of the window p < q < p/(2-p)."""
+
+    @pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 1.8])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_converges_or_fails_naming_p(self, gamma, p, frac):
+        q = p + frac * (p / (2.0 - p) - p)
+        params = validate_params(2, gamma, p, q, usage="steklov")
+        grid = generate_cusp_mesh(params, levels=6)
+        if (gamma, p) == (5.0, 1.1):
+            # at the needle tip the nodal basis loses the positive definite
+            # metric or the one-signed iterate
+            with pytest.raises(NumericalError, match="p = 1.1"):
+                minimize_rayleigh(grid, params)
+            return
+        sol = minimize_rayleigh(grid, params)
         assert sol.converged and sol.residual < 1e-7
         assert sol.u.values.min() > 0.0
 
