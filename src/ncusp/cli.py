@@ -155,6 +155,12 @@ def _artifact(cfg: dict, command: str, body: dict) -> dict:
     return {"schema": SCHEMA, "command": command, "config": cfg, **body}
 
 
+def _failed(constraint: str) -> int:
+    # a run whose artifacts are written but whose result misses a constraint
+    print(f"numerical failure: {constraint}", file=sys.stderr)
+    return 3
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -190,15 +196,15 @@ def cmd_verify_geometry(cfg: dict, outdir: Path) -> int:
     cmap = cusp_map(params, a=cfg["map"].get("a"))
     jac = jacobian_suite(cmap, samples=cfg["verify"]["samples"])
     body = {"jacobian_suite": jac.as_dict()}
-    ok = jac.ok
+    unmet = [f"jacobian suite: {check}" for check in jac.unmet]
     if params.n == 2:
         meas = measure_suite(cmap)
         body["measure_suite"] = meas.as_dict()
-        ok = ok and meas.ok
-    body["ok"] = ok
+        unmet += [f"measure suite: {check}" for check in meas.unmet]
+    body["ok"] = not unmet
     _write(outdir, "verify_geometry.json",
            _json_text(_artifact(cfg, "verify-geometry", body)))
-    return 0 if ok else 3
+    return _failed("; ".join(unmet)) if unmet else 0
 
 
 def cmd_scaling(cfg: dict, outdir: Path) -> int:
@@ -287,7 +293,12 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
     ]
     _write(outdir, "solve_nodal.csv",
            _csv_text(cfg, "solve", "vertex_index,x1,x2,u", nodal))
-    return 0 if sol.converged else 3
+    if not sol.converged:
+        return _failed(
+            f"weak residual {sol.residual:.1e} after {len(sol.history)} steps is not "
+            f"below 10 * tol_rel = {10.0 * options.tol_rel:g} "
+            f"(max_iter = {options.max_iter})")
+    return 0
 
 
 def cmd_oracle_check(cfg: dict, outdir: Path) -> int:
@@ -313,7 +324,10 @@ def cmd_oracle_check(cfg: dict, outdir: Path) -> int:
     }
     _write(outdir, "oracle_check.json",
            _json_text(_artifact(cfg, "oracle-check", body)))
-    return 0 if rel < rtol else 3
+    if not rel < rtol:
+        return _failed(f"the descent and oracle eigenvalues differ by {rel:.1e} "
+                       f"relative, not below oracle.rtol = {rtol:g}")
+    return 0
 
 
 def cmd_mesh(cfg: dict, outdir: Path) -> int:

@@ -6,7 +6,8 @@ nonlinear inverse iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 257,
 grad E(u) = metric(u) @ u, each step factors the lagged-diffusivity metric
 once, a banded Cholesky in height order, and maps u to metric(u)^{-1} grad B(u),
 renormalized. Damped Newton on the bordered system grad E = mu grad B, B = 1
-(Ruhe, SIAM J. Numer. Anal. 10, 1973) then converges quadratically, on SuperLU.
+(Ruhe, SIAM J. Numer. Anal. 10, 1973) then converges quadratically, on SuperLU
+without relaxed supernodes, with the ordering found once per solve.
 The first eigenfunction does not change sign, so an iterate that does, or a
 metric that is numerically not positive definite, ends the solve with an error:
 near p = 1 the discrete map can lose positivity and settle in another basin.
@@ -42,8 +43,14 @@ __all__ = [
 NEWTON_SWITCH = 1e-3
 # step halvings a damped Newton step may take before the solve stalls
 MAX_HALVINGS = 30
-# the bordered Newton matrix is symmetric: order on A + A^T
-LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+# the bordered Newton matrix is symmetric: order on A + A^T. SuperLU's relaxed
+# supernodes and wide panels (its built-in relax and panel_size) leave the fill
+# and the pivots of these matrices as they are and only slow the factorization
+# down: with 1 and 1, one in the fill-reducing order takes 4.9 ms instead of
+# 9.6 ms at levels 10, and 2.4 ms instead of 21 ms on a graded simplex mesh of
+# 2124 dof (one BLAS thread)
+LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1,
+              "options": {"SymmetricMode": True}}
 # linear_oracle: relative quotient change counted as stable, and its step cap
 ORACLE_TOL = 1e-13
 ORACLE_MAX_ITER = 400
@@ -160,8 +167,10 @@ class _PatternLU:
 
     One integer index gathers [A.data, -g[border]] into the CSC data that is
     factored. The first matrix is ordered with LU_OPTIONS and the index is
-    rebuilt once in that fill-reducing order; each later one is one gather
-    and a factorization with NATURAL ordering.
+    rebuilt once in that fill-reducing order; each later one, from any start
+    of the solve that shares the instance, is one gather and a factorization
+    with NATURAL ordering. Every factorization takes LU_OPTIONS' relax and
+    panel_size.
     """
 
     def __init__(self, a: sp.csr_matrix, border: np.ndarray):
@@ -198,13 +207,13 @@ class _PatternLU:
             return x
         order = self._order
         x = np.empty_like(rhs)
-        x[order] = spla.splu(m, permc_spec="NATURAL",
-                             options=LU_OPTIONS["options"]).solve(rhs[order])
+        lu = spla.splu(m, **{**LU_OPTIONS, "permc_spec": "NATURAL"})
+        x[order] = lu.solve(rhs[order])
         return x
 
 
-def _solve_start(ws: FemWorkspace, metric: _BandCholesky, u: np.ndarray,
-                 opts: SolverOptions):
+def _solve_start(ws: FemWorkspace, metric: _BandCholesky, newton_lu: _PatternLU,
+                 u: np.ndarray, opts: SolverOptions):
     """Inverse iteration, then damped Newton, from one start.
 
     Every iterate is renormalized to B(u) = 1 before its weak residual is
@@ -232,7 +241,6 @@ def _solve_start(ws: FemWorkspace, metric: _BandCholesky, u: np.ndarray,
                 f"eigenfunction {why}")
     mu = pt.lam * p / q
     kkt = _kkt(pt, mu)
-    newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
     while pt.res >= 10.0 * opts.tol_rel and len(history) < opts.max_iter:
         # the Hessians and the stiffness share one fixed pattern
         a_data = ws.hessian(pt.u, eps).data - mu * ws.boundary_hessian(pt.u, eps).data
@@ -269,7 +277,9 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     if opts.initial is not None and len(opts.initial) != ws.num_dof:
         raise RangeViolation("initial", f"one value per mesh vertex ({ws.num_dof})")
 
+    # every start shares the band index and the Newton pattern's ordering
     metric = _BandCholesky(ws.stiffness, mesh.vertices)
+    newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
     results, failures = [], []
     total_iters = 0
     for restart in range(opts.restarts):
@@ -278,7 +288,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
         else:
             u = np.ones(ws.num_dof) if opts.initial is None else np.asarray(opts.initial, float)
         try:
-            pt, history = _solve_start(ws, metric, u, opts)
+            pt, history = _solve_start(ws, metric, newton_lu, u, opts)
             total_iters += len(history)
         except NumericalError as exc:
             failures.append(exc)
@@ -321,7 +331,7 @@ def linear_oracle(mesh: TriMesh, theta: float) -> tuple[float, FemFunction]:
     ws = linear_workspace(mesh, theta)
     A = (ws.stiffness + ws.mass).tocsc()
     Mb = ws.boundary_mass
-    solver = spla.splu(A)
+    solver = spla.splu(A, **LU_OPTIONS)
     x = np.ones(ws.num_dof)
     lam_prev = lam_prev2 = math.inf
     stable = 0
@@ -346,7 +356,7 @@ def linear_oracle(mesh: TriMesh, theta: float) -> tuple[float, FemFunction]:
             return lam, FemFunction(mesh=mesh, values=u)
         if it == 60 and abs(lam - lam_prev) > 1e-6 * abs(lam):
             # slow pencil: refactor close to the target and keep iterating
-            solver = spla.splu((A - 0.95 * lam * Mb).tocsc())
+            solver = spla.splu((A - 0.95 * lam * Mb).tocsc(), **LU_OPTIONS)
         lam_prev, lam_prev2 = lam, lam_prev
     raise IterationStall(
         f"inverse power iteration did not converge in {ORACLE_MAX_ITER} steps")

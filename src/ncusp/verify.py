@@ -37,6 +37,12 @@ FD_TOL = 1e-6
 SANDWICH_SLACK = 1e-12
 
 
+def _unmet(report, bounds: dict[str, float]) -> tuple[str, ...]:
+    # a check holds when its field lies below its bound; NaN fails
+    return tuple(f"{name} = {getattr(report, name):.3g} is not below {bound:g}"
+                 for name, bound in bounds.items() if not getattr(report, name) < bound)
+
+
 @dataclass(frozen=True)
 class JacobianSuiteReport:
     samples: int
@@ -46,11 +52,16 @@ class JacobianSuiteReport:
     max_sandwich_violation: float
 
     @property
+    def unmet(self) -> tuple[str, ...]:
+        """The checks that fail, each with its value and bound."""
+        return _unmet(self, {"max_roundtrip": ROUNDTRIP_TOL,
+                             "max_reciprocity": RECIPROCITY_TOL,
+                             "max_fd_rel": FD_TOL,
+                             "max_sandwich_violation": SANDWICH_SLACK})
+
+    @property
     def ok(self) -> bool:
-        return (self.max_roundtrip < ROUNDTRIP_TOL
-                and self.max_reciprocity < RECIPROCITY_TOL
-                and self.max_fd_rel < FD_TOL
-                and self.max_sandwich_violation <= SANDWICH_SLACK)
+        return not self.unmet
 
     def as_dict(self) -> dict:
         return {**asdict(self), "ok": self.ok}
@@ -133,12 +144,17 @@ class MeasureSuiteReport:
     change_of_variables: float
 
     @property
+    def unmet(self) -> tuple[str, ...]:
+        """The checks that fail, each with its value and bound."""
+        return _unmet(self, {"volume_rel_err": 1e-8,
+                             "area_discrepancy_const": 1e-6,
+                             "area_discrepancy_height": 1e-6,
+                             "area_discrepancy_first": 1e-6,
+                             "change_of_variables": 1e-8})
+
+    @property
     def ok(self) -> bool:
-        return (self.volume_rel_err < 1e-8
-                and self.area_discrepancy_const < 1e-6
-                and self.area_discrepancy_height < 1e-6
-                and self.area_discrepancy_first < 1e-6
-                and self.change_of_variables < 1e-8)
+        return not self.unmet
 
     def as_dict(self) -> dict:
         return {**asdict(self), "ok": self.ok}

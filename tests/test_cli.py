@@ -359,7 +359,7 @@ class TestValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
         assert "p = 1.1" in capsys.readouterr().err
 
-    def test_unconverged_solve_exits_3_with_artifacts(self, tmp_path):
+    def test_unconverged_solve_exits_3_with_artifacts(self, tmp_path, capsys):
         # an unreachable tolerance flags the run but still writes everything
         cfg = _write_config(tmp_path, "hard.json", {
             "params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0},
@@ -372,6 +372,45 @@ class TestValidation:
         assert doc["converged"] is False
         assert doc["lambda"] > 0
         assert (out / "solve_nodal.csv").exists()
+        err = capsys.readouterr().err
+        assert err.count("numerical failure:") == 1
+        assert f"weak residual {doc['residual']:.1e} after 2 steps" in err
+        assert "10 * tol_rel = 1e-14 (max_iter = 2)" in err
+
+    def test_oracle_disagreement_exits_3_naming_rtol(self, tmp_path, capsys):
+        # no two solvers agree to 1e-17; the artifact records the verdict
+        cfg = _write_config(tmp_path, "strict.json", {
+            "params": {"n": 2, "p": 2.0, "gamma": 3.0, "q": 2.0, "theta": 2.0},
+            "mesh": {"levels": 4, "rows_per_strip": 6},
+            "solver": {"tol_rel": 1e-9},
+            "oracle": {"rtol": 1e-17},
+        })
+        out = tmp_path / "run"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 3
+        doc = _json_artifact(out, "oracle_check.json")
+        assert doc["agree"] is False
+        err = capsys.readouterr().err
+        assert err.count("numerical failure:") == 1
+        assert f"differ by {doc['rel_difference']:.1e}" in err
+        assert "oracle.rtol = 1e-17" in err
+
+    def test_failed_geometry_check_exits_3_naming_it(self, tmp_path, capsys):
+        # at gamma 1e5 in three dimensions the map's finite-difference
+        # Jacobian determinant misses FD_TOL; the artifact is still written
+        cfg = _write_config(tmp_path, "steep.json", {
+            "params": {"n": 3, "p": 2.0, "gamma": 1e5, "q": 3.0},
+            "verify": {"samples": 500},
+        })
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["verify-geometry", "--config", cfg, "--out", str(out)]) == 3
+        doc = _json_artifact(out, "verify_geometry.json")
+        assert doc["ok"] is False
+        err = capsys.readouterr().err
+        assert err.count("numerical failure:") == 1
+        fd_rel = doc["jacobian_suite"]["max_fd_rel"]
+        assert f"jacobian suite: max_fd_rel = {fd_rel:.3g} is not below 1e-06" in err
 
 
 class TestReproducibility:

@@ -179,12 +179,13 @@ class TestOperators:
 
     def test_pattern_lu_orders_once(self, small_mesh, rng, monkeypatch):
         # the first factor orders the pattern, the later ones reuse its order;
-        # the matrix is [[A, -g], [-g^T, 0]]
+        # the matrix is [[A, -g], [-g^T, 0]], and every factor runs without
+        # relaxed supernodes or panels
         specs = []
         splu = solve.spla.splu
 
         def recording_splu(a, **kwargs):
-            specs.append(kwargs["permc_spec"])
+            specs.append((kwargs["permc_spec"], kwargs["relax"], kwargs["panel_size"]))
             return splu(a, **kwargs)
 
         monkeypatch.setattr(solve.spla, "splu", recording_splu)
@@ -201,7 +202,8 @@ class TestOperators:
             x = lu.solve(a.data, b, g)
             ref = splu(full, **LU_OPTIONS).solve(b)
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert specs == [LU_OPTIONS["permc_spec"], "NATURAL", "NATURAL"]
+        assert specs == [(LU_OPTIONS["permc_spec"], 1, 1), ("NATURAL", 1, 1),
+                         ("NATURAL", 1, 1)]
 
     def test_workspace_cache_releases_dropped_meshes(self, p1_params):
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
@@ -268,6 +270,48 @@ class TestBandCholesky:
         sol = minimize_rayleigh(grid, p1_params)
         assert sol.converged and sol.iterations == 9
         assert calls == {"band": 6, "splu": 3}
+
+
+class TestNewtonLU:
+    """The bordered Newton matrix on SuperLU, ordered once per solve."""
+
+    @pytest.mark.parametrize("case", ["cusp", "simplex"])
+    def test_solve_backward_error(self, case, small_mesh, simplex_mesh, p1_params,
+                                  simplex_params, rng):
+        # at the converged eigenpair, for the ordering factor and for a
+        # NATURAL one in the order it found
+        grid, params = {"cusp": (small_mesh, p1_params),
+                        "simplex": (simplex_mesh, simplex_params)}[case]
+        ws = workspace_for(grid, params)
+        sol = minimize_rayleigh(grid, params)
+        assert sol.converged
+        u, eps = sol.u.values, sol.reg_eps
+        a = ws.hessian(u, eps) - sol.mu * ws.boundary_hessian(u, eps)
+        g = ws.boundary(u, eps)[1]
+        col = sp.csr_matrix(-g[:, None])
+        full = sp.bmat([[a, col], [col.T, None]], format="csr")
+        lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
+        for _ in range(2):
+            rhs = rng.standard_normal(ws.num_dof + 1)
+            x = lu.solve(a.data, rhs, g)
+            scale = abs(full) @ np.abs(x) + np.abs(rhs)
+            assert np.max(np.abs(rhs - full @ x) / scale) <= 1e-14
+
+    def test_restarts_order_once(self, small_mesh, p1_params, monkeypatch):
+        specs = []
+        splu = solve.spla.splu
+
+        def recording_splu(a, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(solve.spla, "splu", recording_splu)
+        sol = minimize_rayleigh(small_mesh, p1_params, SolverOptions(restarts=3))
+        assert sol.converged
+        # each of the three starts takes Newton steps; only the first orders
+        assert len(specs) >= 3
+        assert specs.count(LU_OPTIONS["permc_spec"]) == 1
+        assert specs[0] == LU_OPTIONS["permc_spec"]
 
 
 class TestRayleigh:
