@@ -6,7 +6,7 @@ Subcommands:
     verify-geometry  Jacobian and measure-identity suites
     scaling          test-family norms and fitted slopes (or a theta scan)
     solve            Rayleigh minimization with residual and trace constant
-    oracle-check     p = q = 2 nonlinear solve vs. inverse-power oracle
+    oracle-check     p = q = 2 nonlinear solve vs. the ARPACK pencil oracle
     mesh             generate and export a graded triangulation
 
 Every artifact embeds the fully resolved configuration and a schema string;

@@ -54,7 +54,6 @@ __all__ = [
     "face_pullback_weight",
     "boundary_faces",
     "face_parametrization",
-    "classify_face",
     "powt",
     "quasi_random_interior",
     "quasi_random_model_interior",
@@ -358,8 +357,7 @@ def jacobi_matrix(cmap: CuspMap, y) -> np.ndarray:
 class BoundaryFace:
     """Tagged boundary piece: flat {x_i = 0}, slanted {x_i = x_n**alpha}, or top.
 
-    Ordering is (kind, index) with flat < slanted < top, which is the
-    deterministic tie-break used when classifying near-edge points.
+    Ordering is (kind, index) with flat < slanted < top.
     """
 
     rank: int = field(repr=False)
@@ -446,31 +444,6 @@ def face_parametrization(face: BoundaryFace, params: DomainParams) -> FaceChart:
     if face.is_side and not 1 <= face.index <= params.n - 1:
         raise FaceMismatch(f"face index {face.index} invalid for n = {params.n}")
     return FaceChart(face=face, n=params.n, alpha=params.alpha)
-
-
-# how far from a face a point may lie and still be classified onto it
-FACE_TOL = 1e-14
-
-
-def classify_face(params: DomainParams, x) -> BoundaryFace:
-    """Assign a boundary point to a face; lowest face tag wins near edges."""
-    x = np.asarray(x, dtype=float)
-    n = params.n
-    if x.shape != (n,):
-        raise OutsideDomain(f"expected a single point with {n} coordinates")
-    xn = x[-1]
-    if not 0.0 < xn <= 1.0:
-        raise OutsideDomain("height coordinate outside (0, 1]")
-    width = float(powt(xn, params.alpha))
-    for i in range(1, n):
-        if abs(x[i - 1]) <= FACE_TOL:
-            return BoundaryFace.flat(i)
-    for i in range(1, n):
-        if abs(x[i - 1] - width) <= FACE_TOL * max(1.0, width):
-            return BoundaryFace.slanted(i)
-    if abs(xn - 1.0) <= FACE_TOL:
-        return BoundaryFace.top()
-    raise OutsideDomain("point is not within tolerance of any boundary face")
 
 
 # --------------------------------------------------------------------------

@@ -290,12 +290,6 @@ def workspace_for(mesh: TriMesh, params: DomainParams) -> FemWorkspace:
     return _cached_workspace(mesh, params.theta, params.p, params.q)
 
 
-def linear_workspace(mesh: TriMesh, theta: float) -> FemWorkspace:
-    """Cached workspace for the p = q = 2 testbed, shared with `minimize_rayleigh`
-    runs at p = q = 2 and the same theta."""
-    return _cached_workspace(mesh, theta, 2.0, 2.0)
-
-
 def _values_of(u) -> np.ndarray:
     return u.values if isinstance(u, FemFunction) else np.asarray(u, dtype=float)
 

@@ -411,6 +411,8 @@ class TestValidation:
         assert err.count("numerical failure:") == 1
         fd_rel = doc["jacobian_suite"]["max_fd_rel"]
         assert f"jacobian suite: max_fd_rel = {fd_rel:.3g} is not below 1e-06" in err
+        # most of the tangential Jacobians are NaN there, and fail the sandwich
+        assert "max_sandwich_violation = nan is not below 1e-12" in err
 
 
 class TestReproducibility:

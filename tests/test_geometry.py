@@ -14,7 +14,6 @@ from ncusp.geometry import (
     BoundaryFace,
     _halton,
     boundary_faces,
-    classify_face,
     cusp_map,
     derived_exponents,
     face_parametrization,
@@ -343,17 +342,6 @@ class TestFacesAndWeights:
         assert fl3.density(t) == pytest.approx(0.5 ** 1.5)
         top = face_parametrization(BoundaryFace.top(), p1_params)
         assert top.density(t) == pytest.approx(1.0)
-
-    def test_classification_order(self, p1_params):
-        # a corner point within tolerance of two faces goes to the lowest tag
-        corner = np.array([0.0, 1.0])
-        assert classify_face(p1_params, corner).kind == "flat"
-        tip_side = np.array([0.25, 0.5])
-        assert classify_face(p1_params, tip_side).kind == "slanted"
-        top = np.array([0.3, 1.0])
-        assert classify_face(p1_params, top).kind == "top"
-        with pytest.raises(OutsideDomain):
-            classify_face(p1_params, np.array([0.1, 0.5]))
 
     def test_weight_value(self):
         assert powt(0.5, 2.0) == pytest.approx(0.25)

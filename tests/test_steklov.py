@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ncusp.errors import NumericalError, RangeViolation, ZeroTrace
+from ncusp.cli import main
+from ncusp.errors import IterationStall, NumericalError, RangeViolation, ZeroTrace
 from ncusp.geometry import validate_params
 from ncusp.operators import weighted_boundary_norm
 from ncusp.geometry import BoundaryFace
@@ -340,14 +342,52 @@ class TestRayleigh:
             rayleigh_quotient(small_mesh, u, params)
 
 
+def _one_triangle():
+    # every vertex is on the boundary, and ARPACK's basis is the whole space
+    return TriMesh(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+                   np.array([[0, 1], [1, 2], [2, 0]]), np.array(["SLANTED", "TOP", "FLAT"]))
+
+
 class TestLinearOracle:
-    def test_against_dense_solve(self, small_mesh):
-        params = _discrete(2.0)
-        ws = workspace_for(small_mesh, params)
-        lam, _ = linear_oracle(small_mesh, theta=2.0)
+    @pytest.mark.parametrize("grid, theta", [
+        ("small_mesh", 0.0), ("small_mesh", 2.0), ("simplex_mesh", 0.0),
+        ("one_triangle", 0.0)])
+    def test_against_dense_solve(self, request, grid, theta):
+        mesh = _one_triangle() if grid == "one_triangle" else request.getfixturevalue(grid)
+        ws = workspace_for(mesh, _discrete(theta))
+        lam, _ = linear_oracle(mesh, theta=theta)
         ref = dense_smallest_pencil_eigenvalue(ws.stiffness + ws.mass,
                                                ws.boundary_mass)
         assert lam == pytest.approx(ref, rel=1e-10)
+
+    def test_repeat_is_bitwise_equal(self, p1_params):
+        # two equal meshes built apart share no cached workspace
+        runs = [linear_oracle(generate_cusp_mesh(p1_params, levels=6), theta=2.0)
+                for _ in range(2)]
+        assert runs[0][0] == runs[1][0]
+        assert np.array_equal(runs[0][1].values, runs[1][1].values)
+
+    def test_shares_the_p2_workspace(self, p1_params):
+        mesh = generate_cusp_mesh(p1_params, levels=4)
+        linear_oracle(mesh, theta=2.0)
+        ws = workspace_for(mesh, _discrete(2.0))
+        assert list(fem._WORKSPACES[mesh].values()) == [ws]
+
+    def test_arpack_failure_is_a_stall(self, small_mesh, monkeypatch, tmp_path, capsys):
+        def no_convergence(*args, **kwargs):
+            raise solve.spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                                 np.empty((0, 0)))
+
+        monkeypatch.setattr(solve.spla, "eigs", no_convergence)
+        with pytest.raises(IterationStall):
+            linear_oracle(small_mesh, theta=2.0)
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({
+            "params": {"n": 2, "p": 2.0, "gamma": 3.0, "q": 2.0, "theta": 2.0},
+            "mesh": {"levels": 4, "rows_per_strip": 6}}))
+        assert main(["oracle-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.count("numerical failure:") == 1
 
     def test_positive(self, small_mesh, simplex_mesh):
         for grid, theta in ((small_mesh, 0.0), (small_mesh, 2.0),
