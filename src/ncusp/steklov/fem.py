@@ -11,13 +11,16 @@ and the boundary functional integrates the matching regularization of
 quadrature builds the weighted boundary mass matrix, so the p = q = 2
 functionals agree with the assembled matrices to machine precision. Edges
 touching the origin use the graded interval rule so the power weight is
-integrated accurately along the two tip edges.
+integrated accurately along the two tip edges. The values of u at the
+quadrature points are taken once per u (`QuadValues`) and shared by every
+functional, gradient and matrix at it.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,6 +65,16 @@ def _over(s_pow: np.ndarray, s: np.ndarray) -> np.ndarray:
     multiplies a zero gradient or value, so the product is 0 either way.
     """
     return np.divide(s_pow, s, out=np.zeros_like(s), where=s > 0.0)
+
+
+def _power(s: np.ndarray, e: float) -> np.ndarray:
+    """s**e, and 0 where s vanishes and e < 0 (only possible with reg_eps = 0):
+    as in `_over`, it multiplies a zero gradient or value there."""
+    with np.errstate(divide="ignore"):
+        out = s ** e
+    if e < 0.0:
+        out[s == 0.0] = 0.0
+    return out
 
 
 def _with_transpose(op: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -167,99 +180,53 @@ class FemWorkspace:
             raise RangeViolation("boundary_edges", "every boundary edge is a triangle edge")
         lam_pair = np.stack([1.0 - edge_lam, edge_lam], axis=1)
         self._edge_outer = (lam_pair[:, :, None] * lam_pair[:, None, :]).reshape(ne, 4)
-        self.stiffness = self._assemble(self._grad_gram)
-        self.mass = self._assemble(
-            self.areas[:, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel())
+        self.stiffness = self._csr(self._sum(self._grad_gram))
+        self.mass = self._csr(self._sum(
+            self.areas[:, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()))
         self.boundary_mass = (self._edge_op_t @ sp.diags(self.edge_wf)
                               @ self.edge_op).tocsr()
 
     # -- matrices ----------------------------------------------------------
 
-    def _assemble(self, local: np.ndarray, slot: np.ndarray | None = None) -> sp.csr_matrix:
+    def _sum(self, local: np.ndarray, slot: np.ndarray | None = None) -> np.ndarray:
         """Sum element matrices, (nt, 9) or with their own slot map, into the
-        fixed nodal CSR pattern."""
-        data = np.bincount(self._slot if slot is None else slot,
+        data of the fixed nodal CSR pattern."""
+        return np.bincount(self._slot if slot is None else slot,
                            weights=local.ravel(), minlength=self._indices.size)
+
+    def _csr(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self._indices, self._indptr),
                              shape=(self.num_dof, self.num_dof))
 
+    def at(self, u: np.ndarray, reg_eps: float) -> "QuadValues":
+        """u with its values at the quadrature points, computed on first use."""
+        return QuadValues(self, u, reg_eps)
+
     def metric_matrix(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
-        """Lagged-diffusivity metric: stiffness and mass weighted by the
-        current iterate's regularized p-Laplacian coefficients."""
-        p = self.p
-        eps2 = reg_eps * reg_eps
-        gu = (self.grad_op @ u).reshape(2, -1)
-        wk = p * (gu[0] * gu[0] + gu[1] * gu[1] + eps2) ** (0.5 * p - 1.0)
-        uq = self.interp_op @ u
-        mw = p * (uq * uq + eps2) ** (0.5 * p - 1.0) * self.interp_w
-        return self._assemble(wk[:, None] * self._grad_gram
-                              + mw.reshape(wk.size, -1) @ self._bary_outer)
+        """Lagged-diffusivity metric at u (see `QuadValues.metric_data`)."""
+        return self._csr(self.at(u, reg_eps).metric_data())
 
     def hessian(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
-        """Exact Hessian of the regularized energy at u.
-
-        With s = |grad u|^2 + eps^2 on a triangle and m = u^2 + eps^2 at a
-        quadrature point, the element matrix is the metric's gradient part
-        plus the rank-one term area p (p-2) s^(p/2-2) (G grad u)(G grad u)^T,
-        G the P1 basis gradients, and the mass weight is
-        p m^(p/2-2) ((p-1) u^2 + eps^2).
-        """
-        p = self.p
-        eps2 = reg_eps * reg_eps
-        gu = (self.grad_op @ u).reshape(2, -1)
-        s = gu[0] * gu[0] + gu[1] * gu[1] + eps2
-        s_pow = s ** (0.5 * p - 1.0)
-        v = np.einsum("tid,dt->ti", self._grads, gu)
-        rank_one = (p * (p - 2.0) * self.areas * _over(s_pow, s))[:, None] \
-            * (v[:, :, None] * v[:, None, :]).reshape(s.size, 9)
-        uq = self.interp_op @ u
-        m = uq * uq + eps2
-        mw = p * _over(m ** (0.5 * p - 1.0), m) * ((p - 1.0) * uq * uq + eps2) \
-            * self.interp_w
-        return self._assemble((p * s_pow)[:, None] * self._grad_gram + rank_one
-                              + mw.reshape(s.size, -1) @ self._bary_outer)
+        """Exact Hessian of the regularized energy at u (see
+        `QuadValues.hessian_data`)."""
+        return self._csr(self.at(u, reg_eps).hessian_data())
 
     def boundary_hessian(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
-        """Exact Hessian of the boundary functional at u:
-        edge_op^T diag(w) edge_op with w = edge_wf q b^(q/2-2) ((q-1) u^2 + eps^2),
-        b = u^2 + eps^2 at each boundary quadrature point."""
-        q = self.q
-        eps2 = reg_eps * reg_eps
-        uv = self.edge_op @ u
-        b = uv * uv + eps2
-        w = q * self.edge_wf * _over(_over(b ** (0.5 * q), b), b) \
-            * ((q - 1.0) * uv * uv + eps2)
-        return self._assemble(w[:, None] * self._edge_outer, self._edge_slot)
+        """Exact Hessian of the boundary functional at u (see
+        `QuadValues.boundary_hessian_data`)."""
+        return self._csr(self.at(u, reg_eps).boundary_hessian_data())
 
     # -- functionals ---------------------------------------------------------
 
     def energy(self, u: np.ndarray, reg_eps: float, with_grad: bool = True):
         """Regularized energy and (optionally) its exact nodal gradient."""
-        p = self.p
-        eps2 = reg_eps * reg_eps
-        gu = (self.grad_op @ u).reshape(2, -1)               # (2, nt)
-        g2 = gu[0] * gu[0] + gu[1] * gu[1] + eps2
-        uq = self.interp_op @ u                             # (nt kq,)
-        m2 = uq * uq + eps2
-        g2p = g2 ** (0.5 * p)
-        m2p = m2 ** (0.5 * p)
-        value = float(np.dot(self.areas, g2p)) + float(np.dot(self.interp_w, m2p))
-        if not with_grad:
-            return value, None
-        grad = self._grad_op_t @ ((p * self.areas * _over(g2p, g2)) * gu).ravel()
-        grad += self._interp_op_t @ (p * self.interp_w * _over(m2p, m2) * uq)
-        return value, grad
+        vals = self.at(u, reg_eps)
+        return vals.E, vals.grad_E if with_grad else None
 
     def boundary(self, u: np.ndarray, reg_eps: float, with_grad: bool = True):
         """Regularized weighted boundary functional and its nodal gradient."""
-        q = self.q
-        uv = self.edge_op @ u
-        b2 = uv * uv + reg_eps * reg_eps
-        b2q = b2 ** (0.5 * q)
-        value = float(np.dot(self.edge_wf, b2q))
-        if not with_grad:
-            return value, None
-        return value, self._edge_op_t @ (q * self.edge_wf * _over(b2q, b2) * uv)
+        vals = self.at(u, reg_eps)
+        return vals.B, vals.grad_B if with_grad else None
 
     def trace_integral(self, u: np.ndarray) -> float:
         """Weighted trace integral of u (sign-normalization functional)."""
@@ -270,6 +237,152 @@ class FemWorkspace:
         from the energy e, its gradient ge and the boundary gradient gb at u."""
         r = ge / self.p - lam * gb / self.q
         return float(np.max(np.abs(r)) / max(1.0, e))
+
+
+class QuadValues:
+    """A nodal function u with its values at a workspace's quadrature points.
+
+    Every part is computed on first use and kept, so all functionals,
+    gradients and matrices at u share one product with each operator and one
+    power per quadrature point:
+
+    gu        (2, nt)     grad u per triangle, x1 row then x2 row
+    uq        (nt kq,)    u at the triangle quadrature points
+    uv        (ne_q,)     u at the boundary quadrature points
+    s, m, b               |grad u|^2 + eps^2, uq^2 + eps^2 and uv^2 + eps^2
+    s_pow, m_pow, b_pow   s^(p/2-1), m^(p/2-1) and b^(q/2-1)
+
+    and from them the energy ``E``, the boundary functional ``B``, their
+    nodal gradients, the quotient ``lam`` and the weak residual ``res``.
+    """
+
+    def __init__(self, ws: FemWorkspace, u: np.ndarray, reg_eps: float, **known):
+        self.ws = ws
+        self.u = u
+        self.reg_eps = reg_eps
+        self.eps2 = reg_eps * reg_eps
+        # operator products already known, from `scaled`
+        self.__dict__.update(known)
+
+    def scaled(self, c: float) -> "QuadValues":
+        """The values of u / c: u and the operator products taken so far are
+        divided by c, and no operator is applied again."""
+        known = {k: self.__dict__[k] / c for k in ("gu", "uq", "uv") if k in self.__dict__}
+        return QuadValues(self.ws, self.u / c, self.reg_eps, **known)
+
+    # -- values at the quadrature points -------------------------------------
+
+    @cached_property
+    def gu(self) -> np.ndarray:
+        return (self.ws.grad_op @ self.u).reshape(2, -1)
+
+    @cached_property
+    def uq(self) -> np.ndarray:
+        return self.ws.interp_op @ self.u
+
+    @cached_property
+    def uv(self) -> np.ndarray:
+        return self.ws.edge_op @ self.u
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        gu = self.gu
+        return gu[0] * gu[0] + gu[1] * gu[1] + self.eps2
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return self.uq * self.uq + self.eps2
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return self.uv * self.uv + self.eps2
+
+    @cached_property
+    def s_pow(self) -> np.ndarray:
+        return _power(self.s, 0.5 * self.ws.p - 1.0)
+
+    @cached_property
+    def m_pow(self) -> np.ndarray:
+        return _power(self.m, 0.5 * self.ws.p - 1.0)
+
+    @cached_property
+    def b_pow(self) -> np.ndarray:
+        return _power(self.b, 0.5 * self.ws.q - 1.0)
+
+    # -- functionals and gradients -------------------------------------------
+
+    @cached_property
+    def E(self) -> float:
+        """Regularized energy."""
+        ws = self.ws
+        return float(np.dot(ws.areas, self.s * self.s_pow)) \
+            + float(np.dot(ws.interp_w, self.m * self.m_pow))
+
+    @cached_property
+    def grad_E(self) -> np.ndarray:
+        """Exact nodal gradient of the energy."""
+        ws, p = self.ws, self.ws.p
+        grad = ws._grad_op_t @ ((p * ws.areas * self.s_pow) * self.gu).ravel()
+        grad += ws._interp_op_t @ (p * ws.interp_w * self.m_pow * self.uq)
+        return grad
+
+    @cached_property
+    def B(self) -> float:
+        """Regularized weighted boundary functional."""
+        return float(np.dot(self.ws.edge_wf, self.b * self.b_pow))
+
+    @cached_property
+    def grad_B(self) -> np.ndarray:
+        """Exact nodal gradient of the boundary functional."""
+        ws = self.ws
+        return ws._edge_op_t @ (ws.q * ws.edge_wf * self.b_pow * self.uv)
+
+    @cached_property
+    def lam(self) -> float:
+        """Rayleigh quotient E / B^(p/q)."""
+        return self.E / self.B ** (self.ws.p / self.ws.q)
+
+    @cached_property
+    def res(self) -> float:
+        """Weak residual at the quotient (`FemWorkspace.residual`)."""
+        return self.ws.residual(self.E, self.grad_E, self.grad_B, self.lam)
+
+    # -- matrices, as data of the workspace's fixed CSR pattern --------------
+
+    def metric_data(self) -> np.ndarray:
+        """Lagged-diffusivity metric: stiffness and mass weighted by the
+        regularized p-Laplacian coefficients p s_pow and p m_pow, so that
+        metric @ u = grad_E."""
+        ws, p = self.ws, self.ws.p
+        mw = p * self.m_pow * ws.interp_w
+        return ws._sum((p * self.s_pow)[:, None] * ws._grad_gram
+                       + mw.reshape(self.s.size, -1) @ ws._bary_outer)
+
+    def hessian_data(self) -> np.ndarray:
+        """Exact Hessian of the regularized energy.
+
+        The element matrix is the metric's gradient part plus the rank-one
+        term area p (p-2) s^(p/2-2) (G grad u)(G grad u)^T, G the P1 basis
+        gradients, and the mass weight is p m^(p/2-2) ((p-1) u^2 + eps^2).
+        """
+        ws, p = self.ws, self.ws.p
+        s = self.s
+        v = np.einsum("tid,dt->ti", ws._grads, self.gu)
+        rank_one = (p * (p - 2.0) * ws.areas * _over(self.s_pow, s))[:, None] \
+            * (v[:, :, None] * v[:, None, :]).reshape(s.size, 9)
+        uq2 = self.uq * self.uq
+        mw = p * _over(self.m_pow, self.m) * ((p - 1.0) * uq2 + self.eps2) * ws.interp_w
+        return ws._sum((p * self.s_pow)[:, None] * ws._grad_gram + rank_one
+                       + mw.reshape(s.size, -1) @ ws._bary_outer)
+
+    def boundary_hessian_data(self) -> np.ndarray:
+        """Exact Hessian of the boundary functional:
+        edge_op^T diag(w) edge_op with w = edge_wf q b^(q/2-2) ((q-1) u^2 + eps^2)
+        at each boundary quadrature point."""
+        ws, q = self.ws, self.ws.q
+        w = q * ws.edge_wf * _over(self.b_pow, self.b) * ((q - 1.0) * self.uv * self.uv
+                                                          + self.eps2)
+        return ws._sum(w[:, None] * ws._edge_outer, ws._edge_slot)
 
 
 _WORKSPACES: "weakref.WeakKeyDictionary[TriMesh, dict]" = weakref.WeakKeyDictionary()
@@ -302,22 +415,16 @@ def assemble_functionals(mesh: TriMesh, u, params: DomainParams,
     the gradients differentiate exactly what the values integrate, so
     central differences of the values reproduce them.
     """
-    ws = workspace_for(mesh, params)
-    vals = _values_of(u)
-    e, ge = ws.energy(vals, reg_eps)
-    b, gb = ws.boundary(vals, reg_eps)
-    return e, ge, b, gb
+    vals = workspace_for(mesh, params).at(_values_of(u), reg_eps)
+    return vals.E, vals.grad_E, vals.B, vals.grad_B
 
 
 def rayleigh_quotient(mesh: TriMesh, u, params: DomainParams) -> float:
     """Unregularized Rayleigh quotient E(u) / B(u)^(p/q); exactly homogeneous."""
-    ws = workspace_for(mesh, params)
-    vals = _values_of(u)
-    e, _ = ws.energy(vals, 0.0, with_grad=False)
-    b, _ = ws.boundary(vals, 0.0, with_grad=False)
-    if b <= 0.0:
+    vals = workspace_for(mesh, params).at(_values_of(u), 0.0)
+    if vals.B <= 0.0:
         raise ZeroTrace("boundary trace vanishes; Rayleigh quotient undefined")
-    return e / b ** (ws.p / ws.q)
+    return vals.lam
 
 
 def weak_residual(mesh: TriMesh, solution, params: DomainParams,
@@ -336,10 +443,8 @@ def weak_residual(mesh: TriMesh, solution, params: DomainParams,
         if reg_eps is None:
             reg_eps = 1e-8
     ws = workspace_for(mesh, params)
-    vals = _values_of(u)
-    b, _ = ws.boundary(vals, 0.0, with_grad=False)
-    if b <= 0.0:
+    u = _values_of(u)
+    if ws.at(u, 0.0).B <= 0.0:
         raise ZeroTrace("residual is defined for unit-boundary-norm candidates")
-    e, ge = ws.energy(vals, reg_eps)
-    _, gb = ws.boundary(vals, reg_eps)
-    return ws.residual(e, ge, gb, float(lam))
+    vals = ws.at(u, reg_eps)
+    return ws.residual(vals.E, vals.grad_E, vals.grad_B, float(lam))

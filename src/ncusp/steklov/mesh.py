@@ -4,7 +4,8 @@ The mesh is built from horizontal rows of vertices: strip boundaries follow
 the geometric grading ratio, every strip is split into equal sub-rows, and
 each row carries enough columns to keep cells near unit aspect. Adjacent
 rows with different column counts are stitched by a monotone two-pointer
-sweep, and a single tip triangle closes the mesh to the origin. Boundary
+sweep, done for all rows at once as one stable merge, and a single tip
+triangle closes the mesh to the origin. Boundary
 edges are tagged FLAT (x1 = 0), SLANTED (x1 = x2**alpha), and TOP (x2 = 1).
 """
 
@@ -106,21 +107,36 @@ def mesh_area(mesh: TriMesh) -> float:
     return float(np.sum(p1_geometry(mesh)[0]))
 
 
-def _stitch_band(top_idx, bot_idx, top_frac, bot_frac):
-    """Triangulate the band between two vertex rows by monotone advance."""
-    tris = []
-    ia = ib = 0
-    na, nb = len(top_idx) - 1, len(bot_idx) - 1
-    while ia < na or ib < nb:
-        take_top = ib == nb or (
-            ia < na and top_frac[ia + 1] <= bot_frac[ib + 1])
-        if take_top:
-            tris.append((top_idx[ia], bot_idx[ib], top_idx[ia + 1]))
-            ia += 1
-        else:
-            tris.append((top_idx[ia], bot_idx[ib], bot_idx[ib + 1]))
-            ib += 1
-    return tris
+def _stitch_rows(starts: np.ndarray, fracs: np.ndarray) -> np.ndarray:
+    """Triangles of the bands between adjacent vertex rows, band by band.
+
+    Row r holds vertices starts[r] .. starts[r + 1] - 1 at the fractions
+    ``fracs`` of its width. In the band below row r, the vertices of rows r
+    and r + 1 after each row's first are merged by fraction, row r first on a
+    tie; each one closes a triangle with the last vertex reached on either row
+    (a monotone two-pointer sweep). One stable sort merges every band at once.
+    """
+    sizes = np.diff(starts)
+    row = np.repeat(np.arange(sizes.size), sizes)
+    later = np.ones(row.size, dtype=bool)
+    later[starts[:-1]] = False
+    top = np.flatnonzero(later & (row < sizes.size - 1))
+    bottom = np.flatnonzero(later & (row > 0))
+    vert = np.concatenate([top, bottom])
+    band = np.concatenate([row[top], row[bottom] - 1])
+    from_bottom = np.repeat([False, True], [top.size, bottom.size])
+    merged = np.lexsort((from_bottom, fracs[vert], band))
+    vert, band, from_bottom = vert[merged], band[merged], from_bottom[merged]
+    from_top = ~from_bottom
+    # the vertices of each row reached before a step: earlier steps of the
+    # band, counted from all earlier steps less those of earlier bands
+    cells = sizes - 1
+    top_before = np.cumsum(from_top) - from_top \
+        - np.concatenate(([0], np.cumsum(cells[:-2])))[band]
+    bottom_before = np.cumsum(from_bottom) - from_bottom \
+        - np.concatenate(([0], np.cumsum(cells[1:-1])))[band]
+    return np.stack([starts[band] + top_before, starts[band + 1] + bottom_before, vert],
+                    axis=1)
 
 
 def generate_cusp_mesh(params: DomainParams, levels: int,
@@ -171,18 +187,19 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
     # row r holds vertices starts[r] .. starts[r + 1] - 1; the origin comes last
     starts = np.concatenate(([0], np.cumsum(cols + 1)))
     origin = int(starts[-1])
-    row_fracs = [np.linspace(0.0, 1.0, m + 1) for m in cols]
+    # vertex i of a row of m cells sits at fraction i * (1 / m) of its width,
+    # the last at 1.0: np.linspace(0, 1, m + 1) bit for bit
+    fracs = (np.arange(origin) - np.repeat(starts[:-1], cols + 1)) \
+        * np.repeat(1.0 / cols, cols + 1)
+    fracs[starts[1:] - 1] = 1.0
     vertices = np.zeros((origin + 1, 2))
-    vertices[:origin, 0] = np.concatenate(row_fracs) * np.repeat(widths, cols + 1)
+    vertices[:origin, 0] = fracs * np.repeat(widths, cols + 1)
     vertices[:origin, 1] = np.repeat(heights, cols + 1)
 
-    rows = [range(a, b) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
-    triangles = []
-    for r in range(len(rows) - 1):
-        triangles.extend(_stitch_band(rows[r], rows[r + 1],
-                                      row_fracs[r], row_fracs[r + 1]))
-    triangles.append((origin, origin - 1, origin - 2))  # single tip triangle
-    triangles = np.asarray(triangles, dtype=np.int64)
+    triangles = np.concatenate([
+        _stitch_rows(starts, fracs),
+        [[origin, origin - 1, origin - 2]],  # single tip triangle
+    ]).astype(np.int64)
 
     # FLAT and SLANTED run down the first and last vertex of each row to the
     # origin; TOP runs along the first row

@@ -5,9 +5,14 @@ nonlinear inverse iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 257,
 2009) from a one-signed start until the weak residual is at most 1e-3: as
 grad E(u) = metric(u) @ u, each step factors the lagged-diffusivity metric
 once, a banded Cholesky in height order, and maps u to metric(u)^{-1} grad B(u),
-renormalized. Damped Newton on the bordered system grad E = mu grad B, B = 1
-(Ruhe, SIAM J. Numer. Anal. 10, 1973) then converges quadratically, on SuperLU
-without relaxed supernodes, with the ordering found once per solve.
+renormalized. Newton on the bordered system grad E = mu grad B, B = 1
+(Ruhe, SIAM J. Numer. Anal. 10, 1973) then finishes on SuperLU without
+relaxed supernodes. Each Newton step first tries the chord step, the last
+factor with the right-hand side at the current point, and keeps it if it at
+least halves the KKT merit; otherwise it factors afresh and damps the step.
+Each iterate carries its values at the quadrature points (`QuadValues`), so
+it is evaluated once. The band index and the Newton ordering are found once
+per workspace and kept with it; no factor outlives a solve.
 The first eigenfunction does not change sign, so an iterate that does, or a
 metric that is numerically not positive definite, ends the solve with an error:
 near p = 1 the discrete map can lose positivity and settle in another basin.
@@ -17,6 +22,7 @@ matrix pencil.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from ..errors import IterationStall, NumericalError, RangeViolation, ZeroTrace
 from ..geometry import DomainParams, derived_exponents
-from .fem import FemFunction, FemWorkspace, _cached_workspace, workspace_for
+from .fem import FemFunction, FemWorkspace, QuadValues, _cached_workspace, workspace_for
 from .mesh import TriMesh
 from .options import SolverOptions, _changes_sign
 
@@ -43,6 +49,12 @@ __all__ = [
 NEWTON_SWITCH = 1e-3
 # step halvings a damped Newton step may take before the solve stalls
 MAX_HALVINGS = 30
+# a chord step (the last Newton factor, the right-hand side at the current
+# point) is kept while it at least halves the KKT merit: the contraction bound
+# Theta <= 1/2 of the simplified Newton method (Deuflhard, Newton Methods for
+# Nonlinear Problems, 2004). Accepting any decrease took the levels-9 exponent
+# sweep from 301 to 1021 steps
+CHORD_CONTRACTION = 0.5
 # the bordered Newton matrix is symmetric: order on A + A^T. SuperLU's relaxed
 # supernodes and wide panels (its built-in relax and panel_size) leave the fill
 # and the pivots of these matrices as they are and only slow the factorization
@@ -85,40 +97,21 @@ class SteklovSolution:
     start_spread: float | None = None
 
 
-def _normalize(ws: FemWorkspace, u: np.ndarray, reg_eps: float) -> np.ndarray:
+def _normalize(ws: FemWorkspace, pt: QuadValues) -> QuadValues:
+    """pt scaled to B = 1, in two passes because reg_eps breaks the
+    q-homogeneity of B; each pass rescales the values already taken."""
     # the regularization floor is the boundary value of u == 0; reaching it
     # means the trace collapsed
-    floor = (reg_eps ** ws.q) * float(np.sum(ws.edge_wf))
+    floor = (pt.reg_eps ** ws.q) * float(np.sum(ws.edge_wf))
     for _ in range(2):
-        b, _ = ws.boundary(u, reg_eps, with_grad=False)
-        if b <= max(floor * (1.0 + 1e-6), 1e-280):
+        if pt.B <= max(floor * (1.0 + 1e-6), 1e-280):
             raise ZeroTrace("iterate has vanishing boundary trace")
-        u = u / b ** (1.0 / ws.q)
-    return u
+        pt = pt.scaled(pt.B ** (1.0 / ws.q))
+    return pt
 
 
-@dataclass(frozen=True)
-class _Point:
-    """An iterate with its functionals, quotient and weak residual."""
-
-    u: np.ndarray
-    e: float
-    ge: np.ndarray
-    b: float
-    gb: np.ndarray
-    lam: float
-    res: float
-
-
-def _evaluate(ws: FemWorkspace, u: np.ndarray, reg_eps: float) -> _Point:
-    e, ge = ws.energy(u, reg_eps)
-    b, gb = ws.boundary(u, reg_eps)
-    lam = e / b ** (ws.p / ws.q)
-    return _Point(u, e, ge, b, gb, lam, ws.residual(e, ge, gb, lam))
-
-
-def _kkt(pt: _Point, mu: float) -> float:
-    return float(np.max(np.abs(pt.ge - mu * pt.gb))) + abs(1.0 - pt.b)
+def _kkt(pt: QuadValues, mu: float) -> float:
+    return float(np.max(np.abs(pt.grad_E - mu * pt.grad_B))) + abs(1.0 - pt.B)
 
 
 class _BandCholesky:
@@ -167,10 +160,11 @@ class _PatternLU:
     with A in the fixed nodal pattern of ``a`` and g zero off ``border``.
 
     One integer index gathers [A.data, -g[border]] into the CSC data that is
-    factored. The first matrix is ordered with LU_OPTIONS and the index is
-    rebuilt once in that fill-reducing order; each later one, from any start
-    of the solve that shares the instance, is one gather and a factorization
-    with NATURAL ordering. Every factorization takes LU_OPTIONS' relax and
+    factored. The first matrix is factored with LU_OPTIONS only to find a
+    fill-reducing order, and the index is rebuilt once in that order. Every
+    factorization, the first one's included, is then one gather and a
+    factorization with NATURAL ordering, so its result does not depend on
+    whether the order was already known. Every one takes LU_OPTIONS' relax and
     panel_size.
     """
 
@@ -191,49 +185,103 @@ class _PatternLU:
         self._pattern = (ids.indices, ids.indptr)
         self._shape = ids.shape
 
-    def solve(self, a_data: np.ndarray, rhs: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs through a fresh LU factorization of the matrix M
-        with data ``a_data`` in the nodal pattern, bordered by ``g``."""
+    def _gathered(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data[self._gather], *self._pattern), shape=self._shape)
+
+    def factor(self, a_data: np.ndarray, g: np.ndarray):
+        """A fresh LU factorization of the matrix M with data ``a_data`` in
+        the nodal pattern, bordered by ``g``; returns rhs -> M^{-1} rhs."""
         data = np.concatenate([a_data, -g[self._border]])
-        m = sp.csc_matrix((data[self._gather], *self._pattern), shape=self._shape)
         if self._order is None:
-            lu = spla.splu(m, **LU_OPTIONS)
-            x = lu.solve(rhs)
-            # column j of the ordered matrix is column order[j] of M
-            self._order = np.argsort(lu.perm_c)
-            # holding the factor while the index is built raised the peak RSS
-            del lu
+            # column j of the ordered matrix is column order[j] of M; the
+            # factor itself is dropped at once
+            order = np.argsort(spla.splu(self._gathered(data), **LU_OPTIONS).perm_c)
             ids = sp.csc_matrix((self._gather + 1.0, *self._pattern), shape=self._shape)
-            self._index(ids[self._order][:, self._order])
-            return x
+            self._index(ids[order][:, order])
+            self._order = order
+        lu = spla.splu(self._gathered(data), **{**LU_OPTIONS, "permc_spec": "NATURAL"})
         order = self._order
-        x = np.empty_like(rhs)
-        lu = spla.splu(m, **{**LU_OPTIONS, "permc_spec": "NATURAL"})
-        x[order] = lu.solve(rhs[order])
-        return x
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x = np.empty_like(rhs)
+            x[order] = lu.solve(rhs[order])
+            return x
+        return solve
+
+
+# per workspace, the band index of the metric and the Newton pattern with its
+# order, made by the first solve and shared by every later one and every start.
+# They hold index arrays only: no factor outlives a solve (keeping the SuperLU
+# factors raised the reference's peak RSS from about 90 to 120 MB)
+_SETUPS: "weakref.WeakKeyDictionary[FemWorkspace, tuple[_BandCholesky, _PatternLU]]" \
+    = weakref.WeakKeyDictionary()
+
+
+def _solver_setup(ws: FemWorkspace, mesh: TriMesh) -> tuple[_BandCholesky, _PatternLU]:
+    setup = _SETUPS.get(ws)
+    if setup is None:
+        setup = (_BandCholesky(ws.stiffness, mesh.vertices),
+                 _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices)))
+        _SETUPS[ws] = setup
+    return setup
+
+
+def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: float,
+                 kkt: float, factor, why: str):
+    """One step on the bordered system from pt, with multiplier mu and KKT
+    merit kkt.
+
+    With the last factor (a chord step) the full step is taken if it keeps
+    the sign and at least halves the merit; otherwise the matrix is factored
+    afresh at pt and the step is halved until it lowers the merit and keeps
+    the sign. Returns the new point, multiplier, merit and the factor used.
+    """
+    rhs = np.append(mu * pt.grad_B - pt.grad_E, pt.B - 1.0)
+
+    def trial(step, t):
+        cand = _normalize(ws, ws.at(pt.u + t * step[:-1], pt.reg_eps))
+        cand_mu = mu + t * step[-1]
+        return cand, cand_mu, _kkt(cand, cand_mu)
+
+    if factor is not None:
+        cand, cand_mu, cand_kkt = trial(factor(rhs), 1.0)
+        if cand_kkt <= CHORD_CONTRACTION * kkt and not _changes_sign(cand.u):
+            return cand, cand_mu, cand_kkt, factor
+    # the Hessians and the stiffness share one fixed pattern
+    factor = newton_lu.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(),
+                              pt.grad_B)
+    step = factor(rhs)
+    t = 1.0
+    for _ in range(MAX_HALVINGS):
+        cand, cand_mu, cand_kkt = trial(step, t)
+        if cand_kkt < kkt and not _changes_sign(cand.u):
+            return cand, cand_mu, cand_kkt, factor
+        t *= 0.5
+    raise IterationStall(f"Newton stalled at weak residual {pt.res:.3e} {why}")
 
 
 def _solve_start(ws: FemWorkspace, metric: _BandCholesky, newton_lu: _PatternLU,
                  u: np.ndarray, opts: SolverOptions):
-    """Inverse iteration, then damped Newton, from one start.
+    """Inverse iteration, then Newton, from one start.
 
     Every iterate is renormalized to B(u) = 1 before its weak residual is
     taken, so the last point returned is the one the stop test judged. Returns
-    it and the weak residual after each step.
+    it and the weak residual after each step. The last Newton factor lives
+    only as long as this call.
     """
     eps, p, q = opts.reg_eps, ws.p, ws.q
     why = f"(p = {p:g}, q = {q:g}, reg_eps = {eps:g})"
-    pt = _evaluate(ws, _normalize(ws, u, eps), eps)
+    pt = _normalize(ws, ws.at(u, eps))
     history = []
     while pt.res > NEWTON_SWITCH and len(history) < opts.max_iter:
         # each factor is used once and released before the next is made
         try:
-            z = metric.solve(ws.metric_matrix(pt.u, eps).data, pt.gb)
+            z = metric.solve(pt.metric_data(), pt.grad_B)
         except np.linalg.LinAlgError:
             raise NumericalError(
                 f"inverse-iteration step {len(history) + 1}: the metric is not "
                 f"numerically positive definite {why}") from None
-        pt = _evaluate(ws, _normalize(ws, z, eps), eps)
+        pt = _normalize(ws, ws.at(z, eps))
         history.append(pt.res)
         if _changes_sign(pt.u):
             raise NumericalError(
@@ -242,21 +290,9 @@ def _solve_start(ws: FemWorkspace, metric: _BandCholesky, newton_lu: _PatternLU,
                 f"eigenfunction {why}")
     mu = pt.lam * p / q
     kkt = _kkt(pt, mu)
+    factor = None
     while pt.res >= 10.0 * opts.tol_rel and len(history) < opts.max_iter:
-        # the Hessians and the stiffness share one fixed pattern
-        a_data = ws.hessian(pt.u, eps).data - mu * ws.boundary_hessian(pt.u, eps).data
-        step = newton_lu.solve(a_data, np.append(mu * pt.gb - pt.ge, pt.b - 1.0), pt.gb)
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand = _evaluate(ws, _normalize(ws, pt.u + t * step[:-1], eps), eps)
-            cand_mu = mu + t * step[-1]
-            cand_kkt = _kkt(cand, cand_mu)
-            if cand_kkt < kkt and not _changes_sign(cand.u):
-                break
-            t *= 0.5
-        else:
-            raise IterationStall(f"Newton stalled at weak residual {pt.res:.3e} {why}")
-        pt, mu, kkt = cand, cand_mu, cand_kkt
+        pt, mu, kkt, factor = _newton_step(ws, newton_lu, pt, mu, kkt, factor, why)
         history.append(pt.res)
     return pt, history
 
@@ -278,9 +314,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     if opts.initial is not None and len(opts.initial) != ws.num_dof:
         raise RangeViolation("initial", f"one value per mesh vertex ({ws.num_dof})")
 
-    # every start shares the band index and the Newton pattern's ordering
-    metric = _BandCholesky(ws.stiffness, mesh.vertices)
-    newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
+    metric, newton_lu = _solver_setup(ws, mesh)
     results, failures = [], []
     total_iters = 0
     for restart in range(opts.restarts):
@@ -307,8 +341,8 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     return SteklovSolution(
         lam=float(pt.lam),
         u=FemFunction(mesh=mesh, values=pt.u if ws.trace_integral(pt.u) >= 0.0 else -pt.u),
-        energy=float(pt.e),
-        boundary_norm=float(pt.b ** (1.0 / q)),
+        energy=float(pt.E),
+        boundary_norm=float(pt.B ** (1.0 / q)),
         residual=float(pt.res),
         mu=float(pt.lam * p / q),
         iterations=total_iters,

@@ -13,6 +13,8 @@ from ncusp.steklov.mesh import (
     save_mesh,
 )
 
+from oracles import two_pointer_triangles
+
 
 def _chain_ends(mesh, tag):
     """Coordinates of the two ends of a tag's edges when they form one simple
@@ -142,6 +144,32 @@ class TestGeneration:
         # shallow depth keeps the tip triangle above the floor
         m = generate_cusp_mesh(params, levels=3)
         assert m.min_quality > 1e-6
+
+
+# the reference meshes of the benchmark, levels 3 to 14, and the mesher's
+# aspect, grading and single-row settings
+STITCH_CASES = [
+    *[((3.0, 1.5, 2.0), {}, dict(levels=lv)) for lv in (3, 6, 10, 14)],
+    ((2.5, 1.25, 1.6), {}, dict(levels=7, rows_per_strip=14)),
+    ((2.0, 1.25, 1.6), dict(theta=0.0, simplex=True), dict(levels=7, rows_per_strip=14)),
+    ((4.0, 1.8, 3.0), {}, dict(levels=9)),
+    ((3.0, 1.5, 2.0), {}, dict(levels=8, aspect=0.3)),
+    ((3.0, 1.5, 2.0), {}, dict(levels=8, aspect=3.0)),
+    ((3.0, 1.5, 2.0), {}, dict(levels=8, grading_ratio=0.3)),
+    ((3.0, 1.5, 2.0), {}, dict(levels=5, rows_per_strip=1)),
+]
+
+
+@pytest.mark.parametrize("exps, kw, mesh_kw", STITCH_CASES,
+                         ids=[str(i) for i in range(len(STITCH_CASES))])
+def test_stitching_matches_the_two_pointer_sweep(exps, kw, mesh_kw):
+    # the merged stitching and the row fractions equal the row-by-row sweep
+    # over np.linspace fractions bit for bit
+    mesh = generate_cusp_mesh(validate_params(2, *exps, usage="steklov", **kw), **mesh_kw)
+    triangles, xs = two_pointer_triangles(mesh)
+    assert np.array_equal(mesh.triangles, triangles)
+    assert mesh.triangles.dtype == np.int64
+    assert np.array_equal(mesh.vertices[:-1, 0], np.concatenate(xs))
 
 
 class TestMeshIO:

@@ -33,7 +33,7 @@ from ncusp.steklov.solve import (
     trace_constant,
 )
 
-from oracles import dense_smallest_pencil_eigenvalue, fd_gradient
+from oracles import dense_smallest_pencil_eigenvalue, fd_gradient, previous_fem_formulas
 
 
 @pytest.fixture(scope="module")
@@ -180,9 +180,10 @@ class TestOperators:
             assert np.max(np.abs(mu - ge)) <= 1e-12 * np.max(np.abs(ge))
 
     def test_pattern_lu_orders_once(self, small_mesh, rng, monkeypatch):
-        # the first factor orders the pattern, the later ones reuse its order;
-        # the matrix is [[A, -g], [-g^T, 0]], and every factor runs without
-        # relaxed supernodes or panels
+        # the first matrix is factored once for its order only, and every
+        # matrix, the first included, is factored in that order; the matrix is
+        # [[A, -g], [-g^T, 0]], and every factor runs without relaxed
+        # supernodes or panels
         specs = []
         splu = solve.spla.splu
 
@@ -201,11 +202,10 @@ class TestOperators:
             col = sp.csr_matrix(-g[:, None])
             full = sp.bmat([[a, col], [col.T, None]], format="csc")
             b = rng.standard_normal(ws.num_dof + 1)
-            x = lu.solve(a.data, b, g)
+            x = lu.factor(a.data, g)(b)
             ref = splu(full, **LU_OPTIONS).solve(b)
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert specs == [(LU_OPTIONS["permc_spec"], 1, 1), ("NATURAL", 1, 1),
-                         ("NATURAL", 1, 1)]
+        assert specs == [(LU_OPTIONS["permc_spec"], 1, 1)] + [("NATURAL", 1, 1)] * 3
 
     def test_workspace_cache_releases_dropped_meshes(self, p1_params):
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
@@ -256,7 +256,9 @@ class TestBandCholesky:
         assert abs(lam[1] - lam[0]) <= 1e-12 * lam[0]
 
     def test_reference_solve_factorization_counts(self, p1_params, monkeypatch):
-        # 6 inverse-iteration steps on the band, 3 Newton steps on SuperLU
+        # 6 inverse-iteration steps on the band and 6 Newton steps on one
+        # SuperLU factor (5 of them chord steps); a fresh workspace first
+        # factors once for the order, a second solve knows it
         calls = {"band": 0, "splu": 0}
 
         def counted(key, fn):
@@ -270,18 +272,26 @@ class TestBandCholesky:
         monkeypatch.setattr(solve.spla, "splu", counted("splu", solve.spla.splu))
         grid = generate_cusp_mesh(p1_params, levels=10)
         sol = minimize_rayleigh(grid, p1_params)
-        assert sol.converged and sol.iterations == 9
-        assert calls == {"band": 6, "splu": 3}
+        assert sol.converged and sol.iterations == 12
+        assert calls == {"band": 6, "splu": 2}
+        sol = minimize_rayleigh(grid, p1_params)
+        assert sol.converged and sol.iterations == 12
+        assert calls == {"band": 12, "splu": 3}
 
 
 class TestNewtonLU:
-    """The bordered Newton matrix on SuperLU, ordered once per solve."""
+    """The bordered Newton matrix on SuperLU, ordered once per workspace."""
 
     @pytest.mark.parametrize("case", ["cusp", "simplex"])
     def test_solve_backward_error(self, case, small_mesh, simplex_mesh, p1_params,
-                                  simplex_params, rng):
-        # at the converged eigenpair, for the ordering factor and for a
-        # NATURAL one in the order it found
+                                  simplex_params, rng, monkeypatch):
+        # at the converged eigenpair, componentwise: an LU solve returns x
+        # with (M + dM) x = rhs, |dM| <= gamma(3k) |L||U| in the factored order
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        # Thm 9.4), k the longest row or column of L and U, which bounds the
+        # terms of every inner product; the residual rhs - M x is itself
+        # evaluated within gamma(r + 1) (|M||x| + |rhs|), r the longest row of
+        # M, the border row that holds every boundary node
         grid, params = {"cusp": (small_mesh, p1_params),
                         "simplex": (simplex_mesh, simplex_params)}[case]
         ws = workspace_for(grid, params)
@@ -292,14 +302,44 @@ class TestNewtonLU:
         g = ws.boundary(u, eps)[1]
         col = sp.csr_matrix(-g[:, None])
         full = sp.bmat([[a, col], [col.T, None]], format="csr")
-        lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
-        for _ in range(2):
-            rhs = rng.standard_normal(ws.num_dof + 1)
-            x = lu.solve(a.data, rhs, g)
-            scale = abs(full) @ np.abs(x) + np.abs(rhs)
-            assert np.max(np.abs(rhs - full @ x) / scale) <= 1e-14
+        factors = []
+        splu = solve.spla.splu
 
-    def test_restarts_order_once(self, small_mesh, p1_params, monkeypatch):
+        def keep(m, **kwargs):
+            factors.append(splu(m, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(solve.spla, "splu", keep)
+        newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
+        x_of = newton_lu.factor(a.data, g)
+        lu, order, n = factors[-1], newton_lu._order, ws.num_dof + 1
+        L, U = abs(lu.L), abs(lu.U)
+        pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
+        pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
+        k = max(np.bincount(m.indices).max() for m in (L, U))
+        k = max(k, *(np.diff(m.indptr).max() for m in (L, U)))
+        r = np.diff(full.indptr).max()
+
+        def gamma(j):
+            return j * 2.0 ** -53 / (1.0 - j * 2.0 ** -53)
+
+        def within_bound(rhs, x):
+            # M[order][:, order] = pr^T L U pc^T is the matrix factored
+            lu_part = pr.T @ (L @ (U @ (pc.T @ np.abs(x[order]))))
+            bound = gamma(3 * k) * lu_part \
+                + gamma(r + 1) * (abs(full) @ np.abs(x) + np.abs(rhs))[order]
+            return bool(np.all(np.abs(rhs - full @ x)[order] <= bound))
+
+        for _ in range(2):
+            rhs = rng.standard_normal(n)
+            x = x_of(rhs)
+            assert within_bound(rhs, x)
+            # a solution off by 1e-10, relative, is rejected
+            assert not within_bound(rhs, x * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], n)))
+
+    def test_restarts_order_once(self, p1_params, monkeypatch):
+        # one ordering per workspace, across the starts of a solve and across
+        # solves
         specs = []
         splu = solve.spla.splu
 
@@ -308,12 +348,73 @@ class TestNewtonLU:
             return splu(a, **kwargs)
 
         monkeypatch.setattr(solve.spla, "splu", recording_splu)
-        sol = minimize_rayleigh(small_mesh, p1_params, SolverOptions(restarts=3))
+        grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
+        sol = minimize_rayleigh(grid, p1_params, SolverOptions(restarts=3))
         assert sol.converged
         # each of the three starts takes Newton steps; only the first orders
-        assert len(specs) >= 3
-        assert specs.count(LU_OPTIONS["permc_spec"]) == 1
+        assert len(specs) >= 4
         assert specs[0] == LU_OPTIONS["permc_spec"]
+        assert specs.count(LU_OPTIONS["permc_spec"]) == 1
+        first = len(specs)
+        sol = minimize_rayleigh(grid, p1_params, SolverOptions(restarts=2))
+        assert sol.converged
+        assert len(specs) >= first + 2
+        assert specs.count(LU_OPTIONS["permc_spec"]) == 1
+
+
+class TestReuse:
+    """Values taken once per iterate, solver set-up kept once per workspace."""
+
+    def test_second_solve_is_bitwise_equal(self, p1_params):
+        # the second solve on a workspace knows the Newton order, and a mesh
+        # built apart has a workspace of its own that does not
+        grid = generate_cusp_mesh(p1_params, levels=6)
+        runs = [minimize_rayleigh(grid, p1_params) for _ in range(2)]
+        runs.append(minimize_rayleigh(generate_cusp_mesh(p1_params, levels=6), p1_params))
+        for sol in runs[1:]:
+            assert sol.lam == runs[0].lam
+            assert np.array_equal(sol.u.values, runs[0].u.values)
+
+    def test_setup_holds_index_arrays_only(self, p1_params, monkeypatch):
+        factors = []
+        splu = solve.spla.splu
+
+        def keep(a, **kwargs):
+            factors.append(splu(a, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(solve.spla, "splu", keep)
+        grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
+        minimize_rayleigh(grid, p1_params, SolverOptions(restarts=2))
+        assert factors
+        setup = solve._SETUPS[workspace_for(grid, p1_params)]
+        for part in setup:
+            for name, value in vars(part).items():
+                parts = value if isinstance(value, tuple) else (value,)
+                assert all(isinstance(v, (np.ndarray, int)) for v in parts), name
+        # no factor is held by the set-up, or by anything else, after the solve
+        gc.collect()
+        assert [r for r in gc.get_referrers(*factors) if r is not factors] == []
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_wrappers_match_the_previous_formulas(self, small_mesh, rng, p):
+        ws = workspace_for(small_mesh, _discrete(2.0, p=p, q=2.0))
+        for _ in range(2):
+            u = rng.standard_normal(ws.num_dof)
+            ref = previous_fem_formulas(ws, u, 1e-8)
+            (e, ge), (b, gb) = ws.energy(u, 1e-8), ws.boundary(u, 1e-8)
+            got = {
+                "energy": e, "energy_grad": ge, "boundary": b, "boundary_grad": gb,
+                "metric": ws.metric_matrix(u, 1e-8),
+                "hessian": ws.hessian(u, 1e-8),
+                "boundary_hessian": ws.boundary_hessian(u, 1e-8),
+            }
+            for name, value in got.items():
+                want = ref[name]
+                if sp.issparse(want):
+                    assert np.array_equal(value.indices, want.indices), name
+                    value, want = value.data, want.data
+                assert np.max(np.abs(value - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 class TestRayleigh:
@@ -445,15 +546,50 @@ class TestMinimize:
         newton = hist[np.argmax(hist <= NEWTON_SWITCH) + 1:]
         assert newton.size >= 1 and np.all(np.diff(newton) < 0)
 
-    def test_newton_converges_quadratically(self, p1_mesh, p1_params):
-        # below the switch each residual is at most C * (previous residual)^2
-        sol = minimize_rayleigh(p1_mesh, p1_params,
-                                SolverOptions(tol_rel=1e-10))
-        hist = np.asarray(sol.history)
-        start = int(np.argmax(hist <= NEWTON_SWITCH))
-        pairs = list(zip(hist[start:-1], hist[start + 1:]))
-        assert len(pairs) >= 2
-        assert all(nxt <= 1e3 * prev ** 2 for prev, nxt in pairs)
+    @staticmethod
+    def _newton_steps(mesh, params, monkeypatch):
+        """(residual before, after, merit before, after, fresh factor) of
+        every Newton step of a solve."""
+        steps = []
+        newton_step = solve._newton_step
+
+        def recording(ws, newton_lu, pt, mu, kkt, factor, why):
+            out = newton_step(ws, newton_lu, pt, mu, kkt, factor, why)
+            steps.append((pt.res, out[0].res, kkt, out[2], out[3] is not factor))
+            return out
+
+        monkeypatch.setattr(solve, "_newton_step", recording)
+        sol = minimize_rayleigh(mesh, params, SolverOptions(tol_rel=1e-10))
+        assert sol.converged
+        return steps
+
+    @staticmethod
+    def _newton_path_holds(steps):
+        # right after a fresh factorization each residual is at most
+        # C * (previous residual)^2; a chord step at least halves the merit
+        return all(nxt <= 1e3 * prev ** 2 if fresh else k_nxt <= 0.5 * k_prev
+                   for prev, nxt, k_prev, k_nxt, fresh in steps)
+
+    def test_newton_converges_quadratically(self, p1_mesh, p1_params, monkeypatch):
+        steps = self._newton_steps(p1_mesh, p1_params, monkeypatch)
+        assert sum(s[4] for s in steps) >= 1 and sum(not s[4] for s in steps) >= 2
+        assert self._newton_path_holds(steps)
+
+    def test_fresh_newton_steps_are_quadratic(self, p1_mesh, p1_params, monkeypatch):
+        # with no chord step every Newton step factors the exact Hessian
+        monkeypatch.setattr(solve, "CHORD_CONTRACTION", 0.0)
+        steps = self._newton_steps(p1_mesh, p1_params, monkeypatch)
+        assert len(steps) >= 2 and all(s[4] for s in steps)
+        assert self._newton_path_holds(steps)
+
+    def test_wrong_hessian_is_seen(self, p1_mesh, p1_params, monkeypatch):
+        # a Hessian off by 10% converges linearly, which the check rejects
+        hessian_data = fem.QuadValues.hessian_data
+        monkeypatch.setattr(fem.QuadValues, "hessian_data",
+                            lambda self: 1.1 * hessian_data(self))
+        monkeypatch.setattr(solve, "CHORD_CONTRACTION", 0.0)
+        steps = self._newton_steps(p1_mesh, p1_params, monkeypatch)
+        assert not self._newton_path_holds(steps)
 
     def test_sign_normalization(self, small_mesh):
         params = _discrete(2.0)
