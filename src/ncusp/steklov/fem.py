@@ -11,9 +11,9 @@ and the boundary functional integrates the matching regularization of
 quadrature builds the weighted boundary mass matrix, so the p = q = 2
 functionals agree with the assembled matrices to machine precision. Edges
 touching the origin use the graded interval rule so the power weight is
-integrated accurately along the two tip edges. The values of u at the
-quadrature points are taken once per u (`QuadValues`) and shared by every
-functional, gradient and matrix at it.
+integrated accurately along the two tip edges. The values of u per triangle
+and at the boundary quadrature points are taken once per u (`QuadValues`)
+and shared by every functional, gradient and matrix at it.
 """
 
 from __future__ import annotations
@@ -84,14 +84,18 @@ def _with_transpose(op: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 class FemWorkspace:
     """Precomputed P1 operators and quadrature for one (mesh, theta, p, q) setup.
 
-    Three sparse operators, each stored with its transpose, take nodal values
-    to the values every functional integrates:
+    Three sparse operators take nodal values to the values every functional
+    integrates:
 
     grad_op    (2 nt, nv)     both gradient components, x1 rows then x2 rows
     interp_op  (nt kq, nv)    values at the kq triangle quadrature points
     edge_op    (ne_q, nv)     values at the boundary quadrature points
 
     The transposes scatter pointwise derivatives back to nodal gradients.
+    Those of grad_op and edge_op are stored, which makes the product about
+    twice as fast. That of interp_op is not: it would be the largest array of
+    the workspace (1.9 MB at levels 10), and the product through
+    ``interp_op.T`` gives the same bits, 0.15 ms slower at levels 10.
     Element matrices (stiffness, mass, the metric, both Hessians) are summed
     into one fixed CSR pattern, so the matrices built from it share indices
     and indptr and can be combined through their data arrays; the boundary
@@ -148,10 +152,10 @@ class FemWorkspace:
             (np.concatenate([grads[:, :, 0], grads[:, :, 1]]).ravel(),
              (np.repeat(np.arange(2 * nt), 3), np.tile(tris, (2, 1)).ravel())),
             shape=(2 * nt, nv)))
-        self.interp_op, self._interp_op_t = _with_transpose(sp.csr_matrix(
+        self.interp_op = sp.csr_matrix(
             (np.tile(rule.barycentric.ravel(), nt),
              (np.repeat(np.arange(nt * kq), 3), np.repeat(tris, kq, axis=0).ravel())),
-            shape=(nt * kq, nv)))
+            shape=(nt * kq, nv))
         self.edge_op, self._edge_op_t = _with_transpose(sp.csr_matrix(
             (np.stack([1.0 - edge_lam, edge_lam], axis=1).ravel(),
              (np.repeat(np.arange(ne), 2), np.stack([edge_i, edge_j], axis=1).ravel())),
@@ -181,12 +185,18 @@ class FemWorkspace:
         lam_pair = np.stack([1.0 - edge_lam, edge_lam], axis=1)
         self._edge_outer = (lam_pair[:, :, None] * lam_pair[:, None, :]).reshape(ne, 4)
         self.stiffness = self._csr(self._sum(self._grad_gram))
-        self.mass = self._csr(self._sum(
-            self.areas[:, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()))
-        self.boundary_mass = (self._edge_op_t @ sp.diags(self.edge_wf)
-                              @ self.edge_op).tocsr()
 
     # -- matrices ----------------------------------------------------------
+
+    # the two mass matrices serve the p = q = 2 oracle, and are made on first use
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        return self._csr(self._sum(
+            self.areas[:, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()))
+
+    @cached_property
+    def boundary_mass(self) -> sp.csr_matrix:
+        return (self._edge_op_t @ sp.diags(self.edge_wf) @ self.edge_op).tocsr()
 
     def _sum(self, local: np.ndarray, slot: np.ndarray | None = None) -> np.ndarray:
         """Sum element matrices, (nt, 9) or with their own slot map, into the
@@ -247,38 +257,42 @@ class QuadValues:
     power per quadrature point:
 
     gu        (2, nt)     grad u per triangle, x1 row then x2 row
-    uq        (nt kq,)    u at the triangle quadrature points
     uv        (ne_q,)     u at the boundary quadrature points
-    s, m, b               |grad u|^2 + eps^2, uq^2 + eps^2 and uv^2 + eps^2
-    s_pow, m_pow, b_pow   s^(p/2-1), m^(p/2-1) and b^(q/2-1)
+    s, b                  |grad u|^2 + eps^2 and uv^2 + eps^2
+    s_pow, b_pow          s^(p/2-1) and b^(q/2-1)
+    m_pow     (nt kq,)    m^(p/2-1), m = uq^2 + eps^2 with uq the values at
+                          the triangle quadrature points
 
     and from them the energy ``E``, the boundary functional ``B``, their
     nodal gradients, the quotient ``lam`` and the weak residual ``res``.
+    uq and m themselves are not kept (`_interior`): there are kq per
+    triangle, and keeping them on the two iterates that a chord step holds
+    next to its factor raised the peak memory of a solve. The energy and its
+    gradient take them in one pass with m_pow; the Hessian takes them again.
     """
 
-    def __init__(self, ws: FemWorkspace, u: np.ndarray, reg_eps: float, **known):
+    def __init__(self, ws: FemWorkspace, u: np.ndarray, reg_eps: float):
         self.ws = ws
         self.u = u
         self.reg_eps = reg_eps
         self.eps2 = reg_eps * reg_eps
-        # operator products already known, from `scaled`
-        self.__dict__.update(known)
 
     def scaled(self, c: float) -> "QuadValues":
         """The values of u / c: u and the operator products taken so far are
         divided by c, and no operator is applied again."""
-        known = {k: self.__dict__[k] / c for k in ("gu", "uq", "uv") if k in self.__dict__}
-        return QuadValues(self.ws, self.u / c, self.reg_eps, **known)
+        out = QuadValues(self.ws, self.u / c, self.reg_eps)
+        # a cached_property keeps its value in the instance __dict__, and an
+        # attribute set there is what it returns
+        for name in ("gu", "uv"):
+            if name in self.__dict__:
+                setattr(out, name, self.__dict__[name] / c)
+        return out
 
     # -- values at the quadrature points -------------------------------------
 
     @cached_property
     def gu(self) -> np.ndarray:
         return (self.ws.grad_op @ self.u).reshape(2, -1)
-
-    @cached_property
-    def uq(self) -> np.ndarray:
-        return self.ws.interp_op @ self.u
 
     @cached_property
     def uv(self) -> np.ndarray:
@@ -290,10 +304,6 @@ class QuadValues:
         return gu[0] * gu[0] + gu[1] * gu[1] + self.eps2
 
     @cached_property
-    def m(self) -> np.ndarray:
-        return self.uq * self.uq + self.eps2
-
-    @cached_property
     def b(self) -> np.ndarray:
         return self.uv * self.uv + self.eps2
 
@@ -302,29 +312,45 @@ class QuadValues:
         return _power(self.s, 0.5 * self.ws.p - 1.0)
 
     @cached_property
-    def m_pow(self) -> np.ndarray:
-        return _power(self.m, 0.5 * self.ws.p - 1.0)
-
-    @cached_property
     def b_pow(self) -> np.ndarray:
         return _power(self.b, 0.5 * self.ws.q - 1.0)
+
+    def _interior(self) -> tuple[np.ndarray, np.ndarray]:
+        """uq and m at the triangle quadrature points, taken afresh."""
+        uq = self.ws.interp_op @ self.u
+        return uq, uq * uq + self.eps2
 
     # -- functionals and gradients -------------------------------------------
 
     @cached_property
+    def _energy(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """E, grad E and m_pow, from one pass over the triangle quadrature
+        points."""
+        ws, p = self.ws, self.ws.p
+        uq, m = self._interior()
+        m_pow = _power(m, 0.5 * p - 1.0)
+        # m is overwritten by m^(p/2) and then dropped, to hold fewer arrays
+        # of this size at once
+        m *= m_pow
+        value = float(np.dot(ws.areas, self.s * self.s_pow)) + float(np.dot(ws.interp_w, m))
+        del m
+        grad = ws._grad_op_t @ ((p * ws.areas * self.s_pow) * self.gu).ravel()
+        grad += ws.interp_op.T @ (p * ws.interp_w * m_pow * uq)
+        return value, grad, m_pow
+
+    @property
+    def m_pow(self) -> np.ndarray:
+        return self._energy[2]
+
+    @property
     def E(self) -> float:
         """Regularized energy."""
-        ws = self.ws
-        return float(np.dot(ws.areas, self.s * self.s_pow)) \
-            + float(np.dot(ws.interp_w, self.m * self.m_pow))
+        return self._energy[0]
 
-    @cached_property
+    @property
     def grad_E(self) -> np.ndarray:
         """Exact nodal gradient of the energy."""
-        ws, p = self.ws, self.ws.p
-        grad = ws._grad_op_t @ ((p * ws.areas * self.s_pow) * self.gu).ravel()
-        grad += ws._interp_op_t @ (p * ws.interp_w * self.m_pow * self.uq)
-        return grad
+        return self._energy[1]
 
     @cached_property
     def B(self) -> float:
@@ -370,8 +396,8 @@ class QuadValues:
         v = np.einsum("tid,dt->ti", ws._grads, self.gu)
         rank_one = (p * (p - 2.0) * ws.areas * _over(self.s_pow, s))[:, None] \
             * (v[:, :, None] * v[:, None, :]).reshape(s.size, 9)
-        uq2 = self.uq * self.uq
-        mw = p * _over(self.m_pow, self.m) * ((p - 1.0) * uq2 + self.eps2) * ws.interp_w
+        uq, m = self._interior()
+        mw = p * _over(self.m_pow, m) * ((p - 1.0) * (uq * uq) + self.eps2) * ws.interp_w
         return ws._sum((p * self.s_pow)[:, None] * ws._grad_gram + rank_one
                        + mw.reshape(s.size, -1) @ ws._bary_outer)
 

@@ -9,10 +9,11 @@ renormalized. Newton on the bordered system grad E = mu grad B, B = 1
 (Ruhe, SIAM J. Numer. Anal. 10, 1973) then finishes on SuperLU without
 relaxed supernodes. Each Newton step first tries the chord step, the last
 factor with the right-hand side at the current point, and keeps it if it at
-least halves the KKT merit; otherwise it factors afresh and damps the step.
-Each iterate carries its values at the quadrature points (`QuadValues`), so
-it is evaluated once. The band index and the Newton ordering are found once
-per workspace and kept with it; no factor outlives a solve.
+least halves the KKT merit; otherwise it releases that factor, factors
+afresh and damps the step. Each iterate carries its values at the quadrature
+points (`QuadValues`), so it is evaluated once. The band index, the Newton
+pattern and its ordering are found once per solve and shared by its starts;
+no factor outlives a solve.
 The first eigenfunction does not change sign, so an iterate that does, or a
 metric that is numerically not positive definite, ends the solve with an error:
 near p = 1 the discrete map can lose positivity and settle in another basin.
@@ -22,7 +23,6 @@ matrix pencil.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +160,12 @@ class _PatternLU:
     with A in the fixed nodal pattern of ``a`` and g zero off ``border``.
 
     One integer index gathers [A.data, -g[border]] into the CSC data that is
-    factored. The first matrix is factored with LU_OPTIONS only to find a
-    fill-reducing order, and the index is rebuilt once in that order. Every
-    factorization, the first one's included, is then one gather and a
-    factorization with NATURAL ordering, so its result does not depend on
-    whether the order was already known. Every one takes LU_OPTIONS' relax and
-    panel_size.
+    factored. The first matrix is factored with LU_OPTIONS, which finds a
+    fill-reducing order, and the index is rebuilt once in that order; each
+    later one, from any start of the solve that shares the instance, is one
+    gather and a factorization with NATURAL ordering. Every factorization
+    takes LU_OPTIONS' relax and panel_size. The instance holds the last
+    factor until the next one is made or it is released.
     """
 
     def __init__(self, a: sp.csr_matrix, border: np.ndarray):
@@ -177,6 +177,9 @@ class _PatternLU:
                              (border, np.zeros(k, dtype=int))), shape=(a.shape[0], 1))
         self._border = border
         self._order = None
+        self._lu = None
+        # the order of the index and of every factor after the first
+        self._lu_order = None
         self._index(sp.bmat([[ids, col], [col.T, None]]).tocsc())
 
     def _index(self, ids: sp.csc_matrix) -> None:
@@ -185,56 +188,48 @@ class _PatternLU:
         self._pattern = (ids.indices, ids.indptr)
         self._shape = ids.shape
 
-    def _gathered(self, data: np.ndarray) -> sp.csc_matrix:
-        return sp.csc_matrix((data[self._gather], *self._pattern), shape=self._shape)
-
-    def factor(self, a_data: np.ndarray, g: np.ndarray):
-        """A fresh LU factorization of the matrix M with data ``a_data`` in
-        the nodal pattern, bordered by ``g``; returns rhs -> M^{-1} rhs."""
-        data = np.concatenate([a_data, -g[self._border]])
-        if self._order is None:
-            # column j of the ordered matrix is column order[j] of M; the
-            # factor itself is dropped at once
-            order = np.argsort(spla.splu(self._gathered(data), **LU_OPTIONS).perm_c)
+    def factor(self, a_data: np.ndarray, g: np.ndarray) -> None:
+        """Factor the matrix M with data ``a_data`` in the nodal pattern,
+        bordered by ``g``, in place of the last factor."""
+        # the last factor is released before the next one is made
+        self._lu = None
+        if self._order is not None and self._lu_order is None:
+            # the index is rebuilt in the order only now, with the first factor
+            # released: building it while that factor was held raised the peak RSS
             ids = sp.csc_matrix((self._gather + 1.0, *self._pattern), shape=self._shape)
-            self._index(ids[order][:, order])
-            self._order = order
-        lu = spla.splu(self._gathered(data), **{**LU_OPTIONS, "permc_spec": "NATURAL"})
-        order = self._order
+            self._index(ids[self._order][:, self._order])
+            self._lu_order = self._order
+        data = np.concatenate([a_data, -g[self._border]])
+        m = sp.csc_matrix((data[self._gather], *self._pattern), shape=self._shape)
+        if self._order is None:
+            self._lu = spla.splu(m, **LU_OPTIONS)
+            # column j of the ordered matrix is column order[j] of M
+            self._order = np.argsort(self._lu.perm_c)
+        else:
+            self._lu = spla.splu(m, **{**LU_OPTIONS, "permc_spec": "NATURAL"})
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            x = np.empty_like(rhs)
-            x[order] = lu.solve(rhs[order])
-            return x
-        return solve
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs with the last factor."""
+        order = self._lu_order
+        if order is None:
+            return self._lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[order] = self._lu.solve(rhs[order])
+        return x
 
-
-# per workspace, the band index of the metric and the Newton pattern with its
-# order, made by the first solve and shared by every later one and every start.
-# They hold index arrays only: no factor outlives a solve (keeping the SuperLU
-# factors raised the reference's peak RSS from about 90 to 120 MB)
-_SETUPS: "weakref.WeakKeyDictionary[FemWorkspace, tuple[_BandCholesky, _PatternLU]]" \
-    = weakref.WeakKeyDictionary()
-
-
-def _solver_setup(ws: FemWorkspace, mesh: TriMesh) -> tuple[_BandCholesky, _PatternLU]:
-    setup = _SETUPS.get(ws)
-    if setup is None:
-        setup = (_BandCholesky(ws.stiffness, mesh.vertices),
-                 _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices)))
-        _SETUPS[ws] = setup
-    return setup
+    def release(self) -> None:
+        self._lu = None
 
 
 def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: float,
-                 kkt: float, factor, why: str):
+                 kkt: float, chord: bool, why: str):
     """One step on the bordered system from pt, with multiplier mu and KKT
     merit kkt.
 
-    With the last factor (a chord step) the full step is taken if it keeps
-    the sign and at least halves the merit; otherwise the matrix is factored
-    afresh at pt and the step is halved until it lowers the merit and keeps
-    the sign. Returns the new point, multiplier, merit and the factor used.
+    With ``chord``, the full step on newton_lu's last factor is taken if it
+    keeps the sign and at least halves the merit. Otherwise the matrix is
+    factored afresh at pt and the step is halved until it lowers the merit and
+    keeps the sign. Returns the new point, multiplier and merit.
     """
     rhs = np.append(mu * pt.grad_B - pt.grad_E, pt.B - 1.0)
 
@@ -243,19 +238,20 @@ def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: fl
         cand_mu = mu + t * step[-1]
         return cand, cand_mu, _kkt(cand, cand_mu)
 
-    if factor is not None:
-        cand, cand_mu, cand_kkt = trial(factor(rhs), 1.0)
+    if chord:
+        cand, cand_mu, cand_kkt = trial(newton_lu.solve(rhs), 1.0)
         if cand_kkt <= CHORD_CONTRACTION * kkt and not _changes_sign(cand.u):
-            return cand, cand_mu, cand_kkt, factor
+            return cand, cand_mu, cand_kkt
+        # the rejected candidate is dropped before the matrix is factored afresh
+        del cand
     # the Hessians and the stiffness share one fixed pattern
-    factor = newton_lu.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(),
-                              pt.grad_B)
-    step = factor(rhs)
+    newton_lu.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(), pt.grad_B)
+    step = newton_lu.solve(rhs)
     t = 1.0
     for _ in range(MAX_HALVINGS):
         cand, cand_mu, cand_kkt = trial(step, t)
         if cand_kkt < kkt and not _changes_sign(cand.u):
-            return cand, cand_mu, cand_kkt, factor
+            return cand, cand_mu, cand_kkt
         t *= 0.5
     raise IterationStall(f"Newton stalled at weak residual {pt.res:.3e} {why}")
 
@@ -290,10 +286,14 @@ def _solve_start(ws: FemWorkspace, metric: _BandCholesky, newton_lu: _PatternLU,
                 f"eigenfunction {why}")
     mu = pt.lam * p / q
     kkt = _kkt(pt, mu)
-    factor = None
-    while pt.res >= 10.0 * opts.tol_rel and len(history) < opts.max_iter:
-        pt, mu, kkt, factor = _newton_step(ws, newton_lu, pt, mu, kkt, factor, why)
-        history.append(pt.res)
+    chord = False
+    try:
+        while pt.res >= 10.0 * opts.tol_rel and len(history) < opts.max_iter:
+            pt, mu, kkt = _newton_step(ws, newton_lu, pt, mu, kkt, chord, why)
+            chord = True
+            history.append(pt.res)
+    finally:
+        newton_lu.release()
     return pt, history
 
 
@@ -314,7 +314,9 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     if opts.initial is not None and len(opts.initial) != ws.num_dof:
         raise RangeViolation("initial", f"one value per mesh vertex ({ws.num_dof})")
 
-    metric, newton_lu = _solver_setup(ws, mesh)
+    # every start shares the band index and the Newton pattern's ordering
+    metric = _BandCholesky(ws.stiffness, mesh.vertices)
+    newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
     results, failures = [], []
     total_iters = 0
     for restart in range(opts.restarts):

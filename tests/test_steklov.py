@@ -180,10 +180,9 @@ class TestOperators:
             assert np.max(np.abs(mu - ge)) <= 1e-12 * np.max(np.abs(ge))
 
     def test_pattern_lu_orders_once(self, small_mesh, rng, monkeypatch):
-        # the first matrix is factored once for its order only, and every
-        # matrix, the first included, is factored in that order; the matrix is
-        # [[A, -g], [-g^T, 0]], and every factor runs without relaxed
-        # supernodes or panels
+        # the first matrix is factored with the order it finds, and every later
+        # one in that order; the matrix is [[A, -g], [-g^T, 0]], and every
+        # factor runs without relaxed supernodes or panels
         specs = []
         splu = solve.spla.splu
 
@@ -202,10 +201,11 @@ class TestOperators:
             col = sp.csr_matrix(-g[:, None])
             full = sp.bmat([[a, col], [col.T, None]], format="csc")
             b = rng.standard_normal(ws.num_dof + 1)
-            x = lu.factor(a.data, g)(b)
+            lu.factor(a.data, g)
+            x = lu.solve(b)
             ref = splu(full, **LU_OPTIONS).solve(b)
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert specs == [(LU_OPTIONS["permc_spec"], 1, 1)] + [("NATURAL", 1, 1)] * 3
+        assert specs == [(LU_OPTIONS["permc_spec"], 1, 1)] + [("NATURAL", 1, 1)] * 2
 
     def test_workspace_cache_releases_dropped_meshes(self, p1_params):
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
@@ -257,8 +257,8 @@ class TestBandCholesky:
 
     def test_reference_solve_factorization_counts(self, p1_params, monkeypatch):
         # 6 inverse-iteration steps on the band and 6 Newton steps on one
-        # SuperLU factor (5 of them chord steps); a fresh workspace first
-        # factors once for the order, a second solve knows it
+        # SuperLU factor, the one that finds the order (5 of them chord
+        # steps); a second solve on the mesh does the same
         calls = {"band": 0, "splu": 0}
 
         def counted(key, fn):
@@ -273,14 +273,14 @@ class TestBandCholesky:
         grid = generate_cusp_mesh(p1_params, levels=10)
         sol = minimize_rayleigh(grid, p1_params)
         assert sol.converged and sol.iterations == 12
-        assert calls == {"band": 6, "splu": 2}
+        assert calls == {"band": 6, "splu": 1}
         sol = minimize_rayleigh(grid, p1_params)
         assert sol.converged and sol.iterations == 12
-        assert calls == {"band": 12, "splu": 3}
+        assert calls == {"band": 12, "splu": 2}
 
 
 class TestNewtonLU:
-    """The bordered Newton matrix on SuperLU, ordered once per workspace."""
+    """The bordered Newton matrix on SuperLU, ordered once per solve."""
 
     @pytest.mark.parametrize("case", ["cusp", "simplex"])
     def test_solve_backward_error(self, case, small_mesh, simplex_mesh, p1_params,
@@ -311,35 +311,40 @@ class TestNewtonLU:
 
         monkeypatch.setattr(solve.spla, "splu", keep)
         newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
-        x_of = newton_lu.factor(a.data, g)
-        lu, order, n = factors[-1], newton_lu._order, ws.num_dof + 1
-        L, U = abs(lu.L), abs(lu.U)
-        pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
-        pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
-        k = max(np.bincount(m.indices).max() for m in (L, U))
-        k = max(k, *(np.diff(m.indptr).max() for m in (L, U)))
+        n = ws.num_dof + 1
         r = np.diff(full.indptr).max()
 
         def gamma(j):
             return j * 2.0 ** -53 / (1.0 - j * 2.0 ** -53)
 
-        def within_bound(rhs, x):
-            # M[order][:, order] = pr^T L U pc^T is the matrix factored
-            lu_part = pr.T @ (L @ (U @ (pc.T @ np.abs(x[order]))))
-            bound = gamma(3 * k) * lu_part \
-                + gamma(r + 1) * (abs(full) @ np.abs(x) + np.abs(rhs))[order]
-            return bool(np.all(np.abs(rhs - full @ x)[order] <= bound))
+        # the first factor is of M in the order SuperLU finds, a later one of
+        # M[order][:, order] in NATURAL order
+        for first in (True, False):
+            newton_lu.factor(a.data, g)
+            lu = factors[-1]
+            order = np.arange(n) if first else newton_lu._order
+            L, U = abs(lu.L), abs(lu.U)
+            pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
+            pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
+            k = max(np.bincount(m.indices).max() for m in (L, U))
+            k = max(k, *(np.diff(m.indptr).max() for m in (L, U)))
 
-        for _ in range(2):
-            rhs = rng.standard_normal(n)
-            x = x_of(rhs)
-            assert within_bound(rhs, x)
-            # a solution off by 1e-10, relative, is rejected
-            assert not within_bound(rhs, x * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], n)))
+            def within_bound(rhs, x):
+                # the matrix factored is pr^T L U pc^T
+                lu_part = pr.T @ (L @ (U @ (pc.T @ np.abs(x[order]))))
+                bound = gamma(3 * k) * lu_part \
+                    + gamma(r + 1) * (abs(full) @ np.abs(x) + np.abs(rhs))[order]
+                return bool(np.all(np.abs(rhs - full @ x)[order] <= bound))
 
-    def test_restarts_order_once(self, p1_params, monkeypatch):
-        # one ordering per workspace, across the starts of a solve and across
-        # solves
+            for _ in range(2):
+                rhs = rng.standard_normal(n)
+                x = newton_lu.solve(rhs)
+                assert within_bound(rhs, x)
+                # a solution off by 1e-10, relative, is rejected
+                assert not within_bound(rhs, x * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], n)))
+        assert len(factors) == 2
+
+    def test_restarts_order_once(self, small_mesh, p1_params, monkeypatch):
         specs = []
         splu = solve.spla.splu
 
@@ -348,26 +353,20 @@ class TestNewtonLU:
             return splu(a, **kwargs)
 
         monkeypatch.setattr(solve.spla, "splu", recording_splu)
-        grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
-        sol = minimize_rayleigh(grid, p1_params, SolverOptions(restarts=3))
+        sol = minimize_rayleigh(small_mesh, p1_params, SolverOptions(restarts=3))
         assert sol.converged
         # each of the three starts takes Newton steps; only the first orders
-        assert len(specs) >= 4
+        assert len(specs) >= 3
+        assert specs.count(LU_OPTIONS["permc_spec"]) == 1
         assert specs[0] == LU_OPTIONS["permc_spec"]
-        assert specs.count(LU_OPTIONS["permc_spec"]) == 1
-        first = len(specs)
-        sol = minimize_rayleigh(grid, p1_params, SolverOptions(restarts=2))
-        assert sol.converged
-        assert len(specs) >= first + 2
-        assert specs.count(LU_OPTIONS["permc_spec"]) == 1
 
 
 class TestReuse:
-    """Values taken once per iterate, solver set-up kept once per workspace."""
+    """Values taken once per iterate; no factor outlives a solve."""
 
     def test_second_solve_is_bitwise_equal(self, p1_params):
-        # the second solve on a workspace knows the Newton order, and a mesh
-        # built apart has a workspace of its own that does not
+        # a second solve on the workspace, and a solve on an equal mesh built
+        # apart, repeat the first one
         grid = generate_cusp_mesh(p1_params, levels=6)
         runs = [minimize_rayleigh(grid, p1_params) for _ in range(2)]
         runs.append(minimize_rayleigh(generate_cusp_mesh(p1_params, levels=6), p1_params))
@@ -375,7 +374,7 @@ class TestReuse:
             assert sol.lam == runs[0].lam
             assert np.array_equal(sol.u.values, runs[0].u.values)
 
-    def test_setup_holds_index_arrays_only(self, p1_params, monkeypatch):
+    def test_no_factor_outlives_a_solve(self, p1_params, monkeypatch):
         factors = []
         splu = solve.spla.splu
 
@@ -386,13 +385,9 @@ class TestReuse:
         monkeypatch.setattr(solve.spla, "splu", keep)
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
         minimize_rayleigh(grid, p1_params, SolverOptions(restarts=2))
-        assert factors
-        setup = solve._SETUPS[workspace_for(grid, p1_params)]
-        for part in setup:
-            for name, value in vars(part).items():
-                parts = value if isinstance(value, tuple) else (value,)
-                assert all(isinstance(v, (np.ndarray, int)) for v in parts), name
-        # no factor is held by the set-up, or by anything else, after the solve
+        assert len(factors) >= 2
+        # SuperLU objects take no weakref: nothing but the list above refers
+        # to a factor after the solve
         gc.collect()
         assert [r for r in gc.get_referrers(*factors) if r is not factors] == []
 
@@ -550,14 +545,20 @@ class TestMinimize:
     def _newton_steps(mesh, params, monkeypatch):
         """(residual before, after, merit before, after, fresh factor) of
         every Newton step of a solve."""
-        steps = []
-        newton_step = solve._newton_step
+        steps, factored = [], [0]
+        newton_step, factor = solve._newton_step, solve._PatternLU.factor
 
-        def recording(ws, newton_lu, pt, mu, kkt, factor, why):
-            out = newton_step(ws, newton_lu, pt, mu, kkt, factor, why)
-            steps.append((pt.res, out[0].res, kkt, out[2], out[3] is not factor))
+        def counted(self, *args):
+            factored[0] += 1
+            return factor(self, *args)
+
+        def recording(ws, newton_lu, pt, mu, kkt, chord, why):
+            before = factored[0]
+            out = newton_step(ws, newton_lu, pt, mu, kkt, chord, why)
+            steps.append((pt.res, out[0].res, kkt, out[2], factored[0] > before))
             return out
 
+        monkeypatch.setattr(solve._PatternLU, "factor", counted)
         monkeypatch.setattr(solve, "_newton_step", recording)
         sol = minimize_rayleigh(mesh, params, SolverOptions(tol_rel=1e-10))
         assert sol.converged
