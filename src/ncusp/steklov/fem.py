@@ -394,12 +394,14 @@ class QuadValues:
         ws, p = self.ws, self.ws.p
         s = self.s
         v = np.einsum("tid,dt->ti", ws._grads, self.gu)
-        rank_one = (p * (p - 2.0) * ws.areas * _over(self.s_pow, s))[:, None] \
-            * (v[:, :, None] * v[:, None, :]).reshape(s.size, 9)
+        # summed in place: fewer arrays of this size at once lower a solve's peak memory
+        local = (v[:, :, None] * v[:, None, :]).reshape(s.size, 9)
+        local *= (p * (p - 2.0) * ws.areas * _over(self.s_pow, s))[:, None]
+        local += (p * self.s_pow)[:, None] * ws._grad_gram
         uq, m = self._interior()
-        mw = p * _over(self.m_pow, m) * ((p - 1.0) * (uq * uq) + self.eps2) * ws.interp_w
-        return ws._sum((p * self.s_pow)[:, None] * ws._grad_gram + rank_one
-                       + mw.reshape(s.size, -1) @ ws._bary_outer)
+        local += (p * _over(self.m_pow, m) * ((p - 1.0) * (uq * uq) + self.eps2)
+                  * ws.interp_w).reshape(s.size, -1) @ ws._bary_outer
+        return ws._sum(local)
 
     def boundary_hessian_data(self) -> np.ndarray:
         """Exact Hessian of the boundary functional:

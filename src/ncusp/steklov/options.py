@@ -19,7 +19,7 @@ def _changes_sign(u: np.ndarray) -> bool:
 class SolverOptions:
     """Settings of `minimize_rayleigh`.
 
-    ``max_iter`` caps the inverse-iteration plus Newton steps of one start,
+    ``max_iter`` caps the steps, Newton or inverse iteration, of one start,
     which has converged once the weak residual is below ``10 * tol_rel``.
     ``restarts > 1`` adds random starts, uniform on [0, 1) and drawn from
     ``seed``, after u = 1 (or ``initial``: finite reals, one per mesh vertex,

@@ -1,19 +1,19 @@
-"""First-eigenvalue solvers: inverse iteration with a Newton finish, and the linear oracle.
+"""First-eigenvalue solvers: Newton with an inverse-iteration fallback, and the linear oracle.
 
 The eigenvalue is the minimum of E(u) / B(u)^(p/q). `minimize_rayleigh` runs
-nonlinear inverse iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 257,
-2009) from a one-signed start until the weak residual is at most 1e-3: as
-grad E(u) = metric(u) @ u, each step factors the lagged-diffusivity metric
-once, a banded Cholesky in height order, and maps u to metric(u)^{-1} grad B(u),
-renormalized. Newton on the bordered system grad E = mu grad B, B = 1
-(Ruhe, SIAM J. Numer. Anal. 10, 1973) then finishes on SuperLU without
-relaxed supernodes. Each Newton step first tries the chord step, the last
-factor with the right-hand side at the current point, and keeps it if it at
-least halves the KKT merit; otherwise it releases that factor, factors
-afresh and damps the step. Each iterate carries its values at the quadrature
-points (`QuadValues`), so it is evaluated once. The band index, the Newton
-pattern and its ordering are found once per solve and shared by its starts;
-no factor outlives a solve.
+Newton on the bordered system grad E = mu grad B, B = 1 (Ruhe, SIAM J. Numer.
+Anal. 10, 1973) from a one-signed start, on SuperLU without relaxed
+supernodes. Each step first tries the chord step (the last factor, the
+right-hand side at the current point), else a fresh factor with a damped
+step; where Newton finds no descent, the step is one of nonlinear inverse
+iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009): as
+grad E(u) = metric(u) @ u, it factors the lagged-diffusivity metric, a banded
+Cholesky in height order, and maps u to metric(u)^{-1} grad B(u),
+renormalized (globalization as in Deuflhard, Newton Methods for Nonlinear
+Problems, 2004). A Newton step must not raise the quotient, or Newton can
+climb towards a higher critical point while inverse iteration goes back down.
+Each iterate carries its values at the quadrature points (`QuadValues`), so it
+is evaluated once; no factor outlives a solve.
 The first eigenfunction does not change sign, so an iterate that does, or a
 metric that is numerically not positive definite, ends the solve with an error:
 near p = 1 the discrete map can lose positivity and settle in another basin.
@@ -45,10 +45,8 @@ __all__ = [
     "trace_constant",
 ]
 
-# weak residual at which inverse iteration hands over to Newton
-NEWTON_SWITCH = 1e-3
-# step halvings a damped Newton step may take before the solve stalls
-MAX_HALVINGS = 30
+# step halvings a fresh Newton step may take before inverse iteration steps in
+MAX_HALVINGS = 4
 # a chord step (the last Newton factor, the right-hand side at the current
 # point) is kept while it at least halves the KKT merit: the contraction bound
 # Theta <= 1/2 of the simplified Newton method (Deuflhard, Newton Methods for
@@ -75,8 +73,8 @@ class SteklovSolution:
 
     ``lam`` is the eigenvalue estimate (equal to the energy at the unit
     boundary norm), ``mu`` the Lagrange multiplier lam * p / q.
-    ``iterations`` counts inverse-iteration plus Newton steps over the starts
-    that returned, and ``history`` the weak residual after each step of the
+    ``iterations`` counts the steps, Newton or inverse iteration, over the
+    starts that returned, and ``history`` the weak residual after each step of the
     returned start.
     ``start_spread`` is (max - min) / min of the eigenvalues reached by the
     converged starts of a multi-start solve, and None for a single start.
@@ -190,9 +188,7 @@ class _PatternLU:
 
     def factor(self, a_data: np.ndarray, g: np.ndarray) -> None:
         """Factor the matrix M with data ``a_data`` in the nodal pattern,
-        bordered by ``g``, in place of the last factor."""
-        # the last factor is released before the next one is made
-        self._lu = None
+        bordered by ``g``; release the last factor first to keep memory low."""
         if self._order is not None and self._lu_order is None:
             # the index is rebuilt in the order only now, with the first factor
             # released: building it while that factor was held raised the peak RSS
@@ -217,48 +213,52 @@ class _PatternLU:
         x[order] = self._lu.solve(rhs[order])
         return x
 
+    @property
+    def held(self) -> bool:
+        return self._lu is not None
+
     def release(self) -> None:
         self._lu = None
 
 
-def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: float,
-                 kkt: float, chord: bool, why: str):
-    """One step on the bordered system from pt, with multiplier mu and KKT
-    merit kkt.
-
-    With ``chord``, the full step on newton_lu's last factor is taken if it
-    keeps the sign and at least halves the merit. Otherwise the matrix is
-    factored afresh at pt and the step is halved until it lowers the merit and
-    keeps the sign. Returns the new point, multiplier and merit.
+def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: float):
+    """One step on the bordered system from pt with multiplier mu: the new
+    point and multiplier, or None where Newton finds no descent. A candidate
+    must lower the KKT merit (the chord step: at least halve it), not raise
+    the quotient and keep the sign.
     """
     rhs = np.append(mu * pt.grad_B - pt.grad_E, pt.B - 1.0)
+    kkt = _kkt(pt, mu)
 
-    def trial(step, t):
+    def trial(step, t, bound):
         cand = _normalize(ws, ws.at(pt.u + t * step[:-1], pt.reg_eps))
         cand_mu = mu + t * step[-1]
-        return cand, cand_mu, _kkt(cand, cand_mu)
+        ok = _kkt(cand, cand_mu) < bound and cand.lam <= pt.lam and not _changes_sign(cand.u)
+        return (cand, cand_mu) if ok else None
 
-    if chord:
-        cand, cand_mu, cand_kkt = trial(newton_lu.solve(rhs), 1.0)
-        if cand_kkt <= CHORD_CONTRACTION * kkt and not _changes_sign(cand.u):
-            return cand, cand_mu, cand_kkt
-        # the rejected candidate is dropped before the matrix is factored afresh
-        del cand
+    if newton_lu.held:
+        taken = trial(newton_lu.solve(rhs), 1.0, CHORD_CONTRACTION * kkt)
+        if taken:
+            return taken
+        # the held factor is released before the Hessian is assembled
+        newton_lu.release()
     # the Hessians and the stiffness share one fixed pattern
     newton_lu.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(), pt.grad_B)
     step = newton_lu.solve(rhs)
-    t = 1.0
-    for _ in range(MAX_HALVINGS):
-        cand, cand_mu, cand_kkt = trial(step, t)
-        if cand_kkt < kkt and not _changes_sign(cand.u):
-            return cand, cand_mu, cand_kkt
-        t *= 0.5
-    raise IterationStall(f"Newton stalled at weak residual {pt.res:.3e} {why}")
+    for k in range(MAX_HALVINGS + 1):
+        taken = trial(step, 0.5 ** k, kkt)
+        if taken:
+            break
+    # held for chord steps only if its own step halved the merit: after a
+    # weaker step the chord step was rejected every time on the reference
+    if taken is None or _kkt(*taken) > CHORD_CONTRACTION * kkt:
+        newton_lu.release()
+    return taken
 
 
 def _solve_start(ws: FemWorkspace, metric: _BandCholesky, newton_lu: _PatternLU,
                  u: np.ndarray, opts: SolverOptions):
-    """Inverse iteration, then Newton, from one start.
+    """Newton from one start, with an inverse-iteration step where it finds no descent.
 
     Every iterate is renormalized to B(u) = 1 before its weak residual is
     taken, so the last point returned is the one the stop test judged. Returns
@@ -268,29 +268,26 @@ def _solve_start(ws: FemWorkspace, metric: _BandCholesky, newton_lu: _PatternLU,
     eps, p, q = opts.reg_eps, ws.p, ws.q
     why = f"(p = {p:g}, q = {q:g}, reg_eps = {eps:g})"
     pt = _normalize(ws, ws.at(u, eps))
-    history = []
-    while pt.res > NEWTON_SWITCH and len(history) < opts.max_iter:
-        # each factor is used once and released before the next is made
-        try:
-            z = metric.solve(pt.metric_data(), pt.grad_B)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                f"inverse-iteration step {len(history) + 1}: the metric is not "
-                f"numerically positive definite {why}") from None
-        pt = _normalize(ws, ws.at(z, eps))
-        history.append(pt.res)
-        if _changes_sign(pt.u):
-            raise NumericalError(
-                f"inverse-iteration step {len(history)} changed sign (min u / max u "
-                f"= {pt.u.min() / pt.u.max():.3g}) and no longer tracks the first "
-                f"eigenfunction {why}")
     mu = pt.lam * p / q
-    kkt = _kkt(pt, mu)
-    chord = False
+    history = []
     try:
         while pt.res >= 10.0 * opts.tol_rel and len(history) < opts.max_iter:
-            pt, mu, kkt = _newton_step(ws, newton_lu, pt, mu, kkt, chord, why)
-            chord = True
+            step = _newton_step(ws, newton_lu, pt, mu)
+            if step is None:
+                try:
+                    z = metric.solve(pt.metric_data(), pt.grad_B)
+                except np.linalg.LinAlgError:
+                    raise NumericalError(
+                        f"inverse-iteration step {len(history) + 1}: the metric is not "
+                        f"numerically positive definite {why}") from None
+                pt = _normalize(ws, ws.at(z, eps))
+                if _changes_sign(pt.u):
+                    raise NumericalError(
+                        f"inverse-iteration step {len(history) + 1} changed sign (min u "
+                        f"/ max u = {pt.u.min() / pt.u.max():.3g}) and no longer "
+                        f"tracks the first eigenfunction {why}")
+                step = pt, pt.lam * p / q
+            pt, mu = step
             history.append(pt.res)
     finally:
         newton_lu.release()
@@ -305,8 +302,9 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     a RangeViolation naming ``initial``) and, with ``restarts > 1``,
     keeps the smallest eigenvalue over the starts that returned; u is signed
     so its weighted trace integral is >= 0. A start that used up max_iter
-    steps returns with converged=False. An iterate that changes sign, or a
-    Newton stall, raises a NumericalError naming p unless another start returned.
+    steps returns with converged=False. An inverse-iteration step that changes
+    sign or meets a metric that is not positive definite raises a
+    NumericalError naming p unless another start returned.
     """
     opts = options or SolverOptions()
     ws = workspace_for(mesh, params)

@@ -351,13 +351,15 @@ class TestValidation:
         assert not (tmp_path / "run").exists()
 
     def test_hard_input_exits_3_naming_p(self, tmp_path, capsys):
-        # gamma 5, p 1.1: inverse iteration leaves the one-signed cone
+        # gamma 5, p 1.05: at the needle tip the metric of the inverse
+        # iteration is not numerically positive definite
         cfg = _write_config(tmp_path, "hard.json", {
-            "params": {"n": 2, "p": 1.1, "gamma": 5.0, "q": 1.16111},
+            "params": {"n": 2, "p": 1.05, "gamma": 5.0, "q": 1.07763},
             "mesh": {"levels": 6},
         })
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
-        assert "p = 1.1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "p = 1.05" in err and "positive definite" in err
 
     def test_unconverged_solve_exits_3_with_artifacts(self, tmp_path, capsys):
         # an unreachable tolerance flags the run but still writes everything

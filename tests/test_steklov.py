@@ -24,7 +24,6 @@ from ncusp.steklov.mesh import TriMesh, generate_cusp_mesh, mesh_area
 from ncusp.steklov import fem, solve
 from ncusp.steklov.solve import (
     LU_OPTIONS,
-    NEWTON_SWITCH,
     SolverOptions,
     _BandCholesky,
     _PatternLU,
@@ -255,29 +254,6 @@ class TestBandCholesky:
         lam = [minimize_rayleigh(m, p1_params).lam for m in (grid, shuffled)]
         assert abs(lam[1] - lam[0]) <= 1e-12 * lam[0]
 
-    def test_reference_solve_factorization_counts(self, p1_params, monkeypatch):
-        # 6 inverse-iteration steps on the band and 6 Newton steps on one
-        # SuperLU factor, the one that finds the order (5 of them chord
-        # steps); a second solve on the mesh does the same
-        calls = {"band": 0, "splu": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(solve.sla, "cholesky_banded",
-                            counted("band", solve.sla.cholesky_banded))
-        monkeypatch.setattr(solve.spla, "splu", counted("splu", solve.spla.splu))
-        grid = generate_cusp_mesh(p1_params, levels=10)
-        sol = minimize_rayleigh(grid, p1_params)
-        assert sol.converged and sol.iterations == 12
-        assert calls == {"band": 6, "splu": 1}
-        sol = minimize_rayleigh(grid, p1_params)
-        assert sol.converged and sol.iterations == 12
-        assert calls == {"band": 12, "splu": 2}
-
 
 class TestNewtonLU:
     """The bordered Newton matrix on SuperLU, ordered once per solve."""
@@ -344,6 +320,29 @@ class TestNewtonLU:
                 assert not within_bound(rhs, x * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], n)))
         assert len(factors) == 2
 
+    def test_reference_solve_factorization_counts(self, p1_params, monkeypatch):
+        # 8 Newton steps on 5 SuperLU factors, the first of which finds the
+        # order, 3 of them chord steps, and no inverse-iteration step on the
+        # band; a second solve on the mesh does the same
+        calls = {"band": 0, "splu": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solve.sla, "cholesky_banded",
+                            counted("band", solve.sla.cholesky_banded))
+        monkeypatch.setattr(solve.spla, "splu", counted("splu", solve.spla.splu))
+        grid = generate_cusp_mesh(p1_params, levels=10)
+        sol = minimize_rayleigh(grid, p1_params)
+        assert sol.converged and sol.iterations == 8
+        assert calls == {"band": 0, "splu": 5}
+        sol = minimize_rayleigh(grid, p1_params)
+        assert sol.converged and sol.iterations == 8
+        assert calls == {"band": 0, "splu": 10}
+
     def test_restarts_order_once(self, small_mesh, p1_params, monkeypatch):
         specs = []
         splu = solve.spla.splu
@@ -390,6 +389,26 @@ class TestReuse:
         # to a factor after the solve
         gc.collect()
         assert [r for r in gc.get_referrers(*factors) if r is not factors] == []
+
+    def test_factor_released_before_the_hessian(self, p1_params, monkeypatch):
+        # a rejected chord step gives up its factor before the next Hessian
+        # is assembled, so the two never take memory at once
+        factors, held = [], []
+        splu, hessian_data = solve.spla.splu, fem.QuadValues.hessian_data
+
+        def keep(a, **kwargs):
+            factors.append(splu(a, **kwargs))
+            return factors[-1]
+
+        def checked(self):
+            gc.collect()
+            held.append([r for r in gc.get_referrers(*factors) if r is not factors])
+            return hessian_data(self)
+
+        monkeypatch.setattr(solve.spla, "splu", keep)
+        monkeypatch.setattr(fem.QuadValues, "hessian_data", checked)
+        minimize_rayleigh(generate_cusp_mesh(p1_params, levels=6), p1_params)
+        assert len(held) >= 3 and not any(held)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_wrappers_match_the_previous_formulas(self, small_mesh, rng, p):
@@ -530,21 +549,22 @@ class TestMinimize:
         assert sol.lam > 0
 
     def test_residual_history(self, small_mesh):
-        # one residual per step; inverse iteration hands over at 1e-3 and
-        # Newton stops at the first residual below 10 tol_rel
+        # one residual per step, and the solve stops at the first residual
+        # below 10 tol_rel; every step here is a Newton step, and the
+        # residual falls at each
         params = validate_params(2, 3.0, 1.5, 2.0, usage="steklov")
         sol = minimize_rayleigh(small_mesh, params,
                                 SolverOptions(restarts=1))
         hist = np.asarray(sol.history)
         assert hist.size == sol.iterations > 1
         assert hist[-1] < 1e-7 <= hist[-2] and sol.residual < 1e-7
-        newton = hist[np.argmax(hist <= NEWTON_SWITCH) + 1:]
-        assert newton.size >= 1 and np.all(np.diff(newton) < 0)
+        assert np.all(np.diff(hist) < 0)
 
     @staticmethod
     def _newton_steps(mesh, params, monkeypatch):
-        """(residual before, after, merit before, after, fresh factor) of
-        every Newton step of a solve."""
+        """(residual before, after, merit before, after, fresh factor, factor
+        held after) of every Newton step of a solve; none may fall back to
+        inverse iteration."""
         steps, factored = [], [0]
         newton_step, factor = solve._newton_step, solve._PatternLU.factor
 
@@ -552,10 +572,12 @@ class TestMinimize:
             factored[0] += 1
             return factor(self, *args)
 
-        def recording(ws, newton_lu, pt, mu, kkt, chord, why):
+        def recording(ws, newton_lu, pt, mu):
             before = factored[0]
-            out = newton_step(ws, newton_lu, pt, mu, kkt, chord, why)
-            steps.append((pt.res, out[0].res, kkt, out[2], factored[0] > before))
+            out = newton_step(ws, newton_lu, pt, mu)
+            assert out is not None
+            steps.append((pt.res, out[0].res, solve._kkt(pt, mu), solve._kkt(*out),
+                          factored[0] > before, newton_lu.held))
             return out
 
         monkeypatch.setattr(solve._PatternLU, "factor", counted)
@@ -569,12 +591,16 @@ class TestMinimize:
         # right after a fresh factorization each residual is at most
         # C * (previous residual)^2; a chord step at least halves the merit
         return all(nxt <= 1e3 * prev ** 2 if fresh else k_nxt <= 0.5 * k_prev
-                   for prev, nxt, k_prev, k_nxt, fresh in steps)
+                   for prev, nxt, k_prev, k_nxt, fresh, _ in steps)
 
     def test_newton_converges_quadratically(self, p1_mesh, p1_params, monkeypatch):
         steps = self._newton_steps(p1_mesh, p1_params, monkeypatch)
         assert sum(s[4] for s in steps) >= 1 and sum(not s[4] for s in steps) >= 2
         assert self._newton_path_holds(steps)
+        # a factor is held for chord steps only while its last step halved
+        # the merit; the early fresh steps here do not
+        assert all(held == (k_nxt <= 0.5 * k_prev) for _, _, k_prev, k_nxt, _, held in steps)
+        assert not all(s[5] for s in steps)
 
     def test_fresh_newton_steps_are_quadratic(self, p1_mesh, p1_params, monkeypatch):
         # with no chord step every Newton step factors the exact Hessian
@@ -591,6 +617,29 @@ class TestMinimize:
         monkeypatch.setattr(solve, "CHORD_CONTRACTION", 0.0)
         steps = self._newton_steps(p1_mesh, p1_params, monkeypatch)
         assert not self._newton_path_holds(steps)
+
+    def test_linear_case_at_gamma_4_matches_the_oracle(self):
+        # gamma 4, theta 0, p = q = 2 at levels 7: twice Newton finds no
+        # descent and the step is one of inverse iteration; the tolerance is
+        # the default oracle.rtol of oracle-check
+        params = validate_params(2, 4.0, 2.0, 2.0, theta=0.0, usage="discrete")
+        grid = generate_cusp_mesh(params, levels=7)
+        sol = minimize_rayleigh(grid, params)
+        lam_o, _ = linear_oracle(grid, theta=0.0)
+        assert sol.converged
+        assert abs(sol.lam - lam_o) <= 1e-6 * lam_o
+
+    def test_random_start_does_not_climb(self):
+        # a random start on the criterion-7 cusp mesh: a Newton step that
+        # raised the quotient would climb towards a critical point near
+        # lambda 0.37 while inverse-iteration steps go back down, and the
+        # start would end at max_iter
+        params = validate_params(2, 2.5, 1.25, 1.6, usage="steklov")
+        grid = generate_cusp_mesh(params, levels=7, rows_per_strip=20)
+        start = np.random.default_rng(2).random(grid.num_vertices)
+        sol = minimize_rayleigh(grid, params, SolverOptions(initial=start))
+        assert sol.converged and sol.iterations < 100
+        assert sol.lam < 0.2
 
     def test_sign_normalization(self, small_mesh):
         params = _discrete(2.0)
@@ -676,14 +725,7 @@ class TestExponentSweep:
     def test_converges_or_fails_naming_p(self, gamma, p, frac):
         q = p + frac * (p / (2.0 - p) - p)
         params = validate_params(2, gamma, p, q, usage="steklov")
-        grid = generate_cusp_mesh(params, levels=6)
-        if (gamma, p) == (5.0, 1.1):
-            # at the needle tip the nodal basis loses the positive definite
-            # metric or the one-signed iterate
-            with pytest.raises(NumericalError, match="p = 1.1"):
-                minimize_rayleigh(grid, params)
-            return
-        sol = minimize_rayleigh(grid, params)
+        sol = minimize_rayleigh(generate_cusp_mesh(params, levels=6), params)
         assert sol.converged and sol.residual < 1e-7
         assert sol.u.values.min() > 0.0
 
