@@ -1,9 +1,9 @@
 """Sharpness analysis for power-weight trace embeddings.
 
-Builds the height-only test family u(x) = eta(x_n / eps) from a compactly
-supported cutoff, reduces both sides of the trace inequality exactly to
-one-dimensional integrals, and fits log-log slopes against the predicted
-exponents
+Builds the height-only test family u(x) = eta(x_n / eps) from one compactly
+supported cubic cutoff eta, reduces both sides of the trace inequality
+exactly to one-dimensional integrals, and fits log-log slopes on a fixed
+dyadic eps grid against the predicted exponents
 
     boundary side:  (theta + alpha*(n-2) + 1) / q
     Sobolev side:   (alpha*(n-1) + 1 - p) / p.
@@ -17,7 +17,6 @@ transition band (eps, 2*eps) uses panel Gauss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from .geometry import (
 from .quadrature import gauss_nodes_01, graded_interval_rule, side_exponent
 
 __all__ = [
-    "Cutoff",
-    "CUBIC_CUTOFF",
-    "QUINTIC_CUTOFF",
     "ScalingResult",
     "SharpnessScan",
     "test_function_norms",
@@ -43,16 +39,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """C^1 profile equal to 1 on [0, 1], 0 on [2, inf), monotone between."""
-
-    value: Callable
-    derivative: Callable
-    derivative_bound: float
-
-
 def _cubic_value(s):
+    """The cutoff eta: C^1, 1 on [0, 1], 0 on [2, inf), cubic and monotone
+    between, with |eta'| <= 3/2."""
     s = np.asarray(s, dtype=float)
     u = np.clip(s - 1.0, 0.0, 1.0)
     return 1.0 - u * u * (3.0 - 2.0 * u)
@@ -62,25 +51,7 @@ def _cubic_derivative(s):
     s = np.asarray(s, dtype=float)
     u = s - 1.0
     inside = (u > 0.0) & (u < 1.0)
-    du = np.where(inside, -6.0 * u * (1.0 - u), 0.0)
-    return du
-
-
-def _quintic_value(s):
-    s = np.asarray(s, dtype=float)
-    u = np.clip(s - 1.0, 0.0, 1.0)
-    return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
-
-
-def _quintic_derivative(s):
-    s = np.asarray(s, dtype=float)
-    u = s - 1.0
-    inside = (u > 0.0) & (u < 1.0)
-    return np.where(inside, -30.0 * u**2 * (1.0 - u) ** 2, 0.0)
-
-
-CUBIC_CUTOFF = Cutoff(_cubic_value, _cubic_derivative, 1.5)
-QUINTIC_CUTOFF = Cutoff(_quintic_value, _quintic_derivative, 1.875)
+    return np.where(inside, -6.0 * u * (1.0 - u), 0.0)
 
 
 # Gauss points per panel and panels of the transition band (eps, 2*eps)
@@ -99,8 +70,7 @@ def _transition_integral(fn, eps: np.ndarray) -> np.ndarray:
     return (widths * (values * wg).sum(axis=-1)).sum(axis=-1)
 
 
-def test_function_norms(params: DomainParams, theta: float, q: float, eps,
-                        cutoff: Cutoff = CUBIC_CUTOFF):
+def test_function_norms(params: DomainParams, theta: float, q: float, eps):
     """Boundary and Sobolev norms of the cutoff test function at scale eps.
 
     eps is a number (floats out) or a 1-D array (one norm per entry). Both
@@ -125,17 +95,17 @@ def test_function_norms(params: DomainParams, theta: float, q: float, eps,
         return np.exp((e + 1.0) * np.log(grid) + np.log(total))
 
     flat = scaled(sigma_b, 1.0 / (sigma_b + 1.0),
-                  lambda s: cutoff.value(s) ** q * powt(s, sigma_b))
-    val_p = scaled(nu, 1.0 / (nu + 1.0), lambda s: cutoff.value(s) ** p * powt(s, nu))
+                  lambda s: _cubic_value(s) ** q * powt(s, sigma_b))
+    val_p = scaled(nu, 1.0 / (nu + 1.0), lambda s: _cubic_value(s) ** p * powt(s, nu))
     grad_p = scaled(nu - p, 0.0,
-                    lambda s: np.abs(cutoff.derivative(s)) ** p * powt(s, nu))
+                    lambda s: np.abs(_cubic_derivative(s)) ** p * powt(s, nu))
 
     slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
     rule = graded_interval_rule(min(0.0, sigma_b))
     t = grid[:, None] * rule.nodes
     slanted = grid * (powt(t, sigma_b) * slant(t) * rule.weights).sum(axis=-1)
     slanted += _transition_integral(
-        lambda t: cutoff.value(t / grid[:, None, None]) ** q * powt(t, sigma_b)
+        lambda t: _cubic_value(t / grid[:, None, None]) ** q * powt(t, sigma_b)
         * slant(t), grid)
 
     boundary_norm = ((n - 1) * (flat + slanted)) ** (1.0 / q)
@@ -161,41 +131,27 @@ class ScalingResult:
     predicted_rhs: float
 
 
-def _check_grid(eps_grid) -> np.ndarray:
-    grid = np.asarray(eps_grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise RangeViolation("eps_grid", "finite entries")
-    if grid.size < 6:
-        raise RangeViolation("eps_grid", "at least 6 points")
-    if np.any(np.diff(grid) >= 0.0):
-        raise RangeViolation("eps_grid", "strictly decreasing")
-    lo, hi = 2.0 ** -12, 2.0 ** -4
-    if grid[0] > hi * (1 + 1e-12) or grid[-1] < lo * (1 - 1e-12):
-        raise RangeViolation("eps_grid", "within [2^-12, 2^-4]")
-    return grid
-
-
 def _unfit(key: str, side: str) -> NumericalError:
     return NumericalError(
         f"{key}: the {side} norm of the test function on the eps grid is not a "
         "finite positive number, so no slope can be fitted")
 
 
-def scaling_slopes(params: DomainParams, theta: float, q: float,
-                   eps_grid=None, cutoff: Cutoff = CUBIC_CUTOFF) -> ScalingResult:
-    """Least-squares slopes of both norms on a dyadic eps grid.
+def scaling_slopes(params: DomainParams, theta: float, q: float) -> ScalingResult:
+    """Least-squares slopes of both norms on the dyadic grid DEFAULT_EPS_GRID,
+    eps = 2^-4 .. 2^-12.
 
     Raises NumericalError when a norm is not finite and positive: naming gamma
     for the Sobolev norm, whose exponents come from gamma, and theta for the
     boundary norm, whose power of eps is theta + alpha(n-2) + 1. For a large
     gamma or theta the norm at the smallest eps underflows.
     """
-    grid = _check_grid(DEFAULT_EPS_GRID if eps_grid is None else eps_grid)
+    grid = DEFAULT_EPS_GRID
     n, p, alpha = params.n, params.p, params.alpha
     sigma_b = side_exponent(theta, params)
     # a norm that over- or underflows is reported below, not warned about
     with np.errstate(all="ignore"):
-        lhs, rhs = test_function_norms(params, theta, q, grid, cutoff=cutoff)
+        lhs, rhs = test_function_norms(params, theta, q, grid)
     if not np.all(np.isfinite(rhs) & (rhs > 0.0)):
         raise _unfit(f"gamma = {params.gamma:g}", "Sobolev")
     if not np.all(np.isfinite(lhs) & (lhs > 0.0)):

@@ -38,7 +38,6 @@ from .quadrature import (
     CROSS_ORDER,
     GradedRule,
     boundary_integral,
-    gauss_nodes_01,
     graded_interval_rule,
     section_sum,
     volume_integral,
@@ -47,7 +46,6 @@ from .quadrature import (
 __all__ = [
     "KDistortion",
     "RangeReport",
-    "Profile1D",
     "dphi_spectral_norm",
     "K_pp_estimate",
     "K_ps_estimate",
@@ -148,61 +146,34 @@ def K_ps_estimate(cmap: CuspMap, p: float, s: float) -> float:
     return float(integral ** ((p - s) / (p * s)))
 
 
-def change_of_variables_check(f, cmap: CuspMap, box=None,
+def change_of_variables_check(f, cmap: CuspMap,
                               panels: tuple[int, int] = (48, 40)) -> float:
     """Relative discrepancy between both sides of the change of variables.
 
-    Compares the pullback integral of f * |J| over a region of the model
-    domain against the direct integral of f over its image, with separately
-    constructed quadratures on the two sides. ``box = (lo, hi)`` restricts
-    to an axis box of the model domain (must satisfy hi_i <= lo_n so the box
-    stays inside); ``box = None`` uses the whole domain.
+    Compares the pullback integral of f * |J| over the whole model domain
+    against the direct integral of f over the cuspidal domain, with
+    separately constructed graded quadratures on the two sides (``panels``
+    panels each).
     """
     n, a, alpha = cmap.n, cmap.a, cmap.alpha
     gamma = cmap.params.gamma
-    xg, wg = gauss_nodes_01(CHECK_CROSS_ORDER)
+    rule_l = graded_interval_rule(min(0.0, a * gamma - 1.0), panels=panels[0])
+    rule_r = graded_interval_rule(min(0.0, gamma - 1.0), panels=panels[1])
 
-    if box is None:
-        rule_l = graded_interval_rule(min(0.0, a * gamma - 1.0), panels=panels[0])
-        rule_r = graded_interval_rule(min(0.0, gamma - 1.0), panels=panels[1])
-
-        def lhs_integrand(t):
-            acc = section_sum(lambda y: f(map_points(cmap, y)), t,
-                              lambda c: _with_height(c * t[:, None], t),
-                              n - 1, CHECK_CROSS_ORDER)
-            return powt(t, float(n - 1)) * map_jacobian(cmap, t) * acc
-
-        def rhs_integrand(t):
-            width = powt(t, alpha)
-            acc = section_sum(f, t, lambda c: _with_height(c * width[:, None], t),
-                              n - 1, CHECK_CROSS_ORDER)
-            return powt(t, alpha * (n - 1)) * acc
-
-        lhs = rule_l.integrate(lhs_integrand)
-        rhs = rule_r.integrate(rhs_integrand)
-    else:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
-        if lo.shape != (n,) or hi.shape != (n,):
-            raise RangeViolation("box", f"bounds must have {n} coordinates")
-        if np.any(lo < 0.0) or np.any(hi <= lo) or hi[-1] > 1.0 \
-                or np.any(hi[:-1] > lo[-1]):
-            raise RangeViolation("box", "box must sit inside the model domain")
-        yn = lo[-1] + (hi[-1] - lo[-1]) * xg
-        wyn = (hi[-1] - lo[-1]) * wg
-        widths = hi[:-1] - lo[:-1]
-        acc = section_sum(lambda y: f(map_points(cmap, y)), yn,
-                          lambda c: _with_height(lo[:-1] + c * widths, yn),
+    def lhs_integrand(t):
+        acc = section_sum(lambda y: f(map_points(cmap, y)), t,
+                          lambda c: _with_height(c * t[:, None], t),
                           n - 1, CHECK_CROSS_ORDER)
-        lhs = float(np.dot(wyn, np.prod(widths) * map_jacobian(cmap, yn) * acc))
-        # image: x_n in (lo_n**a, hi_n**a), cross scaled by x_n**((a*alpha-1)/a)
-        xn = powt(lo[-1], a) + (powt(hi[-1], a) - powt(lo[-1], a)) * xg
-        wxn = (powt(hi[-1], a) - powt(lo[-1], a)) * wg
-        scale = powt(xn, (a * alpha - 1.0) / a)[:, None]
-        acc = section_sum(f, xn,
-                          lambda c: _with_height((lo[:-1] + c * widths) * scale, xn),
+        return powt(t, float(n - 1)) * map_jacobian(cmap, t) * acc
+
+    def rhs_integrand(t):
+        width = powt(t, alpha)
+        acc = section_sum(f, t, lambda c: _with_height(c * width[:, None], t),
                           n - 1, CHECK_CROSS_ORDER)
-        rhs = float(np.dot(wxn, np.prod(widths * scale, axis=1) * acc))
+        return powt(t, alpha * (n - 1)) * acc
+
+    lhs = rule_l.integrate(lhs_integrand)
+    rhs = rule_r.integrate(rhs_integrand)
     return abs(lhs - rhs) / max(abs(rhs), _EPS_FLOOR)
 
 
@@ -293,17 +264,11 @@ def weighted_boundary_norm(traces: Mapping[BoundaryFace, Callable | float],
     return float(total ** (1.0 / q))
 
 
-@dataclass(frozen=True)
-class Profile1D:
-    """Height-only profile u(x) = value(x_n) with its derivative."""
-
-    value: Callable
-    derivative: Callable
-
-
-def sobolev_norm(u: Profile1D, p: float, params: DomainParams) -> float:
-    """Sobolev norm of a height-only profile: gradient p-norm plus function
-    p-norm, each reduced exactly to 1-D by :func:`volume_integral`."""
-    gp = volume_integral(lambda t: np.abs(np.asarray(u.derivative(t), float)) ** p, params)
-    vp = volume_integral(lambda t: np.abs(np.asarray(u.value(t), float)) ** p, params)
+def sobolev_norm(value: Callable, derivative: Callable, p: float,
+                 params: DomainParams) -> float:
+    """Sobolev norm of the height-only profile u(x) = value(x_n), whose
+    derivative is ``derivative``: gradient p-norm plus function p-norm, each
+    reduced exactly to 1-D by :func:`volume_integral`."""
+    gp = volume_integral(lambda t: np.abs(np.asarray(derivative(t), float)) ** p, params)
+    vp = volume_integral(lambda t: np.abs(np.asarray(value(t), float)) ** p, params)
     return float(gp ** (1.0 / p) + vp ** (1.0 / p))

@@ -35,6 +35,7 @@ __all__ = [
 _TAIL_TRIGGER = -0.6       # exponents below this get the deepened tail
 _TAIL_TARGET = 1e-9        # truncation target for the deepened tail
 _MIN_BREAKPOINT = 1e-250   # keep breakpoints well inside normal doubles
+GRADING_RATIO = 0.5        # ratio of neighbouring breakpoints of a graded rule
 GAUSS_ORDER = 8            # Gauss points per panel of a graded rule
 CROSS_ORDER = 8            # Gauss points per cross-section axis of a face
 
@@ -72,8 +73,7 @@ class GradedRule:
 
 
 @lru_cache(maxsize=64)
-def graded_interval_rule(min_exponent: float, panels: int = 40,
-                         ratio: float = 0.5) -> GradedRule:
+def graded_interval_rule(min_exponent: float, panels: int = 40) -> GradedRule:
     """Graded rule accurate for integrands c * t**sigma, sigma >= min_exponent.
 
     Equal arguments return the same read-only rule. Raises NonIntegrable at
@@ -83,16 +83,14 @@ def graded_interval_rule(min_exponent: float, panels: int = 40,
         raise NonIntegrable(f"min_exponent = {min_exponent:g} is <= -1")
     if panels < 4:
         raise RangeViolation("panels", "panels >= 4")
-    if not 0.0 < ratio < 1.0:
-        raise RangeViolation("ratio", "0 < ratio < 1")
 
     depth = 2 * panels - 1
     if min_exponent < _TAIL_TRIGGER:
-        needed = math.log(_TAIL_TARGET) / (math.log(ratio) * (min_exponent + 1.0))
+        needed = math.log(_TAIL_TARGET) / (math.log(GRADING_RATIO) * (min_exponent + 1.0))
         depth = max(depth, int(math.ceil(needed)))
-    depth = min(depth, int(math.log(_MIN_BREAKPOINT) / math.log(ratio)))
+    depth = min(depth, int(math.log(_MIN_BREAKPOINT) / math.log(GRADING_RATIO)))
 
-    breaks = ratio ** np.arange(depth + 1)
+    breaks = GRADING_RATIO ** np.arange(depth + 1)
     lows = np.append(breaks[1:], 0.0)
     xg, wg = gauss_nodes_01(GAUSS_ORDER)
     widths = breaks - lows

@@ -29,6 +29,7 @@ from ..errors import RangeViolation, ZeroTrace
 from ..geometry import DomainParams
 from ..quadrature import gauss_nodes_01, graded_interval_rule, triangle_rule
 from .mesh import TriMesh, p1_geometry
+from .options import SolverOptions
 
 __all__ = [
     "FemFunction",
@@ -228,15 +229,15 @@ class FemWorkspace:
 
     # -- functionals ---------------------------------------------------------
 
-    def energy(self, u: np.ndarray, reg_eps: float, with_grad: bool = True):
-        """Regularized energy and (optionally) its exact nodal gradient."""
+    def energy(self, u: np.ndarray, reg_eps: float) -> tuple[float, np.ndarray]:
+        """Regularized energy and its exact nodal gradient."""
         vals = self.at(u, reg_eps)
-        return vals.E, vals.grad_E if with_grad else None
+        return vals.E, vals.grad_E
 
-    def boundary(self, u: np.ndarray, reg_eps: float, with_grad: bool = True):
+    def boundary(self, u: np.ndarray, reg_eps: float) -> tuple[float, np.ndarray]:
         """Regularized weighted boundary functional and its nodal gradient."""
         vals = self.at(u, reg_eps)
-        return vals.B, vals.grad_B if with_grad else None
+        return vals.B, vals.grad_B
 
     def trace_integral(self, u: np.ndarray) -> float:
         """Weighted trace integral of u (sign-normalization functional)."""
@@ -436,7 +437,7 @@ def _values_of(u) -> np.ndarray:
 
 
 def assemble_functionals(mesh: TriMesh, u, params: DomainParams,
-                         reg_eps: float = 1e-8):
+                         reg_eps: float = SolverOptions.reg_eps):
     """Energy, boundary functional, and their exact gradients at u.
 
     Returns (E, grad_E, B, grad_B) of the regularized discrete functionals;
@@ -455,21 +456,15 @@ def rayleigh_quotient(mesh: TriMesh, u, params: DomainParams) -> float:
     return vals.lam
 
 
-def weak_residual(mesh: TriMesh, solution, params: DomainParams,
-                  reg_eps: float | None = None) -> float:
-    """Weak-form residual of an eigenpair candidate, normalized by max(1, E).
+def weak_residual(mesh: TriMesh, pair, params: DomainParams,
+                  reg_eps: float = SolverOptions.reg_eps) -> float:
+    """Weak-form residual of an eigenpair candidate ``pair = (u, lambda)``,
+    normalized by max(1, E).
 
-    ``solution`` is a SteklovSolution or an (u, lambda) pair; the residual
-    uses the same regularized integrands as assemble_functionals.
+    The residual uses the same regularized integrands as
+    assemble_functionals, and the solver's default ``reg_eps``.
     """
-    if hasattr(solution, "u") and hasattr(solution, "lam"):
-        u, lam = solution.u, solution.lam
-        if reg_eps is None:
-            reg_eps = solution.reg_eps
-    else:
-        u, lam = solution
-        if reg_eps is None:
-            reg_eps = 1e-8
+    u, lam = pair
     ws = workspace_for(mesh, params)
     u = _values_of(u)
     if ws.at(u, 0.0).B <= 0.0:

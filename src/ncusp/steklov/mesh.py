@@ -81,7 +81,10 @@ class TriMesh:
             np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
             np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
         ])
-        return float(np.min(lengths.min(axis=0) / lengths.max(axis=0)))
+        # an edge below about 1e-162 has norm 0 (its square underflows), and a
+        # triangle of three such edges has ratio NaN, which the mesher rejects
+        with np.errstate(invalid="ignore"):
+            return float(np.min(lengths.min(axis=0) / lengths.max(axis=0)))
 
 
 def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -161,6 +164,11 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
     if levels * rows_per_strip + 1 > SIZE_BUDGET:
         raise RangeViolation("levels * rows_per_strip",
                              f"at most {SIZE_BUDGET} rows of vertices")
+    # the tip height; below the normal doubles it is inexact or 0
+    if float(grading_ratio) ** levels < np.finfo(float).tiny:
+        raise RangeViolation("levels, grading_ratio",
+                             "grading_ratio ** levels at least the smallest normal "
+                             f"double, {np.finfo(float).tiny:.3g}")
     alpha = params.alpha
 
     heights = [1.0]
@@ -209,9 +217,10 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
     tags = np.repeat([FLAT, SLANTED, TOP], [c.size - 1 for c in chains])
 
     mesh = TriMesh(vertices, triangles, edges, tags)
-    if mesh.min_quality < QUALITY_FLOOR:
-        raise DegenerateTriangle(
-            f"minimum edge ratio {mesh.min_quality:.3e} below {QUALITY_FLOOR:g}")
+    # a NaN ratio fails too (see TriMesh.min_quality)
+    if not mesh.min_quality >= QUALITY_FLOOR:
+        raise DegenerateTriangle(f"minimum edge ratio {mesh.min_quality:.3e} "
+                                 f"is not at least {QUALITY_FLOOR:g}")
     return mesh
 
 

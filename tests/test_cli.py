@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -259,6 +260,11 @@ class TestValidation:
         ("mesh", "mesh", {"aspect": 1e-9}, ["aspect"]),
         ("mesh", "mesh", {"grading_ratio": 0.999}, ["grading_ratio"]),
         ("solve", "mesh", {"aspect": 1e-9}, ["aspect"]),
+        # a tip height grading_ratio ** levels below the normal doubles
+        ("mesh", "mesh", {"levels": 1075, "rows_per_strip": 1},
+         ["levels", "grading_ratio"]),
+        ("mesh", "mesh", {"levels": 4, "grading_ratio": 1e-300},
+         ["levels", "grading_ratio"]),
     ])
     def test_oversized_input_exits_2_naming_keys(self, tmp_path, capsys, command,
                                                  block, values, keys):
@@ -348,6 +354,20 @@ class TestValidation:
         path = _write_config(tmp_path, "bad.json", cfg)
         assert main(["scaling", "--config", path, "--out", str(tmp_path / "run")]) == 2
         assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["mesh", "solve"])
+    def test_nan_edge_ratio_exits_3(self, tmp_path, capsys, command):
+        # edges below about 1e-162 have norm 0, so the tip's edge ratio is NaN
+        cfg = _write_config(tmp_path, "nan.json", {
+            "params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0},
+            "mesh": {"levels": 540, "rows_per_strip": 1},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / "run")]) == 3
+        assert "edge ratio nan" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_hard_input_exits_3_naming_p(self, tmp_path, capsys):
@@ -569,6 +589,12 @@ def test_trace_side_imports_nothing_from_steklov():
     assert offenders == []
 
 
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
 def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
     """(name, line) of each module-level import bound name that the module
     neither reads nor lists in __all__."""
@@ -582,9 +608,7 @@ def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
                       for alias in node.names if alias.name != "*"]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
+        if _is_all(node):
             used |= set(ast.literal_eval(node.value))
     return [(name, line) for name, line in bound if name not in used]
 
@@ -599,3 +623,53 @@ def test_every_module_import_is_used():
                  for path in modules
                  for name, line in _unused_imports(ast.parse(path.read_text(), str(path)))]
     assert offenders == []
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    """Names in __all__ that the module itself defines (not re-exports)."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    exported = [name for node in tree.body if _is_all(node)
+                for name in ast.literal_eval(node.value)]
+    return [name for name in exported if name in defined]
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Names the module reads, imports from elsewhere or names as a string
+    (the lazy-import table), outside its __all__."""
+    used = set()
+    for top in tree.body:
+        if _is_all(top):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
+def test_every_public_name_is_used():
+    # a public name that nothing in src/ uses and no benchmark workload or
+    # span reaches is surface that only tests keep alive
+    root = SRC / "ncusp"
+    trees = {path.relative_to(root).as_posix(): ast.parse(path.read_text(), str(path))
+             for path in sorted(root.rglob("*.py"))}
+    assert trees
+    used = set().union(*map(_uses, trees.values()))
+    bench = "\n".join(path.read_text()
+                      for path in sorted((SRC.parent / "perfbench").glob("*.py")))
+    offenders = [f"{module} {name}" for module, tree in trees.items()
+                 for name in _public_definitions(tree)
+                 if name not in used and not re.search(rf"\b{re.escape(name)}\b", bench)]
+    assert offenders == []
+

@@ -3,9 +3,9 @@ import pytest
 
 from ncusp import embedding
 from ncusp.embedding import (
-    CUBIC_CUTOFF,
     DEFAULT_EPS_GRID,
-    QUINTIC_CUTOFF,
+    _cubic_derivative,
+    _cubic_value,
     _transition_integral,
     scaling_slopes,
     sharpness_scan,
@@ -24,32 +24,25 @@ from ncusp.quadrature import gauss_nodes_01, graded_interval_rule, side_exponent
 
 class TestCutoff:
     def test_plateau(self):
-        val, der = CUBIC_CUTOFF.value(0.5), CUBIC_CUTOFF.derivative(0.5)
+        val, der = _cubic_value(0.5), _cubic_derivative(0.5)
         assert val == 1.0 and der == 0.0
 
     def test_outer_zero(self):
-        val, der = CUBIC_CUTOFF.value(2.0), CUBIC_CUTOFF.derivative(2.0)
+        val, der = _cubic_value(2.0), _cubic_derivative(2.0)
         assert val == 0.0 and der == 0.0
-        assert CUBIC_CUTOFF.value(5.0) == 0.0
+        assert _cubic_value(5.0) == 0.0
 
     def test_midpoint_symmetry(self):
-        assert CUBIC_CUTOFF.value(1.5) == pytest.approx(0.5, abs=1e-15)
+        assert _cubic_value(1.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_derivative_consistent(self):
         s = np.linspace(0.0, 2.5, 501)
-        der = CUBIC_CUTOFF.derivative(s)
+        der = _cubic_derivative(s)
         h = 1e-6
-        fd = (CUBIC_CUTOFF.value(s + h) - CUBIC_CUTOFF.value(np.maximum(s - h, 0))) / (2 * h)
+        fd = (_cubic_value(s + h) - _cubic_value(np.maximum(s - h, 0))) / (2 * h)
         interior = (s > 1 + 1e-3) & (s < 2 - 1e-3)
         assert der[interior] == pytest.approx(fd[interior], abs=1e-8)
-        assert np.max(np.abs(der)) <= CUBIC_CUTOFF.derivative_bound + 1e-12
-
-    def test_quintic_bounds(self):
-        s = np.linspace(0, 2.5, 1001)
-        val = QUINTIC_CUTOFF.value(s)
-        der = QUINTIC_CUTOFF.derivative(s)
-        assert np.all((0 <= val) & (val <= 1))
-        assert np.max(np.abs(der)) <= QUINTIC_CUTOFF.derivative_bound + 1e-12
+        assert np.max(np.abs(der)) <= 1.5 + 1e-12
 
 
 def _panel_loop(fn, eps, order=16, panels=4):
@@ -71,8 +64,8 @@ def test_transition_integral_matches_panel_loop(eps):
     # the loop's order, so it agrees to rounding, not bitwise
     integrands = [
         lambda t, e: powt(t, 1.7),
-        lambda t, e: CUBIC_CUTOFF.value(t / e) ** 3.0 * powt(t, -0.4),
-        lambda t, e: e ** -1.5 * np.abs(CUBIC_CUTOFF.derivative(t / e)) ** 1.5
+        lambda t, e: _cubic_value(t / e) ** 3.0 * powt(t, -0.4),
+        lambda t, e: e ** -1.5 * np.abs(_cubic_derivative(t / e)) ** 1.5
         * powt(t, 2.0),
     ]
     row = list(EPS).index(eps)
@@ -82,7 +75,7 @@ def test_transition_integral_matches_panel_loop(eps):
         assert rows[row] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
-def _reference_norms(params, theta, q, eps, cutoff=CUBIC_CUTOFF):
+def _reference_norms(params, theta, q, eps):
     # one eps at a time, every term on the graded-rule plateau plus the band
     n, p = params.n, params.p
     sigma = side_exponent(theta, params)
@@ -96,11 +89,11 @@ def _reference_norms(params, theta, q, eps, cutoff=CUBIC_CUTOFF):
                                      eps)
 
     def eta_q(s):
-        return cutoff.value(s) ** q
+        return _cubic_value(s) ** q
 
     boundary = (n - 1) * (term(sigma, eta_q) + term(sigma, eta_q, slant))
-    val = term(nu, lambda s: cutoff.value(s) ** p)
-    grad = _panel_loop(lambda t: eps ** -p * np.abs(cutoff.derivative(t / eps)) ** p
+    val = term(nu, lambda s: _cubic_value(s) ** p)
+    grad = _panel_loop(lambda t: eps ** -p * np.abs(_cubic_derivative(t / eps)) ** p
                        * powt(t, nu), eps)
     return boundary ** (1.0 / q), grad ** (1.0 / p) + val ** (1.0 / p)
 
@@ -187,21 +180,6 @@ class TestScalingSlopes:
                 assert res.lhs_slope == pytest.approx(res.predicted_lhs, abs=0.02)
                 assert res.rhs_slope == pytest.approx(res.predicted_rhs, abs=0.02)
 
-    def test_grid_validation(self, p1_trace):
-        with pytest.raises(RangeViolation):
-            scaling_slopes(p1_trace, 2.0, 3.0, eps_grid=[0.1, 0.05, 0.02])
-        with pytest.raises(RangeViolation):
-            scaling_slopes(p1_trace, 2.0, 3.0,
-                           eps_grid=2.0 ** -np.arange(4, 16, dtype=float))
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_grid_rejects_non_finite_entries(self, p1_trace, bad):
-        grid = list(DEFAULT_EPS_GRID)
-        grid[bad] = np.nan
-        with pytest.raises(RangeViolation) as err:
-            scaling_slopes(p1_trace, 2.0, 3.0, eps_grid=grid)
-        assert err.value.field == "eps_grid"
-
     def test_norms_computed_once_per_theta(self, p1_trace, monkeypatch):
         calls = []
 
@@ -212,12 +190,6 @@ class TestScalingSlopes:
         monkeypatch.setattr(embedding, "test_function_norms", counted)
         scaling_slopes(p1_trace, 2.0, 3.0)
         assert len(calls) == 1 and np.array_equal(calls[0], DEFAULT_EPS_GRID)
-
-    def test_cutoff_independence(self, p1_trace):
-        a = scaling_slopes(p1_trace, 2.0, 3.0, cutoff=CUBIC_CUTOFF)
-        b = scaling_slopes(p1_trace, 2.0, 3.0, cutoff=QUINTIC_CUTOFF)
-        assert abs(a.lhs_slope - b.lhs_slope) < 0.02
-        assert abs(a.rhs_slope - b.rhs_slope) < 0.02
 
     def test_theta_min_matches_beta_randomized(self, rng):
         for _ in range(1000):

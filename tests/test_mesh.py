@@ -145,6 +145,12 @@ class TestGeneration:
         m = generate_cusp_mesh(params, levels=3)
         assert m.min_quality > 1e-6
 
+    def test_nan_edge_ratio_rejected(self, p1_params):
+        # at levels 540 with one row per strip the tip edges are shorter than
+        # about 1e-162, their norms are 0, and the edge ratio is 0/0 = NaN
+        with pytest.raises(DegenerateTriangle, match="edge ratio nan"):
+            generate_cusp_mesh(p1_params, levels=540, rows_per_strip=1)
+
 
 # the reference meshes of the benchmark, levels 3 to 14, and the mesher's
 # aspect, grading and single-row settings

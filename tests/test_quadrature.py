@@ -42,8 +42,6 @@ class TestGradedRule:
             graded_interval_rule(-1.0)
         with pytest.raises(RangeViolation):
             graded_interval_rule(-0.5, panels=3)
-        with pytest.raises(RangeViolation):
-            graded_interval_rule(-0.5, ratio=1.0)
 
     def test_refinement_monotone_until_floor(self):
         errs = []

@@ -156,7 +156,7 @@ class TestOperators:
         params = validate_params(2, 3.0, 1.5, 3.0, theta=theta, usage="discrete")
         ws = workspace_for(small_mesh, params)
         u = rng.standard_normal(ws.num_dof)
-        b, _ = ws.boundary(u, 0.0, with_grad=False)
+        b, _ = ws.boundary(u, 0.0)
         assert b == pytest.approx(_boundary_by_edges(small_mesh, theta, 3.0, u),
                                   rel=1e-13)
 
@@ -164,8 +164,8 @@ class TestOperators:
         ws = workspace_for(small_mesh, _discrete(2.0))
         for _ in range(3):
             u = rng.standard_normal(ws.num_dof)
-            e, _ = ws.energy(u, 0.0, with_grad=False)
-            b, _ = ws.boundary(u, 0.0, with_grad=False)
+            e, _ = ws.energy(u, 0.0)
+            b, _ = ws.boundary(u, 0.0)
             assert e == pytest.approx(u @ ((ws.stiffness + ws.mass) @ u), rel=1e-13)
             assert b == pytest.approx(u @ (ws.boundary_mass @ u), rel=1e-13)
 
@@ -776,11 +776,13 @@ class TestWeakResidual:
         noisy_res = weak_residual(small_mesh, (noisy, lam), params)
         assert noisy_res > 10 * max(base, 1e-12)
 
-    def test_solution_object_accepted(self, small_mesh):
+    def test_solver_pair_matches_reported_residual(self, small_mesh):
+        # the default reg_eps is the solver's, so the pair the solver returns
+        # has the residual the solver reports
         params = _discrete(2.0)
         sol = minimize_rayleigh(small_mesh, params,
                                 SolverOptions(tol_rel=1e-9, restarts=1))
-        assert weak_residual(small_mesh, sol, params) == pytest.approx(
+        assert weak_residual(small_mesh, (sol.u, sol.lam), params) == pytest.approx(
             sol.residual, rel=1e-9)
 
     def test_zero_function_rejected(self, small_mesh):
