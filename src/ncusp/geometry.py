@@ -12,6 +12,10 @@ with parameter ``a`` sends the simplex onto the cuspidal domain,
 
 and everything else here (Jacobians, tangential Jacobians on boundary faces,
 power weights) is derived from it in closed form.
+
+Point arrays hold one point per row. The kernels loop over the n - 1 cross
+coordinates, one column at a time, and never broadcast a per-point scalar
+across a row: numpy would run its inner loop once per row of length n - 1.
 """
 
 from __future__ import annotations
@@ -268,27 +272,32 @@ def _require_inside(coords: np.ndarray, profile_exp: float, what: str) -> None:
     if np.any(last <= 0.0) or np.any(last >= 1.0):
         raise OutsideDomain(f"{what}: height coordinate must lie strictly in (0, 1)")
     width = powt(last, profile_exp)
-    others = coords[:, :-1]
-    if np.any(others <= 0.0) or np.any(others >= width[:, None]):
-        raise OutsideDomain(f"{what}: cross coordinates must lie strictly inside the profile")
+    for i in range(coords.shape[1] - 1):
+        if np.any(coords[:, i] <= 0.0) or np.any(coords[:, i] >= width):
+            raise OutsideDomain(
+                f"{what}: cross coordinates must lie strictly inside the profile")
+
+
+def _scaled_cross(u: np.ndarray, scale: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Rows (u_1 * scale, ..., u_{n-1} * scale, last)."""
+    out = np.empty_like(u)
+    for i in range(u.shape[1] - 1):
+        out[:, i] = u[:, i] * scale
+    out[:, -1] = last
+    return out
 
 
 def map_points(cmap: CuspMap, y: np.ndarray) -> np.ndarray:
     """The straightening map on rows of model points, closure included."""
     yn = y[:, -1]
-    x = np.empty_like(y)
-    x[:, :-1] = y[:, :-1] * powt(yn, cmap.a * cmap.alpha - 1.0)[:, None]
-    x[:, -1] = powt(yn, cmap.a)
-    return x
+    return _scaled_cross(y, powt(yn, cmap.a * cmap.alpha - 1.0), powt(yn, cmap.a))
 
 
 def unmap_points(cmap: CuspMap, x: np.ndarray) -> np.ndarray:
     """The inverse map on rows of cusp points, closure included (boundary charts)."""
     xn = x[:, -1]
-    y = np.empty_like(x)
-    y[:, -1] = powt(xn, 1.0 / cmap.a)
-    y[:, :-1] = x[:, :-1] * powt(xn, (1.0 - cmap.a * cmap.alpha) / cmap.a)[:, None]
-    return y
+    return _scaled_cross(x, powt(xn, (1.0 - cmap.a * cmap.alpha) / cmap.a),
+                         powt(xn, 1.0 / cmap.a))
 
 
 def map_jacobian(cmap: CuspMap, yn):
@@ -339,10 +348,10 @@ def jacobi_matrix(cmap: CuspMap, y) -> np.ndarray:
     m = yy.shape[0]
     D = np.zeros((m, n, n))
     diag = powt(yn, cmap.a * cmap.alpha - 1.0)
+    column = powt(yn, cmap.a * cmap.alpha - 2.0)
     for i in range(n - 1):
         D[:, i, i] = diag
-    D[:, :-1, -1] = (cmap.a * cmap.alpha - 1.0) * yy[:, :-1] \
-        * powt(yn, cmap.a * cmap.alpha - 2.0)[:, None]
+        D[:, i, -1] = (cmap.a * cmap.alpha - 1.0) * yy[:, i] * column
     D[:, -1, -1] = cmap.a * powt(yn, cmap.a - 1.0)
     if np.ndim(y) == 1:
         return D[0]
@@ -477,11 +486,11 @@ def tangential_jacobian(cmap: CuspMap, face: BoundaryFace, t, xhat=None):
     if n > 2:
         if xhat is None:
             xhat = np.zeros(n - 2)
-        xhat = np.asarray(xhat, dtype=float)
         width = powt(t, alpha)
-        if np.any(xhat < -1e-14) or np.any(xhat > np.expand_dims(width, -1) * (1 + 1e-14)):
-            raise FaceMismatch("cross coordinates exceed the face width t**alpha")
-        s = np.sum((xhat / np.expand_dims(width, -1)) ** 2, axis=-1)
+        for c in np.moveaxis(np.asarray(xhat, dtype=float), -1, 0):
+            if np.any(c < -1e-14) or np.any(c > width * (1 + 1e-14)):
+                raise FaceMismatch("cross coordinates exceed the face width t**alpha")
+            s = s + (c / width) ** 2
     root = np.sqrt(1.0 / a**2 + alpha**2 + (1.0 / a - alpha) ** 2 * s)
     out = base * root
     return out if np.ndim(out) else float(out)
@@ -559,16 +568,10 @@ def _halton(dim: int, m: int, skip: int) -> np.ndarray:
 def quasi_random_model_interior(n: int, m: int, skip: int = 1) -> np.ndarray:
     """m low-discrepancy points strictly inside the model simplex domain."""
     u = _halton(n, m, skip)
-    y = np.empty_like(u)
-    y[:, -1] = u[:, -1]
-    y[:, :-1] = u[:, :-1] * u[:, -1][:, None]
-    return y
+    return _scaled_cross(u, u[:, -1], u[:, -1])
 
 
 def quasi_random_interior(params: DomainParams, m: int, skip: int = 1) -> np.ndarray:
     """m low-discrepancy points strictly inside the cuspidal domain."""
     u = _halton(params.n, m, skip)
-    x = np.empty_like(u)
-    x[:, -1] = u[:, -1]
-    x[:, :-1] = u[:, :-1] * powt(u[:, -1], params.alpha)[:, None]
-    return x
+    return _scaled_cross(u, powt(u[:, -1], params.alpha), u[:, -1])

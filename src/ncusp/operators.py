@@ -81,8 +81,8 @@ def dphi_spectral_norm(cmap: CuspMap, y) -> np.ndarray:
     a, alpha = cmap.a, cmap.alpha
     d = powt(yn, a * alpha - 1.0)
     b = a * powt(yn, a - 1.0)
-    v2 = (a * alpha - 1.0) ** 2 * np.sum(y[:, :-1] ** 2, axis=1) \
-        * powt(yn, 2.0 * (a * alpha - 2.0))
+    r2 = sum(y[:, i] ** 2 for i in range(y.shape[1] - 1))
+    v2 = (a * alpha - 1.0) ** 2 * r2 * powt(yn, 2.0 * (a * alpha - 2.0))
     trace = d * d + v2 + b * b
     disc = np.sqrt(np.maximum(trace * trace - 4.0 * (d * b) ** 2, 0.0))
     smax2 = 0.5 * (trace + disc)

@@ -87,6 +87,14 @@ class TriMesh:
             return float(np.min(lengths.min(axis=0) / lengths.max(axis=0)))
 
 
+def _doubled_areas(v: np.ndarray) -> np.ndarray:
+    """Twice the signed areas of triangles with vertices v (nt, 3, 2),
+    positive for counter-clockwise triangles."""
+    e1 = v[:, 1] - v[:, 0]
+    e2 = v[:, 2] - v[:, 0]
+    return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+
+
 def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Signed areas (nt,) and P1 basis gradients (nt, 3, 2) of every triangle.
 
@@ -94,9 +102,7 @@ def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     its local vertex k. Areas are positive for counter-clockwise triangles.
     """
     v = mesh.vertices[mesh.triangles]                  # (nt, 3, 2)
-    e1 = v[:, 1] - v[:, 0]
-    e2 = v[:, 2] - v[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    det = _doubled_areas(v)
     grads = np.empty((mesh.num_triangles, 3, 2))
     opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]       # edge opposite vertex k
     grads[:, :, 0] = -opposite[:, :, 1]
@@ -107,7 +113,7 @@ def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
 
 def mesh_area(mesh: TriMesh) -> float:
     """Total area of the triangulation."""
-    return float(np.sum(p1_geometry(mesh)[0]))
+    return float(np.sum(0.5 * _doubled_areas(mesh.vertices[mesh.triangles])))
 
 
 def _stitch_rows(starts: np.ndarray, fracs: np.ndarray) -> np.ndarray:
@@ -286,9 +292,7 @@ def load_mesh(path) -> TriMesh:
             raise ConfigError(f"{what} {j} {arr[j].tolist()}: vertex index "
                               f"outside [0, {nv})")
     mesh = TriMesh(vertices, triangles, edge_arr, tag_arr)
-    # a zero area divides the gradients; only the areas are used here
-    with np.errstate(divide="ignore", invalid="ignore"):
-        areas = p1_geometry(mesh)[0]
+    areas = 0.5 * _doubled_areas(vertices[triangles])
     bad = np.flatnonzero(~(areas > 0.0))
     if bad.size:
         j = int(bad[0])

@@ -34,8 +34,14 @@ from ncusp.geometry import (
     tangential_jacobian_bounds,
     validate_params,
 )
+from ncusp.operators import dphi_spectral_norm
+from ncusp.verify import FD_STEP, _determinant, _fd_jacobi_matrix, jacobian_suite
 
 from oracles import fd_tangential_jacobian
+
+# one map per dimension; n = 4 has more than one cross coordinate to loop over
+MAPS_BY_N = {n: cusp_map(validate_params(n, gamma, p))
+             for n, gamma, p in ((2, 3.0, 1.5), (3, 4.0, 2.0), (4, 5.0, 2.5))}
 
 
 class TestValidateParams:
@@ -244,7 +250,7 @@ class TestJacobians:
             y = np.empty_like(u)
             y[:, -1] = u[:, -1]
             y[:, :-1] = u[:, :-1] * u[:, -1][:, None]
-            h = 1e-6
+            h = FD_STEP
             D = np.empty((10, m.n, m.n))
             for j in range(m.n):
                 step = np.zeros(m.n)
@@ -257,6 +263,129 @@ class TestJacobians:
         y = quasi_random_model_interior(3, 100)
         D = jacobi_matrix(p2_map, y)
         assert np.linalg.det(D) == pytest.approx(jacobian_forward(p2_map, y), rel=1e-12)
+
+
+class TestColumnKernels:
+    """The column-wise kernels equal the broadcast expressions bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_maps_and_samples_equal_the_broadcast_form(self, n):
+        cmap = MAPS_BY_N[n]
+        a, alpha = cmap.a, cmap.alpha
+        u = _halton(n, 3000, 5)
+        ref = np.empty_like(u)
+        ref[:, -1] = u[:, -1]
+        ref[:, :-1] = u[:, :-1] * u[:, -1][:, None]
+        y = quasi_random_model_interior(n, 3000, skip=5)
+        assert np.array_equal(y, ref)
+        ref[:, :-1] = u[:, :-1] * powt(u[:, -1], alpha)[:, None]
+        assert np.array_equal(quasi_random_interior(cmap.params, 3000, skip=5), ref)
+
+        yn = y[:, -1]
+        x = np.empty_like(y)
+        x[:, :-1] = y[:, :-1] * powt(yn, a * alpha - 1.0)[:, None]
+        x[:, -1] = powt(yn, a)
+        assert np.array_equal(map_points(cmap, y), x)
+        xn = x[:, -1]
+        back = np.empty_like(x)
+        back[:, -1] = powt(xn, 1.0 / a)
+        back[:, :-1] = x[:, :-1] * powt(xn, (1.0 - a * alpha) / a)[:, None]
+        assert np.array_equal(unmap_points(cmap, x), back)
+
+        D = np.zeros((len(y), n, n))
+        for i in range(n - 1):
+            D[:, i, i] = powt(yn, a * alpha - 1.0)
+        D[:, :-1, -1] = (a * alpha - 1.0) * y[:, :-1] * powt(yn, a * alpha - 2.0)[:, None]
+        D[:, -1, -1] = a * powt(yn, a - 1.0)
+        assert np.array_equal(jacobi_matrix(cmap, y), D)
+
+        d = powt(yn, a * alpha - 1.0)
+        b = a * powt(yn, a - 1.0)
+        v2 = (a * alpha - 1.0) ** 2 * np.sum(y[:, :-1] ** 2, axis=1) \
+            * powt(yn, 2.0 * (a * alpha - 2.0))
+        trace = d * d + v2 + b * b
+        disc = np.sqrt(np.maximum(trace * trace - 4.0 * (d * b) ** 2, 0.0))
+        norm = np.sqrt(np.maximum(0.5 * (trace + disc), d * d))
+        assert np.array_equal(dphi_spectral_norm(cmap, y), norm)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_point_on_any_face_is_rejected(self, n):
+        cmap = MAPS_BY_N[n]
+        y = quasi_random_model_interior(n, 50)
+        x = quasi_random_interior(cmap.params, 50)
+        for gated, pts, width in ((forward_map, y, powt(y[-1, -1], 1.0)),
+                                  (inverse_map, x, powt(x[-1, -1], cmap.alpha))):
+            gated(cmap, pts)
+            for i in range(n - 1):
+                for value in (0.0, width):  # flat face, slanted face
+                    bad = pts.copy()
+                    bad[-1, i] = value
+                    with pytest.raises(OutsideDomain, match="cross coordinates"):
+                        gated(cmap, bad)
+            for height in (0.0, 1.0):  # tip and top face
+                bad = pts.copy()
+                bad[-1, -1] = height
+                with pytest.raises(OutsideDomain, match="height coordinate"):
+                    gated(cmap, bad)
+
+
+def _suite_fd_points(n, samples=10000):
+    # the finite-difference points of jacobian_suite
+    u = quasi_random_model_interior(n, samples, skip=samples + 1)
+    y = np.empty_like(u)
+    y[:, -1] = 0.05 + 0.9 * u[:, -1]
+    y[:, :-1] = (0.05 + 0.9 * u[:, :-1]) * y[:, -1][:, None]
+    return y
+
+
+class TestFdDeterminant:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_matches_lu(self, n, rng):
+        D = _fd_jacobi_matrix(MAPS_BY_N[n], _suite_fd_points(n))
+        lu = np.linalg.det(np.moveaxis(D, -1, 0))
+        assert np.abs(_determinant(D) / lu - 1.0).max() < 1e-13
+        # and on full, well-conditioned matrices
+        D = np.eye(n)[:, :, None] + 0.3 * rng.uniform(-1, 1, size=(n, n, 500))
+        lu = np.linalg.det(np.moveaxis(D, -1, 0))
+        assert np.abs(_determinant(D) / lu - 1.0).max() < 1e-13
+
+    def test_fd_matrix_entries(self):
+        cmap = MAPS_BY_N[3]
+        y = _suite_fd_points(3, 200)
+        D = _fd_jacobi_matrix(cmap, y)
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = FD_STEP
+            col = (forward_map(cmap, y + step) - forward_map(cmap, y - step)) / (2 * FD_STEP)
+            assert np.array_equal(D[:, j], col.T)
+
+    def test_lu_only_from_four_dimensions(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda A: calls.append(A.shape) or det(A))
+        for n in (2, 3):
+            _determinant(_fd_jacobi_matrix(MAPS_BY_N[n], _suite_fd_points(n, 300)))
+        assert calls == []
+        cmap = MAPS_BY_N[4]
+        D = _fd_jacobi_matrix(cmap, _suite_fd_points(4, 300))
+        assert np.array_equal(_determinant(D), det(np.moveaxis(D, -1, 0)))
+        assert calls == [(300, 4, 4)]
+        assert jacobian_suite(cmap, 300).ok
+        assert calls[1:] == [(300, 4, 4)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_wrong_determinant_fails_the_check(self, n, monkeypatch):
+        import ncusp.verify
+
+        cmap = MAPS_BY_N[n]
+        assert jacobian_suite(cmap, 2000).ok
+        exact = ncusp.verify.jacobian_forward
+        monkeypatch.setattr(ncusp.verify, "jacobian_forward",
+                            lambda cm, y: exact(cm, y) * (1 + 1e-5))
+        report = jacobian_suite(cmap, 2000)
+        assert not report.ok
+        assert any(line.startswith("max_fd_rel") for line in report.unmet)
+        assert report.max_fd_rel == pytest.approx(1e-5, rel=1e-3)
 
 
 class TestTangential:

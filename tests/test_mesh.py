@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ncusp.steklov.mesh import (
     FLAT,
     SLANTED,
     TOP,
+    TriMesh,
     generate_cusp_mesh,
     load_mesh,
     mesh_area,
@@ -237,6 +240,20 @@ class TestMeshIO:
             load_mesh(path)
         assert message.format(line=k + 1, nv=m.num_vertices, tri=tri, tip=tip) \
             in str(exc.value)
+
+    def test_zero_area_triangle(self, tmp_path):
+        # the area needs no P1 gradients, so a zero area divides nothing;
+        # the orientation check still rejects the mesh, naming the triangle
+        mesh = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+                       np.array([[0, 1, 2], [1, 3, 2]]),
+                       np.array([[0, 1], [1, 2], [2, 0]]), np.array([FLAT, SLANTED, TOP]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mesh_area(mesh) == 0.5
+        path = tmp_path / "mesh.txt"
+        save_mesh(mesh, path)
+        with pytest.raises(ConfigError, match=r"triangle 1 \[1, 3, 2\]: signed area 0 "):
+            load_mesh(path)
 
     def test_rejects_empty_and_non_finite(self, tmp_path):
         path = tmp_path / "mesh.txt"
