@@ -14,8 +14,8 @@ and everything else here (Jacobians, tangential Jacobians on boundary faces,
 power weights) is derived from it in closed form.
 
 Point arrays hold one point per row. The kernels loop over the n - 1 cross
-coordinates, one column at a time, and never broadcast a per-point scalar
-across a row: numpy would run its inner loop once per row of length n - 1.
+coordinates and never broadcast a per-point scalar across a row, which numpy
+would do with one inner loop per row.
 """
 
 from __future__ import annotations
@@ -271,7 +271,8 @@ def _require_inside(coords: np.ndarray, profile_exp: float, what: str) -> None:
     last = coords[:, -1]
     if np.any(last <= 0.0) or np.any(last >= 1.0):
         raise OutsideDomain(f"{what}: height coordinate must lie strictly in (0, 1)")
-    width = powt(last, profile_exp)
+    # the model profile is y_n itself; exp(log(y_n)) can round above it
+    width = last if profile_exp == 1.0 else powt(last, profile_exp)
     for i in range(coords.shape[1] - 1):
         if np.any(coords[:, i] <= 0.0) or np.any(coords[:, i] >= width):
             raise OutsideDomain(

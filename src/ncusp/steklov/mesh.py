@@ -88,8 +88,7 @@ class TriMesh:
 
 
 def _doubled_areas(v: np.ndarray) -> np.ndarray:
-    """Twice the signed areas of triangles with vertices v (nt, 3, 2),
-    positive for counter-clockwise triangles."""
+    """Twice the signed areas of triangles v (nt, 3, 2); positive if counter-clockwise."""
     e1 = v[:, 1] - v[:, 0]
     e2 = v[:, 2] - v[:, 0]
     return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]

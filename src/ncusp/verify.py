@@ -74,8 +74,7 @@ def _fd_jacobi_matrix(cmap: CuspMap, y: np.ndarray) -> np.ndarray:
     D = np.empty((n, n, m))
     for j in range(n):
         up, down = y.copy(), y.copy()
-        up[:, j] += FD_STEP
-        down[:, j] -= FD_STEP
+        up[:, j], down[:, j] = y[:, j] + FD_STEP, y[:, j] - FD_STEP
         D[:, j] = ((forward_map(cmap, up) - forward_map(cmap, down)) / (2.0 * FD_STEP)).T
     return D
 

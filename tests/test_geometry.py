@@ -266,7 +266,7 @@ class TestJacobians:
 
 
 class TestColumnKernels:
-    """The column-wise kernels equal the broadcast expressions bit for bit."""
+    """Column kernels equal the broadcast form bit for bit; the gates reject every face."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_maps_and_samples_equal_the_broadcast_form(self, n):
@@ -313,7 +313,7 @@ class TestColumnKernels:
         cmap = MAPS_BY_N[n]
         y = quasi_random_model_interior(n, 50)
         x = quasi_random_interior(cmap.params, 50)
-        for gated, pts, width in ((forward_map, y, powt(y[-1, -1], 1.0)),
+        for gated, pts, width in ((forward_map, y, y[-1, -1]),
                                   (inverse_map, x, powt(x[-1, -1], cmap.alpha))):
             gated(cmap, pts)
             for i in range(n - 1):
@@ -327,6 +327,16 @@ class TestColumnKernels:
                 bad[-1, -1] = height
                 with pytest.raises(OutsideDomain, match="height coordinate"):
                     gated(cmap, bad)
+
+    def test_model_points_on_the_slanted_face_are_rejected(self, p1_map):
+        # heights where exp(log(y_n)) rounds above y_n, so a profile width
+        # taken through powt would let the face point y_1 = y_n pass
+        yn = quasi_random_model_interior(2, 2000)[:, -1]
+        rounded_up = yn[powt(yn, 1.0) > yn][:50]
+        assert len(rounded_up) == 50
+        for h in rounded_up:
+            with pytest.raises(OutsideDomain, match="cross coordinates"):
+                forward_map(p1_map, np.array([h, h]))
 
 
 def _suite_fd_points(n, samples=10000):
