@@ -13,9 +13,8 @@ with parameter ``a`` sends the simplex onto the cuspidal domain,
 and everything else here (Jacobians, tangential Jacobians on boundary faces,
 power weights) is derived from it in closed form.
 
-Point arrays hold one point per row. The kernels loop over the n - 1 cross
-coordinates and never broadcast a per-point scalar across a row, which numpy
-would do with one inner loop per row.
+Points are rows. The kernels loop over the n - 1 cross coordinates and never
+broadcast a per-point scalar across a row, which numpy would do row by row.
 """
 
 from __future__ import annotations
