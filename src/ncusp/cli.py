@@ -48,25 +48,25 @@ SCHEMA = "ncusp-artifact v1"
 
 log = logging.getLogger("ncusp")
 
-# levels has no library default; the other mesh keys take generate_cusp_mesh's
-_MESH_DEFAULTS = {"levels": 10, **{
-    name: arg.default
-    for name, arg in inspect.signature(generate_cusp_mesh).parameters.items()
-    if arg.default is not inspect.Parameter.empty}}
-# verify.samples takes jacobian_suite's default
-_SAMPLES_DEFAULT = inspect.signature(jacobian_suite).parameters["samples"].default
-# every SolverOptions field but the start vector is a config key
-_SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverOptions)
-                    if f.name != "initial"}
 
-_PARAM_KEYS = {"n", "p", "gamma", "q", "theta", "simplex"}
-_MESH_KEYS = set(_MESH_DEFAULTS)
-_SOLVER_KEYS = set(_SOLVER_DEFAULTS)
-_SCALING_KEYS = {"theta", "q", "theta_grid"}
-_VERIFY_KEYS = {"samples"}
-_ORACLE_KEYS = {"rtol"}
-_MAP_KEYS = {"a"}
-_TOP_KEYS = {"params", "mesh", "solver", "scaling", "verify", "oracle", "map"}
+def _defaults(fn) -> dict:
+    return {name: arg.default for name, arg in inspect.signature(fn).parameters.items()
+            if arg.default is not inspect.Parameter.empty}
+
+
+# config section -> (its defaults, the keys it accepts that have no default)
+_SECTIONS = {
+    "params": ({}, {"n", "p", "gamma", "q", "theta", "simplex"}),
+    # levels has no library default; the other keys take generate_cusp_mesh's
+    "mesh": ({"levels": 10, **_defaults(generate_cusp_mesh)}, set()),
+    # every SolverOptions field but the start vector
+    "solver": ({f.name: f.default for f in dataclasses.fields(SolverOptions)
+                if f.name != "initial"}, set()),
+    "scaling": ({}, {"theta", "q", "theta_grid"}),
+    "verify": (_defaults(jacobian_suite), set()),
+    "oracle": ({"rtol": 1e-6}, set()),
+    "map": ({}, {"a"}),
+}
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -86,36 +86,23 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    _reject_unknown(raw, set(_SECTIONS), "config")
     if "params" not in raw:
         raise ConfigError("config requires a 'params' block")
-    for block, keys in (("params", _PARAM_KEYS), ("mesh", _MESH_KEYS),
-                        ("solver", _SOLVER_KEYS),
-                        ("scaling", _SCALING_KEYS), ("verify", _VERIFY_KEYS),
-                        ("oracle", _ORACLE_KEYS), ("map", _MAP_KEYS)):
+    for block, (defaults, keys) in _SECTIONS.items():
         if block in raw:
             if not isinstance(raw[block], dict):
                 raise ConfigError(f"'{block}' must be an object")
-            _reject_unknown(raw[block], keys, block)
+            _reject_unknown(raw[block], keys | defaults.keys(), block)
     return raw
 
 
 def _resolve(raw: dict, seed_override: int | None) -> dict:
-    params = dict(raw["params"])
-    mesh_cfg = {**_MESH_DEFAULTS, **raw.get("mesh", {})}
-    solver_cfg = {**_SOLVER_DEFAULTS, **raw.get("solver", {})}
+    cfg = {block: {**defaults, **raw.get(block, {})}
+           for block, (defaults, _) in _SECTIONS.items()}
     if seed_override is not None:
-        solver_cfg["seed"] = seed_override
-    return {
-        "params": params,
-        "mesh": mesh_cfg,
-        "solver": solver_cfg,
-        "scaling": dict(raw.get("scaling", {})),
-        "verify": {"samples": raw.get("verify", {}).get("samples", _SAMPLES_DEFAULT)},
-        "oracle": {"rtol": raw.get("oracle", {}).get("rtol", 1e-6)},
-        "map": dict(raw.get("map", {})),
-        "version": __version__,
-    }
+        cfg["solver"]["seed"] = seed_override
+    return {**cfg, "version": __version__}
 
 
 def _params_from(cfg: dict, usage: str):
@@ -245,23 +232,14 @@ def cmd_scaling(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def _build_mesh(cfg: dict, params):
-    # generate_cusp_mesh validates each value and names the key it rejects
-    return generate_cusp_mesh(params, **cfg["mesh"])
-
-
-def _solver_options(cfg: dict) -> SolverOptions:
-    # SolverOptions validates each value and names the key it rejects
-    return SolverOptions(**cfg["solver"])
-
-
 def cmd_solve(cfg: dict, outdir: Path) -> int:
     # p == q is the linear testbed, outside the strict exponent window
     usage = "discrete" if cfg["params"].get("p") == cfg["params"].get("q") \
         else "steklov"
     params = _params_from(cfg, usage=usage)
-    options = _solver_options(cfg)
-    grid = _build_mesh(cfg, params)
+    # both validate each value and name the key they reject
+    options = SolverOptions(**cfg["solver"])
+    grid = generate_cusp_mesh(params, **cfg["mesh"])
     sol = steklov.minimize_rayleigh(grid, params, options)
     bound = steklov.trace_constant(sol.lam, params) if usage == "steklov" else None
     body = {
@@ -306,8 +284,8 @@ def cmd_oracle_check(cfg: dict, outdir: Path) -> int:
     if params.p != 2.0 or params.q != 2.0:
         raise ConfigError("oracle-check requires params.p == params.q == 2")
     rtol = check_number("rtol", cfg["oracle"]["rtol"], 0.0)
-    options = _solver_options(cfg)
-    grid = _build_mesh(cfg, params)
+    options = SolverOptions(**cfg["solver"])
+    grid = generate_cusp_mesh(params, **cfg["mesh"])
     lam_oracle, u_oracle = steklov.linear_oracle(grid, params.theta)
     sol = steklov.minimize_rayleigh(grid, params, options)
     rel = abs(sol.lam - lam_oracle) / lam_oracle
@@ -332,7 +310,7 @@ def cmd_oracle_check(cfg: dict, outdir: Path) -> int:
 
 def cmd_mesh(cfg: dict, outdir: Path) -> int:
     params = _params_from(cfg, usage="trace")
-    grid = _build_mesh(cfg, params)
+    grid = generate_cusp_mesh(params, **cfg["mesh"])
     outdir.mkdir(parents=True, exist_ok=True)
     save_mesh(grid, outdir / "mesh.txt")
     log.info("wrote %s", outdir / "mesh.txt")

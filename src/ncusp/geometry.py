@@ -202,6 +202,9 @@ def validate_params(n, gamma, p, q=None, theta=None, simplex=False, usage="trace
             raise RangeViolation(
                 "theta", "explicit theta required when p >= n (beta undefined)")
         theta = (gamma - n) * (1.0 + p * (n - 2)) / ((n - p) * (n - 1))
+        if not math.isfinite(theta):
+            raise RangeViolation("gamma", "a gamma whose sharp weight exponent beta, "
+                                 "the default theta, is finite")
     theta = float(check_number("theta", theta, -math.inf))
 
     return DomainParams(n=n, gamma=gamma, p=p, q=q, theta=theta, simplex=simplex)
@@ -212,12 +215,11 @@ def derived_exponents(params: DomainParams) -> ExponentSet:
     n, gamma, p = params.n, params.gamma, params.p
     if p >= n:
         raise RangeViolation("p", "p < n required for derived exponents")
-    alpha = (gamma - 1.0) / (n - 1.0)
     return ExponentSet(
         n=n,
         gamma=gamma,
         p=p,
-        alpha=alpha,
+        alpha=params.alpha,
         a_max=(n - p) / (gamma - p),
         beta=(gamma - n) * (1.0 + p * (n - 2)) / ((n - p) * (n - 1)),
         p_star=p * (n - 1) / (n - p),

@@ -107,6 +107,9 @@ class FemWorkspace:
         # no reference to the mesh is kept: the cache below is keyed weakly
         # on it, and a reference from its value would keep both alive forever
         self.theta = float(theta)
+        if not self.theta > -1.0:
+            raise RangeViolation("theta", "theta > -1, so that the boundary weight "
+                                 "x_2**theta is integrable at the tip")
         self.p = float(p)
         self.q = float(q)
 
@@ -216,16 +219,6 @@ class FemWorkspace:
     def metric_matrix(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
         """Lagged-diffusivity metric at u (see `QuadValues.metric_data`)."""
         return self._csr(self.at(u, reg_eps).metric_data())
-
-    def hessian(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
-        """Exact Hessian of the regularized energy at u (see
-        `QuadValues.hessian_data`)."""
-        return self._csr(self.at(u, reg_eps).hessian_data())
-
-    def boundary_hessian(self, u: np.ndarray, reg_eps: float) -> sp.csr_matrix:
-        """Exact Hessian of the boundary functional at u (see
-        `QuadValues.boundary_hessian_data`)."""
-        return self._csr(self.at(u, reg_eps).boundary_hessian_data())
 
     # -- functionals ---------------------------------------------------------
 

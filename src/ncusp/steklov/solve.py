@@ -395,7 +395,6 @@ class TraceConstantBound:
 
     c_tr: float
     bound_factor: float
-    bound_holds_hint: bool | None = None
     reference_c_tr: float | None = None
 
 
@@ -403,8 +402,8 @@ def trace_constant(lam: float, params: DomainParams,
                    ctr_reference: float | None = None) -> TraceConstantBound:
     """C_tr = lam^(-1/p) and the explicit cusp-vs-simplex bound factor.
 
-    If ``ctr_reference`` (the simplex trace constant at the same exponents)
-    is supplied, the hint reports whether C_tr <= bound_factor * reference.
+    ``ctr_reference``, the simplex trace constant at the same exponents, is
+    returned as ``reference_c_tr`` for comparing C_tr with bound_factor times it.
     """
     if lam <= 0.0:
         raise RangeViolation("lam", "lam > 0")
@@ -413,9 +412,5 @@ def trace_constant(lam: float, params: DomainParams,
     a = exps.a_max
     factor = a ** (1.0 / q - 1.0 / p) * exps.distortion(a)
     c_tr = lam ** (-1.0 / p)
-    hint = None
-    if ctr_reference is not None:
-        hint = bool(c_tr <= factor * ctr_reference)
     return TraceConstantBound(c_tr=float(c_tr), bound_factor=float(factor),
-                              bound_holds_hint=hint,
                               reference_c_tr=ctr_reference)

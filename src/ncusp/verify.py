@@ -9,6 +9,7 @@ volume identity, and the boundary area formula.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,27 +39,18 @@ FD_STEP = 1e-6
 SANDWICH_SLACK = 1e-12
 
 
-def _unmet(report, bounds: dict[str, float]) -> tuple[str, ...]:
-    # a check holds when its field lies below its bound; NaN fails
-    return tuple(f"{name} = {getattr(report, name):.3g} is not below {bound:g}"
-                 for name, bound in bounds.items() if not getattr(report, name) < bound)
+class _SuiteReport:
+    """A suite's maxima, each checked against its bound in the class's BOUNDS."""
 
-
-@dataclass(frozen=True)
-class JacobianSuiteReport:
-    samples: int
-    max_roundtrip: float
-    max_reciprocity: float
-    max_fd_rel: float
-    max_sandwich_violation: float
+    BOUNDS: ClassVar[dict[str, float]]
 
     @property
     def unmet(self) -> tuple[str, ...]:
         """The checks that fail, each with its value and bound."""
-        return _unmet(self, {"max_roundtrip": ROUNDTRIP_TOL,
-                             "max_reciprocity": RECIPROCITY_TOL,
-                             "max_fd_rel": FD_TOL,
-                             "max_sandwich_violation": SANDWICH_SLACK})
+        # a check holds when its field lies below its bound; NaN fails
+        return tuple(f"{name} = {getattr(self, name):.3g} is not below {bound:g}"
+                     for name, bound in self.BOUNDS.items()
+                     if not getattr(self, name) < bound)
 
     @property
     def ok(self) -> bool:
@@ -66,6 +58,19 @@ class JacobianSuiteReport:
 
     def as_dict(self) -> dict:
         return {**asdict(self), "ok": self.ok}
+
+
+@dataclass(frozen=True)
+class JacobianSuiteReport(_SuiteReport):
+    BOUNDS: ClassVar[dict[str, float]] = {
+        "max_roundtrip": ROUNDTRIP_TOL, "max_reciprocity": RECIPROCITY_TOL,
+        "max_fd_rel": FD_TOL, "max_sandwich_violation": SANDWICH_SLACK}
+
+    samples: int
+    max_roundtrip: float
+    max_reciprocity: float
+    max_fd_rel: float
+    max_sandwich_violation: float
 
 
 def _fd_jacobi_matrix(cmap: CuspMap, y: np.ndarray) -> np.ndarray:
@@ -150,28 +155,17 @@ def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
 
 
 @dataclass(frozen=True)
-class MeasureSuiteReport:
+class MeasureSuiteReport(_SuiteReport):
+    BOUNDS: ClassVar[dict[str, float]] = {
+        "volume_rel_err": 1e-8, "area_discrepancy_const": 1e-6,
+        "area_discrepancy_height": 1e-6, "area_discrepancy_first": 1e-6,
+        "change_of_variables": 1e-8}
+
     volume_rel_err: float
     area_discrepancy_const: float
     area_discrepancy_height: float
     area_discrepancy_first: float
     change_of_variables: float
-
-    @property
-    def unmet(self) -> tuple[str, ...]:
-        """The checks that fail, each with its value and bound."""
-        return _unmet(self, {"volume_rel_err": 1e-8,
-                             "area_discrepancy_const": 1e-6,
-                             "area_discrepancy_height": 1e-6,
-                             "area_discrepancy_first": 1e-6,
-                             "change_of_variables": 1e-8})
-
-    @property
-    def ok(self) -> bool:
-        return not self.unmet
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
 
 
 def measure_suite(cmap: CuspMap) -> MeasureSuiteReport:

@@ -12,7 +12,7 @@ import pytest
 
 import ncusp
 
-from ncusp.cli import main
+from ncusp.cli import _resolve, load_config, main
 
 
 def _write_config(tmp_path, name, payload):
@@ -232,6 +232,8 @@ class TestValidation:
         ("scaling", "scaling", "theta_grid", "abc"),
         ("scaling", "scaling", "theta_grid", []),
         ("verify-geometry", "map", "a", "x"),
+        # at or below the integrability threshold of the boundary weight
+        ("solve", "params", "theta", -5), ("oracle-check", "params", "theta", -1.5),
         # integers that no float can hold
         pytest.param("exponents", "params", "gamma", 10**400, id="gamma-10**400"),
         pytest.param("verify-geometry", "map", "a", 10**400, id="a-10**400"),
@@ -328,6 +330,15 @@ class TestValidation:
         assert "p:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_default_theta_overflow_names_gamma(self, tmp_path, capsys):
+        # the default theta is beta(gamma), which overflows to inf here
+        path = _write_config(tmp_path, "bad.json",
+                             {"params": {"n": 2, "p": 1.5, "gamma": 1e308}})
+        assert main(["exponents", "--config", path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "gamma:" in err and "beta" in err and "theta:" not in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["exponents", "verify-geometry"])
     def test_simplex_string_exits_2(self, tmp_path, capsys, command):
         path = _write_config(tmp_path, "bad.json", {
@@ -355,6 +366,17 @@ class TestValidation:
         assert main(["scaling", "--config", path, "--out", str(tmp_path / "run")]) == 2
         assert "unknown key" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_readme_config_is_accepted(self, tmp_path):
+        # the README's example names only keys the CLI accepts, and the
+        # resolved config keeps each of its values
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.json"
+        path.write_text(example)
+        cfg = _resolve(load_config(str(path)), None)
+        for section, values in json.loads(example).items():
+            assert cfg[section].items() >= values.items(), section
 
     @pytest.mark.parametrize("command", ["mesh", "solve"])
     def test_nan_edge_ratio_exits_3(self, tmp_path, capsys, command):
@@ -626,50 +648,65 @@ def test_every_module_import_is_used():
 
 
 def _public_definitions(tree: ast.Module) -> list[str]:
-    """Names in __all__ that the module itself defines (not re-exports)."""
-    defined = set()
+    """Names in __all__ that the module itself defines (not re-exports), each
+    followed by the public methods of a class as ``Class.method``."""
+    defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.add(node.name)
+            defined[node.name] = node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
-    exported = [name for node in tree.body if _is_all(node)
-                for name in ast.literal_eval(node.value)]
-    return [name for name in exported if name in defined]
+            defined.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    public = []
+    for name in (name for node in tree.body if _is_all(node)
+                 for name in ast.literal_eval(node.value)):
+        node = defined.get(name)
+        if node is None:
+            continue
+        public.append(name)
+        if isinstance(node, ast.ClassDef):
+            public += [f"{name}.{item.name}" for item in node.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return public
 
 
 def _uses(tree: ast.Module) -> set[str]:
-    """Names the module reads, imports from elsewhere or names as a string
-    (the lazy-import table), outside its __all__."""
+    """Names the module reads, and attributes it reads as ``.attr``. An
+    import, an __all__ entry or a string naming a function is no use."""
     used = set()
-    for top in tree.body:
-        if _is_all(top):
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add("." + node.attr)
     return used
 
 
+# load_mesh reads the file that `ncusp mesh` writes; only tests call it
+KEPT_WITHOUT_CALLER = ["steklov/mesh.py load_mesh"]
+
+
 def test_every_public_name_is_used():
-    # a public name that nothing in src/ uses and no benchmark workload or
-    # span reaches is surface that only tests keep alive
+    # a public name or method that nothing in src/ calls and no benchmark
+    # workload, span or acceptance criterion reaches is surface that only
+    # tests keep alive
     root = SRC / "ncusp"
     trees = {path.relative_to(root).as_posix(): ast.parse(path.read_text(), str(path))
              for path in sorted(root.rglob("*.py"))}
     assert trees
-    used = set().union(*map(_uses, trees.values()))
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    used = set().union(*map(_uses, trees.values()),
+                       _uses(ast.parse(acceptance.read_text(), str(acceptance))))
     bench = "\n".join(path.read_text()
                       for path in sorted((SRC.parent / "perfbench").glob("*.py")))
-    offenders = [f"{module} {name}" for module, tree in trees.items()
-                 for name in _public_definitions(tree)
-                 if name not in used and not re.search(rf"\b{re.escape(name)}\b", bench)]
-    assert offenders == []
 
+    def reached(name):
+        # a method is reached as an attribute, a module-level name either way
+        owner, _, attr = name.rpartition(".")
+        if owner:
+            return "." + attr in used or re.search(rf"\.{attr}\b", bench)
+        return {attr, "." + attr} & used or re.search(rf"\b{attr}\b", bench)
+
+    offenders = [f"{module} {name}" for module, tree in trees.items()
+                 for name in _public_definitions(tree) if not reached(name)]
+    assert offenders == KEPT_WITHOUT_CALLER

@@ -49,6 +49,12 @@ def _discrete(theta, p=2.0, q=2.0):
     return validate_params(2, 3.0, p, q, theta=theta, usage="discrete")
 
 
+def _hessians(ws, u, reg_eps):
+    """H_E and H_B at u as CSR matrices of the workspace's pattern."""
+    vals = ws.at(u, reg_eps)
+    return ws._csr(vals.hessian_data()), ws._csr(vals.boundary_hessian_data())
+
+
 class TestAssemble:
     def test_zero_function(self, small_mesh):
         params = _discrete(2.0)
@@ -95,8 +101,7 @@ class TestAssemble:
         h = 1e-6
         for _ in range(2):
             u = 0.5 + rng.random(ws.num_dof)
-            he = ws.hessian(u, 1e-8).toarray()
-            hb = ws.boundary_hessian(u, 1e-8).toarray()
+            he, hb = (m.toarray() for m in _hessians(ws, u, 1e-8))
             fe, fb = np.empty_like(he), np.empty_like(hb)
             for k in range(ws.num_dof):
                 d = np.zeros(ws.num_dof)
@@ -121,7 +126,7 @@ class TestAssemble:
     def test_p2_hessians_are_the_matrices(self, small_mesh, rng):
         ws = workspace_for(small_mesh, _discrete(2.0))
         u = rng.standard_normal(ws.num_dof)
-        he, hb = ws.hessian(u, 0.0), ws.boundary_hessian(u, 0.0)
+        he, hb = _hessians(ws, u, 0.0)
         a = 2.0 * (ws.stiffness + ws.mass)
         assert abs(he - a).max() <= 1e-13 * abs(a).max()
         assert abs(hb - 2.0 * ws.boundary_mass).max() <= 1e-13 * abs(hb).max()
@@ -274,7 +279,8 @@ class TestNewtonLU:
         sol = minimize_rayleigh(grid, params)
         assert sol.converged
         u, eps = sol.u.values, sol.reg_eps
-        a = ws.hessian(u, eps) - sol.mu * ws.boundary_hessian(u, eps)
+        he, hb = _hessians(ws, u, eps)
+        a = he - sol.mu * hb
         g = ws.boundary(u, eps)[1]
         col = sp.csr_matrix(-g[:, None])
         full = sp.bmat([[a, col], [col.T, None]], format="csr")
@@ -417,11 +423,12 @@ class TestReuse:
             u = rng.standard_normal(ws.num_dof)
             ref = previous_fem_formulas(ws, u, 1e-8)
             (e, ge), (b, gb) = ws.energy(u, 1e-8), ws.boundary(u, 1e-8)
+            he, hb = _hessians(ws, u, 1e-8)
             got = {
                 "energy": e, "energy_grad": ge, "boundary": b, "boundary_grad": gb,
                 "metric": ws.metric_matrix(u, 1e-8),
-                "hessian": ws.hessian(u, 1e-8),
-                "boundary_hessian": ws.boundary_hessian(u, 1e-8),
+                "hessian": he,
+                "boundary_hessian": hb,
             }
             for name, value in got.items():
                 want = ref[name]
@@ -812,10 +819,3 @@ class TestTraceConstant:
         assert out.bound_factor == pytest.approx(3 ** (1 / 6) * math.sqrt(11 / 9),
                                                  rel=1e-12)
         assert out.bound_factor == pytest.approx(1.32770, abs=2e-5)
-
-    def test_hint(self):
-        params = validate_params(2, 3.0, 1.5, 2.0, usage="steklov")
-        out = trace_constant(1.0, params, ctr_reference=1.0)
-        assert out.bound_holds_hint is True
-        out2 = trace_constant(1e-6, params, ctr_reference=1.0)
-        assert out2.bound_holds_hint is False
