@@ -70,6 +70,41 @@ def _transition_integral(fn, eps: np.ndarray) -> np.ndarray:
     return (widths * (values * wg).sum(axis=-1)).sum(axis=-1)
 
 
+def _self_similar(grid: np.ndarray, e: float, plateau: float, band) -> np.ndarray:
+    # eps**(e+1) * (plateau + integral of band over (1, 2)), multiplied in
+    # log space so neither factor under- or overflows on its own
+    total = plateau + _transition_integral(band, np.ones(1))
+    return np.exp((e + 1.0) * np.log(grid) + np.log(total))
+
+
+def _boundary_norms(params: DomainParams, theta: float, q: float,
+                    grid: np.ndarray) -> np.ndarray:
+    """Boundary half of test_function_norms, one norm per entry of grid."""
+    sigma_b = side_exponent(theta, params)
+    flat = _self_similar(grid, sigma_b, 1.0 / (sigma_b + 1.0),
+                         lambda s: _cubic_value(s) ** q * powt(s, sigma_b))
+
+    slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
+    rule = graded_interval_rule(min(0.0, sigma_b))
+    t = grid[:, None] * rule.nodes
+    slanted = grid * (powt(t, sigma_b) * slant(t) * rule.weights).sum(axis=-1)
+    slanted += _transition_integral(
+        lambda t: _cubic_value(t / grid[:, None, None]) ** q * powt(t, sigma_b)
+        * slant(t), grid)
+    return ((params.n - 1) * (flat + slanted)) ** (1.0 / q)
+
+
+def _sobolev_norms(params: DomainParams, grid: np.ndarray) -> np.ndarray:
+    """Sobolev half of test_function_norms, one norm per entry of grid."""
+    p = params.p
+    nu = params.alpha * (params.n - 1)
+    val_p = _self_similar(grid, nu, 1.0 / (nu + 1.0),
+                          lambda s: _cubic_value(s) ** p * powt(s, nu))
+    grad_p = _self_similar(grid, nu - p, 0.0,
+                           lambda s: np.abs(_cubic_derivative(s)) ** p * powt(s, nu))
+    return grad_p ** (1.0 / p) + val_p ** (1.0 / p)
+
+
 def test_function_norms(params: DomainParams, theta: float, q: float, eps):
     """Boundary and Sobolev norms of the cutoff test function at scale eps.
 
@@ -84,32 +119,8 @@ def test_function_norms(params: DomainParams, theta: float, q: float, eps):
     grid = np.atleast_1d(np.asarray(eps, dtype=float))
     if grid.ndim != 1 or not np.all((0.0 < grid) & (grid < 0.5)):
         raise RangeViolation("eps", "0 < eps < 1/2, as a number or a 1-D array")
-    n, p = params.n, params.p
-    sigma_b = side_exponent(theta, params)
-    nu = params.alpha * (n - 1)
-
-    def scaled(e, plateau, band):
-        # eps**(e+1) * (plateau + integral of band over (1, 2)), multiplied in
-        # log space so neither factor under- or overflows on its own
-        total = plateau + _transition_integral(band, np.ones(1))
-        return np.exp((e + 1.0) * np.log(grid) + np.log(total))
-
-    flat = scaled(sigma_b, 1.0 / (sigma_b + 1.0),
-                  lambda s: _cubic_value(s) ** q * powt(s, sigma_b))
-    val_p = scaled(nu, 1.0 / (nu + 1.0), lambda s: _cubic_value(s) ** p * powt(s, nu))
-    grad_p = scaled(nu - p, 0.0,
-                    lambda s: np.abs(_cubic_derivative(s)) ** p * powt(s, nu))
-
-    slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
-    rule = graded_interval_rule(min(0.0, sigma_b))
-    t = grid[:, None] * rule.nodes
-    slanted = grid * (powt(t, sigma_b) * slant(t) * rule.weights).sum(axis=-1)
-    slanted += _transition_integral(
-        lambda t: _cubic_value(t / grid[:, None, None]) ** q * powt(t, sigma_b)
-        * slant(t), grid)
-
-    boundary_norm = ((n - 1) * (flat + slanted)) ** (1.0 / q)
-    sobolev = grad_p ** (1.0 / p) + val_p ** (1.0 / p)
+    boundary_norm = _boundary_norms(params, theta, q, grid)
+    sobolev = _sobolev_norms(params, grid)
     if np.ndim(eps) == 0:
         return float(boundary_norm[0]), float(sobolev[0])
     return boundary_norm, sobolev
@@ -131,10 +142,26 @@ class ScalingResult:
     predicted_rhs: float
 
 
-def _unfit(key: str, side: str) -> NumericalError:
-    return NumericalError(
-        f"{key}: the {side} norm of the test function on the eps grid is not a "
-        "finite positive number, so no slope can be fitted")
+def _slope(norms: np.ndarray, key: str, side: str) -> float:
+    """Least-squares slope of log2(norms) against log2(DEFAULT_EPS_GRID);
+    NumericalError naming key unless every norm is finite and positive."""
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise NumericalError(
+            f"{key}: the {side} norm of the test function on the eps grid is not a "
+            "finite positive number, so no slope can be fitted")
+    return float(np.polyfit(np.log2(DEFAULT_EPS_GRID), np.log2(norms), 1)[0])
+
+
+def _sobolev_slope(params: DomainParams, norms: np.ndarray) -> float:
+    return _slope(norms, f"gamma = {params.gamma:g}", "Sobolev")
+
+
+def _boundary_slope(params: DomainParams, theta: float, norms: np.ndarray) -> float:
+    key = f"theta = {theta:g}"
+    if params.p < params.n and theta == derived_exponents(params).beta:
+        # the default theta is the sharp weight, which grows with gamma
+        key += f" (the sharp weight at gamma = {params.gamma:g})"
+    return _slope(norms, key, "boundary")
 
 
 def scaling_slopes(params: DomainParams, theta: float, q: float) -> ScalingResult:
@@ -146,25 +173,15 @@ def scaling_slopes(params: DomainParams, theta: float, q: float) -> ScalingResul
     boundary norm, whose power of eps is theta + alpha(n-2) + 1. For a large
     gamma or theta the norm at the smallest eps underflows.
     """
-    grid = DEFAULT_EPS_GRID
     n, p, alpha = params.n, params.p, params.alpha
     sigma_b = side_exponent(theta, params)
     # a norm that over- or underflows is reported below, not warned about
     with np.errstate(all="ignore"):
-        lhs, rhs = test_function_norms(params, theta, q, grid)
-    if not np.all(np.isfinite(rhs) & (rhs > 0.0)):
-        raise _unfit(f"gamma = {params.gamma:g}", "Sobolev")
-    if not np.all(np.isfinite(lhs) & (lhs > 0.0)):
-        key = f"theta = {theta:g}"
-        if p < n and theta == derived_exponents(params).beta:
-            # the default theta is the sharp weight, which grows with gamma
-            key += f" (the sharp weight at gamma = {params.gamma:g})"
-        raise _unfit(key, "boundary")
-    x = np.log2(grid)
-    lhs_slope = float(np.polyfit(x, np.log2(lhs), 1)[0])
-    rhs_slope = float(np.polyfit(x, np.log2(rhs), 1)[0])
+        lhs, rhs = test_function_norms(params, theta, q, DEFAULT_EPS_GRID)
+    rhs_slope = _sobolev_slope(params, rhs)
+    lhs_slope = _boundary_slope(params, theta, lhs)
     return ScalingResult(
-        eps_grid=grid,
+        eps_grid=DEFAULT_EPS_GRID,
         lhs_norms=lhs,
         rhs_norms=rhs,
         lhs_slope=lhs_slope,
@@ -194,8 +211,17 @@ def sharpness_scan(params: DomainParams, q: float, theta_grid) -> SharpnessScan:
     theta_min = derived_exponents(params).theta_min(q)
     if not thetas[0] <= theta_min <= thetas[-1]:
         raise RangeViolation("theta_grid", "grid must straddle theta_min")
+    # the gaps scaling_slopes gives at each theta, with the theta-free Sobolev
+    # slope fitted once; scaling_slopes rejects a theta that is not integrable
+    # before it fits a slope, so the smallest theta is checked first
+    side_exponent(thetas[0], params)
+    with np.errstate(all="ignore"):
+        rhs = _sobolev_norms(params, DEFAULT_EPS_GRID)
+    rhs_slope = _sobolev_slope(params, rhs)
     rows = np.empty((thetas.size, 3))
     for k, theta in enumerate(thetas):
-        res = scaling_slopes(params, theta, q)
-        rows[k] = (theta, res.lhs_slope - res.rhs_slope, theta - theta_min)
+        with np.errstate(all="ignore"):
+            lhs = _boundary_norms(params, theta, q, DEFAULT_EPS_GRID)
+        rows[k] = (theta, _boundary_slope(params, theta, lhs) - rhs_slope,
+                   theta - theta_min)
     return SharpnessScan(theta_min=theta_min, rows=rows)

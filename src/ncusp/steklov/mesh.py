@@ -235,13 +235,13 @@ def generate_cusp_mesh(params: DomainParams, levels: int,
 
 def save_mesh(mesh: TriMesh, path) -> None:
     """Write the mesh in the ncusp-mesh v1 text format."""
+    # tolist() hands out Python floats and ints, formatted without a
+    # conversion per entry
     lines = ["ncusp-mesh v1"]
-    for x1, x2 in mesh.vertices:
-        lines.append(f"v {float(x1)!r} {float(x2)!r}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"t {int(i)} {int(j)} {int(k)}")
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        lines.append(f"b {int(i)} {int(j)} {tag}")
+    lines += [f"v {x1!r} {x2!r}" for x1, x2 in mesh.vertices.tolist()]
+    lines += [f"t {i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
+    lines += [f"b {i} {j} {tag}" for (i, j), tag in
+              zip(mesh.boundary_edges.tolist(), mesh.boundary_tags.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

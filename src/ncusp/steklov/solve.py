@@ -23,7 +23,9 @@ matrix pencil.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -256,8 +258,8 @@ def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: fl
     return taken
 
 
-def _solve_start(ws: FemWorkspace, metric: _BandCholesky, newton_lu: _PatternLU,
-                 u: np.ndarray, opts: SolverOptions):
+def _solve_start(ws: FemWorkspace, metric: Callable[[], _BandCholesky],
+                 newton_lu: _PatternLU, u: np.ndarray, opts: SolverOptions):
     """Newton from one start, with an inverse-iteration step where it finds no descent.
 
     Every iterate is renormalized to B(u) = 1 before its weak residual is
@@ -275,7 +277,7 @@ def _solve_start(ws: FemWorkspace, metric: _BandCholesky, newton_lu: _PatternLU,
             step = _newton_step(ws, newton_lu, pt, mu)
             if step is None:
                 try:
-                    z = metric.solve(pt.metric_data(), pt.grad_B)
+                    z = metric().solve(pt.metric_data(), pt.grad_B)
                 except np.linalg.LinAlgError:
                     raise NumericalError(
                         f"inverse-iteration step {len(history) + 1}: the metric is not "
@@ -312,8 +314,9 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     if opts.initial is not None and len(opts.initial) != ws.num_dof:
         raise RangeViolation("initial", f"one value per mesh vertex ({ws.num_dof})")
 
-    # every start shares the band index and the Newton pattern's ordering
-    metric = _BandCholesky(ws.stiffness, mesh.vertices)
+    # every start shares the Newton pattern's ordering, and the band index,
+    # which is built at the first inverse-iteration step: most solves take none
+    metric = functools.cache(lambda: _BandCholesky(ws.stiffness, mesh.vertices))
     newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
     results, failures = [], []
     total_iters = 0

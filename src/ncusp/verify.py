@@ -16,11 +16,15 @@ import numpy as np
 from .errors import SIZE_BUDGET, NumericalError, check_number
 from .geometry import (
     CuspMap,
+    _scaled_cross,
     boundary_faces,
     forward_map,
     inverse_map,
     jacobian_forward,
     jacobian_inverse,
+    map_jacobian,
+    map_points,
+    powt,
     quasi_random_interior,
     quasi_random_model_interior,
     tangential_jacobian,
@@ -74,13 +78,25 @@ class JacobianSuiteReport(_SuiteReport):
 
 
 def _fd_jacobi_matrix(cmap: CuspMap, y: np.ndarray) -> np.ndarray:
-    """Central differences D[i, j] = dx_i/dy_j of the forward map, shape (n, n, m)."""
+    """Central differences D[i, j] = dx_i/dy_j of the forward map, shape (n, n, m).
+
+    The stencil points are mapped without the forward map's gate, so y must
+    keep more than FD_STEP from every wall. A step in a cross coordinate
+    leaves y_n, and with it both height powers of the map, unchanged.
+    """
     m, n = y.shape
+    yn = y[:, -1]
+    scale, height = powt(yn, cmap.a * cmap.alpha - 1.0), powt(yn, cmap.a)
     D = np.empty((n, n, m))
     for j in range(n):
-        up, down = y.copy(), y.copy()
+        # order "K": a plain copy() would turn column-major points into rows
+        up, down = y.copy(order="K"), y.copy(order="K")
         up[:, j], down[:, j] = y[:, j] + FD_STEP, y[:, j] - FD_STEP
-        D[:, j] = ((forward_map(cmap, up) - forward_map(cmap, down)) / (2.0 * FD_STEP)).T
+        if j < n - 1:
+            up, down = _scaled_cross(up, scale, height), _scaled_cross(down, scale, height)
+        else:
+            up, down = map_points(cmap, up), map_points(cmap, down)
+        D[:, j] = ((up - down) / (2.0 * FD_STEP)).T
     return D
 
 
@@ -118,16 +134,19 @@ def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
         np.maximum(size, np.abs(y[:, i]), out=size)
     rt = np.max(err / (1.0 + size))
 
-    jf = jacobian_forward(cmap, y)
+    # forward_map has gated y
+    jf = map_jacobian(cmap, y[:, -1])
     ji = jacobian_inverse(cmap, x)
     rec = np.max(np.abs(jf * ji - 1.0))
 
-    # finite differences need headroom from the domain walls
+    # finite differences need headroom from the domain walls: jacobian_forward
+    # gates y_fd, and the stencil keeps at least 0.05 * 0.05 - FD_STEP from
+    # each wall, so it is not gated again
     y_fd = 0.05 + 0.9 * quasi_random_model_interior(n, samples, skip=samples + 1)
     for i in range(n - 1):
         y_fd[:, i] *= y_fd[:, -1]
-    fd = _determinant(_fd_jacobi_matrix(cmap, y_fd))
     exact = jacobian_forward(cmap, y_fd)
+    fd = _determinant(_fd_jacobi_matrix(cmap, y_fd))
     fd_rel = np.max(np.abs(fd - exact) / np.abs(exact))
 
     xg = quasi_random_interior(cmap.params, samples)
@@ -138,7 +157,8 @@ def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
         if not face.is_side:
             continue
         if face.kind == "flat":
-            val = tangential_jacobian(cmap, face, t)
+            # a flat face's Jacobian, t**E / a, is the lower bound itself
+            val = lo
         else:
             xhat = xg[:, [j for j in range(n - 1) if j != face.index - 1]]
             val = tangential_jacobian(cmap, face, t, xhat=xhat)

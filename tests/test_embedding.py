@@ -233,6 +233,41 @@ class TestSharpnessScan:
             sharpness_scan(p1_trace, 2.0, [0.0, bad, 2.0])
         assert err.value.field == "theta_grid"
 
+    @pytest.mark.parametrize("case", ["p1", "p2"])
+    def test_rows_are_the_scaling_gaps_with_one_sobolev_half(self, case, p1_trace,
+                                                             p2_params, monkeypatch):
+        params, q, grid = {"p1": (p1_trace, 2.0, [1.3, 0.5, 0.95, 1.0, 1.05]),
+                           "p2": (p2_params, 3.0, [0.2, 0.5, 0.8])}[case]
+        calls = []
+        sobolev, norms = embedding._sobolev_norms, embedding.test_function_norms
+        monkeypatch.setattr(embedding, "_sobolev_norms",
+                            lambda *args: calls.append("sobolev") or sobolev(*args))
+        monkeypatch.setattr(embedding, "test_function_norms",
+                            lambda *args: calls.append("both") or norms(*args))
+        scan = sharpness_scan(params, q, grid)
+        assert calls == ["sobolev"]
+        assert np.array_equal(scan.rows[:, 0], np.sort(grid))
+        for theta, gap, _ in scan.rows:
+            res = scaling_slopes(params, theta, q)
+            assert gap == res.lhs_slope - res.rhs_slope
+
+    @pytest.mark.parametrize("gamma,low,extra", [
+        (1e200, 0.0, []),       # the Sobolev norm underflows: gamma is named
+        (1e200, -1.5, []),      # but the smallest theta is not integrable
+        (3.0, 0.5, [200.0]),    # the boundary norm at theta 200 underflows
+    ])
+    def test_errors_are_those_of_scaling_slopes(self, gamma, low, extra):
+        # the scan raises what scaling_slopes raises at its first theta that fails
+        params = validate_params(2, gamma, 1.5)
+        theta_min = derived_exponents(params).theta_min(2.0)
+        grid = [low, theta_min, 2.0 * theta_min, *extra]
+        with pytest.raises(Exception) as scan_err:
+            sharpness_scan(params, 2.0, grid)
+        with pytest.raises(type(scan_err.value)) as ref_err:
+            for theta in sorted(grid):
+                scaling_slopes(params, theta, 2.0)
+        assert str(scan_err.value) == str(ref_err.value)
+
     def test_sign_agreement_away_from_threshold(self, p1_trace):
         scan = sharpness_scan(p1_trace, 2.0, [0.7, 0.95, 1.0, 1.05, 1.3])
         for theta, gap, dist in scan.rows:

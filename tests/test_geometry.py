@@ -100,6 +100,14 @@ class TestValidateParams:
             validate_params(2, 2.0, 1.5, simplex=value)
         assert err.value.field == "simplex"
 
+    def test_default_theta_is_beta_bit_for_bit(self, rng):
+        for _ in range(1000):
+            n = int(rng.integers(2, 6))
+            p = float(rng.uniform(1.01, n - 0.01))
+            gamma = float(rng.uniform(n + 1e-3, n + 50.0))
+            params = validate_params(n, gamma, p)
+            assert params.theta == derived_exponents(params).beta
+
     def test_discrete_mode_requires_explicit_theta_at_p_ge_n(self):
         with pytest.raises(RangeViolation):
             validate_params(2, 3.0, 2.0, 2.0, usage="discrete")
@@ -309,6 +317,15 @@ class TestColumnKernels:
         assert np.array_equal(dphi_spectral_norm(cmap, y), norm)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_points_are_stored_column_major(self, n):
+        # each coordinate column is contiguous for the column kernels
+        cmap = MAPS_BY_N[n]
+        y = quasi_random_model_interior(n, 300)
+        x = quasi_random_interior(cmap.params, 300)
+        for pts in (y, x, forward_map(cmap, y), inverse_map(cmap, x)):
+            assert pts.flags.f_contiguous and not pts.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_a_point_on_any_face_is_rejected(self, n):
         cmap = MAPS_BY_N[n]
         y = quasi_random_model_interior(n, 50)
@@ -368,6 +385,25 @@ class TestFdDeterminant:
             step[j] = FD_STEP
             col = (forward_map(cmap, y + step) - forward_map(cmap, y - step)) / (2 * FD_STEP)
             assert np.array_equal(D[:, j], col.T)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_height_power_is_taken_once(self, n, monkeypatch):
+        # a step in a cross coordinate leaves y_n alone: the two powers of the
+        # heights y_n are taken once, and each of the two steps in y_n its own
+        import ncusp.geometry
+        import ncusp.verify
+
+        calls = []
+        exact = ncusp.geometry.powt
+
+        def counted(t, exponent):
+            calls.append((np.asarray(t).tobytes(), exponent))
+            return exact(t, exponent)
+
+        monkeypatch.setattr(ncusp.geometry, "powt", counted)
+        monkeypatch.setattr(ncusp.verify, "powt", counted, raising=False)
+        _fd_jacobi_matrix(MAPS_BY_N[n], _suite_fd_points(n, 300))
+        assert len(calls) == len(set(calls)) == 6
 
     def test_lu_only_from_four_dimensions(self, monkeypatch):
         calls = []

@@ -194,6 +194,19 @@ class TestMeshIO:
         assert m2.tip_height == m.tip_height
         assert m2.min_quality == m.min_quality
 
+    def test_text_equals_a_per_line_writer(self, p1_params, tmp_path):
+        m = generate_cusp_mesh(p1_params, levels=5)
+        path = tmp_path / "mesh.txt"
+        save_mesh(m, path)
+        ref = ["ncusp-mesh v1"]
+        for x1, x2 in m.vertices:
+            ref.append(f"v {float(x1)!r} {float(x2)!r}")
+        for i, j, k in m.triangles:
+            ref.append(f"t {int(i)} {int(j)} {int(k)}")
+        for (i, j), tag in zip(m.boundary_edges, m.boundary_tags):
+            ref.append(f"b {int(i)} {int(j)} {tag}")
+        assert path.read_bytes() == ("\n".join(ref) + "\n").encode()
+
     def test_header_line(self, p1_params, tmp_path):
         m = generate_cusp_mesh(p1_params, levels=4)
         path = tmp_path / "mesh.txt"

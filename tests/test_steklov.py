@@ -259,6 +259,24 @@ class TestBandCholesky:
         lam = [minimize_rayleigh(m, p1_params).lam for m in (grid, shuffled)]
         assert abs(lam[1] - lam[0]) <= 1e-12 * lam[0]
 
+    def test_built_at_the_first_inverse_iteration_step(self, p1_params, monkeypatch):
+        # the reference takes no inverse-iteration step and builds no band
+        # index; on this mesh both random starts take one, on a single index
+        log = []
+        init, cholesky = _BandCholesky.__init__, solve.sla.cholesky_banded
+        monkeypatch.setattr(_BandCholesky, "__init__",
+                            lambda self, *args: log.append("build") or init(self, *args))
+        monkeypatch.setattr(solve.sla, "cholesky_banded",
+                            lambda *args, **kwargs: log.append("factor")
+                            or cholesky(*args, **kwargs))
+        minimize_rayleigh(generate_cusp_mesh(p1_params, levels=10), p1_params)
+        assert log == []
+        grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
+        sol = minimize_rayleigh(grid, p1_params, SolverOptions(restarts=3))
+        assert sol.converged
+        assert log.count("build") == 1 and log.count("factor") >= 2
+        assert log[0] == "build"
+
 
 class TestNewtonLU:
     """The bordered Newton matrix on SuperLU, ordered once per solve."""
