@@ -77,20 +77,36 @@ def _self_similar(grid: np.ndarray, e: float, plateau: float, band) -> np.ndarra
     return np.exp((e + 1.0) * np.log(grid) + np.log(total))
 
 
+def _slant_factor(params: DomainParams):
+    """The slanted face's surface factor at the heights t of `_boundary_norms`
+    on one eps grid, once per key: the graded rule's exponent for the plateau
+    heights, shared by the thetas of a scan whose rules agree, None for the
+    transition band's, shared by all."""
+    factor = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
+    taken = {}
+
+    def at(t: np.ndarray, key: float | None) -> np.ndarray:
+        if key not in taken:
+            taken[key] = factor(t)
+        return taken[key]
+    return at
+
+
 def _boundary_norms(params: DomainParams, theta: float, q: float,
-                    grid: np.ndarray) -> np.ndarray:
-    """Boundary half of test_function_norms, one norm per entry of grid."""
+                    grid: np.ndarray, slant) -> np.ndarray:
+    """Boundary half of test_function_norms, one norm per entry of grid, with
+    the surface factor ``slant`` of `_slant_factor` on that grid."""
     sigma_b = side_exponent(theta, params)
     flat = _self_similar(grid, sigma_b, 1.0 / (sigma_b + 1.0),
                          lambda s: _cubic_value(s) ** q * powt(s, sigma_b))
 
-    slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
-    rule = graded_interval_rule(min(0.0, sigma_b))
+    lowest = min(0.0, sigma_b)
+    rule = graded_interval_rule(lowest)
     t = grid[:, None] * rule.nodes
-    slanted = grid * (powt(t, sigma_b) * slant(t) * rule.weights).sum(axis=-1)
+    slanted = grid * (powt(t, sigma_b) * slant(t, lowest) * rule.weights).sum(axis=-1)
     slanted += _transition_integral(
         lambda t: _cubic_value(t / grid[:, None, None]) ** q * powt(t, sigma_b)
-        * slant(t), grid)
+        * slant(t, None), grid)
     return ((params.n - 1) * (flat + slanted)) ** (1.0 / q)
 
 
@@ -119,7 +135,7 @@ def test_function_norms(params: DomainParams, theta: float, q: float, eps):
     grid = np.atleast_1d(np.asarray(eps, dtype=float))
     if grid.ndim != 1 or not np.all((0.0 < grid) & (grid < 0.5)):
         raise RangeViolation("eps", "0 < eps < 1/2, as a number or a 1-D array")
-    boundary_norm = _boundary_norms(params, theta, q, grid)
+    boundary_norm = _boundary_norms(params, theta, q, grid, _slant_factor(params))
     sobolev = _sobolev_norms(params, grid)
     if np.ndim(eps) == 0:
         return float(boundary_norm[0]), float(sobolev[0])
@@ -212,16 +228,18 @@ def sharpness_scan(params: DomainParams, q: float, theta_grid) -> SharpnessScan:
     if not thetas[0] <= theta_min <= thetas[-1]:
         raise RangeViolation("theta_grid", "grid must straddle theta_min")
     # the gaps scaling_slopes gives at each theta, with the theta-free Sobolev
-    # slope fitted once; scaling_slopes rejects a theta that is not integrable
-    # before it fits a slope, so the smallest theta is checked first
+    # slope fitted once and the surface factor taken once per set of heights;
+    # scaling_slopes rejects a theta that is not integrable before it fits a
+    # slope, so the smallest theta is checked first
     side_exponent(thetas[0], params)
     with np.errstate(all="ignore"):
         rhs = _sobolev_norms(params, DEFAULT_EPS_GRID)
     rhs_slope = _sobolev_slope(params, rhs)
+    slant = _slant_factor(params)
     rows = np.empty((thetas.size, 3))
     for k, theta in enumerate(thetas):
         with np.errstate(all="ignore"):
-            lhs = _boundary_norms(params, theta, q, DEFAULT_EPS_GRID)
+            lhs = _boundary_norms(params, theta, q, DEFAULT_EPS_GRID, slant)
         rows[k] = (theta, _boundary_slope(params, theta, lhs) - rhs_slope,
                    theta - theta_min)
     return SharpnessScan(theta_min=theta_min, rows=rows)

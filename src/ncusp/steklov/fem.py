@@ -78,29 +78,30 @@ def _power(s: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
-def _with_transpose(op: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    return op, op.T.tocsr()
-
-
 class FemWorkspace:
-    """Precomputed P1 operators and quadrature for one (mesh, theta, p, q) setup.
+    """Precomputed P1 element arrays and quadrature for one (mesh, theta, p, q) setup.
 
-    Three sparse operators take nodal values to the values every functional
-    integrates:
+    A nodal vector u is gathered per triangle, ``u[triangles]``, and per
+    boundary quadrature point, ``u[edge_ends.T]``; nodal gradients are
+    scattered back with one ``np.bincount`` over the same indices. The element
+    arrays hold one row per local vertex or quadrature point, so that every
+    operation runs along rows of nt or ne_q entries:
 
-    grad_op    (2 nt, nv)     both gradient components, x1 rows then x2 rows
-    interp_op  (nt kq, nv)    values at the kq triangle quadrature points
-    edge_op    (ne_q, nv)     values at the boundary quadrature points
+    triangles     (3, nt)     vertex indices of every triangle
+    _gx, _gy      (3, nt)     x1 and x2 components of the P1 basis gradients
+    _bary         (kq, 3)     barycentric coordinates of the triangle rule
+    tri_w         (kq, nt)    weight of every triangle quadrature point
+    edge_ends     (ne_q, 2)   the ends of the edge of every boundary point
+    edge_lam      (2, ne_q)   their weights 1 - lam and lam at the point
+    edge_wf       (ne_q,)     the point's weight times x2**theta
 
-    The transposes scatter pointwise derivatives back to nodal gradients.
-    Those of grad_op and edge_op are stored, which makes the product about
-    twice as fast. That of interp_op is not: it would be the largest array of
-    the workspace (1.9 MB at levels 10), and the product through
-    ``interp_op.T`` gives the same bits, 0.15 ms slower at levels 10.
-    Element matrices (stiffness, mass, the metric, both Hessians) are summed
-    into one fixed CSR pattern, so the matrices built from it share indices
-    and indptr and can be combined through their data arrays; the boundary
-    mass is edge_op^T diag(edge_wf) edge_op.
+    No sparse operator is kept: the workspace holds 3.8 MB at levels 10, and
+    the gradient, interpolation and edge operators with the transposes that
+    make their products fast would take 7.1 MB.
+    Element matrices (stiffness, mass, the metric, both Hessians), (9, nt),
+    are summed triangle by triangle into one fixed CSR pattern, so the
+    matrices built from it share indices and indptr and can be combined
+    through their data arrays.
     """
 
     def __init__(self, mesh: TriMesh, theta: float, p: float, q: float):
@@ -115,12 +116,13 @@ class FemWorkspace:
 
         verts = mesh.vertices
         tris = mesh.triangles
+        self.triangles = np.ascontiguousarray(tris.T)
         nt, nv = mesh.num_triangles, mesh.num_vertices
         self.num_dof = nv
-        self.areas, self._grads = p1_geometry(mesh)
-        grads = self._grads
+        self.areas, self._gx, self._gy = p1_geometry(mesh)
         rule = triangle_rule(TRI_ORDER)
-        kq = rule.weights.size
+        self._bary = rule.barycentric
+        self.tri_w = rule.weights[:, None] * self.areas
 
         # flattened boundary quadrature: Gauss points on every edge away
         # from the origin, the graded rule on the (at most two) tip edges
@@ -133,61 +135,41 @@ class FemWorkspace:
         at_origin_j = (vj == 0.0).all(axis=1)
         away = ~(at_origin_i | at_origin_j)
         heights = vi[away, 1][:, None] * (1.0 - xg) + vj[away, 1][:, None] * xg
-        qp_i = [np.repeat(ends[away, 0], xg.size)]
-        qp_j = [np.repeat(ends[away, 1], xg.size)]
+        qp_ends = [np.repeat(ends[away], xg.size, axis=0)]
         qp_lam = [np.tile(xg, int(away.sum()))]
         qp_wf = [(wg * length[away][:, None] * heights ** self.theta).ravel()]
         for k in np.flatnonzero(~away):
             # parametrize from the origin towards the other endpoint
             s = tip_rule.nodes
             far_end = vj[k] if at_origin_i[k] else vi[k]
-            qp_i.append(np.full(s.shape, ends[k, 0]))
-            qp_j.append(np.full(s.shape, ends[k, 1]))
+            qp_ends.append(np.repeat(ends[k:k + 1], s.size, axis=0))
             # lam is the fraction of endpoint j
             qp_lam.append(s if at_origin_i[k] else 1.0 - s)
             qp_wf.append(tip_rule.weights * length[k] * (s * far_end[1]) ** self.theta)
-        edge_i = np.concatenate(qp_i)
-        edge_j = np.concatenate(qp_j)
+        self.edge_ends = np.concatenate(qp_ends)
         edge_lam = np.concatenate(qp_lam)
+        self.edge_lam = np.stack([1.0 - edge_lam, edge_lam])
         self.edge_wf = np.concatenate(qp_wf)
-        ne = edge_lam.size
 
-        self.grad_op, self._grad_op_t = _with_transpose(sp.csr_matrix(
-            (np.concatenate([grads[:, :, 0], grads[:, :, 1]]).ravel(),
-             (np.repeat(np.arange(2 * nt), 3), np.tile(tris, (2, 1)).ravel())),
-            shape=(2 * nt, nv)))
-        self.interp_op = sp.csr_matrix(
-            (np.tile(rule.barycentric.ravel(), nt),
-             (np.repeat(np.arange(nt * kq), 3), np.repeat(tris, kq, axis=0).ravel())),
-            shape=(nt * kq, nv))
-        self.edge_op, self._edge_op_t = _with_transpose(sp.csr_matrix(
-            (np.stack([1.0 - edge_lam, edge_lam], axis=1).ravel(),
-             (np.repeat(np.arange(ne), 2), np.stack([edge_i, edge_j], axis=1).ravel())),
-            shape=(ne, nv)))
-        # quadrature weight of every row of interp_op
-        self.interp_w = (self.areas[:, None] * rule.weights[None, :]).ravel()
-
-        # _slot maps every entry of the element matrices (nt, 9) to its
-        # place in the data of the fixed CSR pattern
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
-        keys, self._slot = np.unique(rows * nv + cols, return_inverse=True)
+        # _slot maps every entry of the element matrices, triangle by triangle,
+        # to its place in the data of the fixed CSR pattern
+        keys, self._slot = np.unique((tris[:, :, None] * nv + tris[:, None, :]).ravel(),
+                                     return_inverse=True)
         self._indices = keys % nv
         self._indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
-        self._grad_gram = np.einsum("tid,tjd->tij", grads, grads).reshape(nt, 9) \
-            * self.areas[:, None]
-        self._bary_outer = np.einsum("qi,qj->qij", rule.barycentric,
-                                     rule.barycentric).reshape(kq, 9)
+        gx, gy = self._gx, self._gy
+        self._grad_gram = ((gx[:, None] * gx[None, :] + gy[:, None] * gy[None, :])
+                           * self.areas).reshape(9, nt)
+        self._bary_outer = np.einsum("qi,qj->ijq", self._bary, self._bary).reshape(9, -1)
         # the same for the 2x2 element matrices of the boundary quadrature
         # points, which couple the two ends of a boundary edge
-        pair = np.stack([edge_i, edge_j], axis=1)
+        pair = self.edge_ends
         edge_keys = (np.repeat(pair, 2, axis=1) * nv + np.tile(pair, (1, 2))).ravel()
         self._edge_slot = np.searchsorted(keys, edge_keys)
         if not np.array_equal(keys[np.minimum(self._edge_slot, keys.size - 1)],
                               edge_keys):
             raise RangeViolation("boundary_edges", "every boundary edge is a triangle edge")
-        lam_pair = np.stack([1.0 - edge_lam, edge_lam], axis=1)
-        self._edge_outer = (lam_pair[:, :, None] * lam_pair[:, None, :]).reshape(ne, 4)
+        self._edge_outer = (self.edge_lam[:, None] * self.edge_lam[None, :]).reshape(4, -1)
         self.stiffness = self._csr(self._sum(self._grad_gram))
 
     # -- matrices ----------------------------------------------------------
@@ -196,17 +178,24 @@ class FemWorkspace:
     @cached_property
     def mass(self) -> sp.csr_matrix:
         return self._csr(self._sum(
-            self.areas[:, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()))
+            ((np.ones((3, 3)) + np.eye(3)) / 12.0).reshape(9, 1) * self.areas))
 
     @cached_property
     def boundary_mass(self) -> sp.csr_matrix:
-        return (self._edge_op_t @ sp.diags(self.edge_wf) @ self.edge_op).tocsr()
+        # edge^T diag(edge_wf) edge, with the edge operator (the values at the
+        # boundary quadrature points) built here: assembled through _edge_slot,
+        # the entries change in their last bits, and the p = q = 2 oracle's
+        # check passes with a 5% margin only
+        rows = np.arange(self.edge_lam.size) // 2
+        edge = sp.csr_matrix((self.edge_lam.T.ravel(), (rows, self.edge_ends.ravel())),
+                             shape=(self.edge_wf.size, self.num_dof))
+        return (edge.T.tocsr() @ sp.diags(self.edge_wf) @ edge).tocsr()
 
     def _sum(self, local: np.ndarray, slot: np.ndarray | None = None) -> np.ndarray:
-        """Sum element matrices, (nt, 9) or with their own slot map, into the
-        data of the fixed nodal CSR pattern."""
+        """Sum element matrices, (9, nt) or with their own slot map, into the
+        data of the fixed nodal CSR pattern, element by element."""
         return np.bincount(self._slot if slot is None else slot,
-                           weights=local.ravel(), minlength=self._indices.size)
+                           weights=local.T.ravel(), minlength=self._indices.size)
 
     def _csr(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self._indices, self._indptr),
@@ -234,7 +223,7 @@ class FemWorkspace:
 
     def trace_integral(self, u: np.ndarray) -> float:
         """Weighted trace integral of u (sign-normalization functional)."""
-        return float(np.dot(self.edge_wf, self.edge_op @ u))
+        return float(np.dot(self.edge_wf, self.at(u, 0.0).uv))
 
     def residual(self, e: float, ge: np.ndarray, gb: np.ndarray, lam: float) -> float:
         """Scaled sup-norm of the weak-form residual over nodal test functions,
@@ -247,15 +236,16 @@ class QuadValues:
     """A nodal function u with its values at a workspace's quadrature points.
 
     Every part is computed on first use and kept, so all functionals,
-    gradients and matrices at u share one product with each operator and one
-    power per quadrature point:
+    gradients and matrices at u share one gather of u and one power per
+    quadrature point:
 
+    U         (3, nt)     u at the vertices of every triangle
     gu        (2, nt)     grad u per triangle, x1 row then x2 row
     uv        (ne_q,)     u at the boundary quadrature points
     s, b                  |grad u|^2 + eps^2 and uv^2 + eps^2
     s_pow, b_pow          s^(p/2-1) and b^(q/2-1)
-    m_pow     (nt kq,)    m^(p/2-1), m = uq^2 + eps^2 with uq the values at
-                          the triangle quadrature points
+    m_pow     (kq, nt)    m^(p/2-1), m = uq^2 + eps^2 with uq = bary U the
+                          values at the triangle quadrature points
 
     and from them the energy ``E``, the boundary functional ``B``, their
     nodal gradients, the quotient ``lam`` and the weak residual ``res``.
@@ -272,12 +262,12 @@ class QuadValues:
         self.eps2 = reg_eps * reg_eps
 
     def scaled(self, c: float) -> "QuadValues":
-        """The values of u / c: u and the operator products taken so far are
-        divided by c, and no operator is applied again."""
+        """The values of u / c: u and the values gathered or derived so far
+        are divided by c, and u is not gathered again."""
         out = QuadValues(self.ws, self.u / c, self.reg_eps)
         # a cached_property keeps its value in the instance __dict__, and an
         # attribute set there is what it returns
-        for name in ("gu", "uv"):
+        for name in ("U", "gu", "uv"):
             if name in self.__dict__:
                 setattr(out, name, self.__dict__[name] / c)
         return out
@@ -285,12 +275,20 @@ class QuadValues:
     # -- values at the quadrature points -------------------------------------
 
     @cached_property
+    def U(self) -> np.ndarray:
+        return self.u[self.ws.triangles]
+
+    @cached_property
     def gu(self) -> np.ndarray:
-        return (self.ws.grad_op @ self.u).reshape(2, -1)
+        ws, U = self.ws, self.U
+        gx, gy = ws._gx, ws._gy
+        return np.stack([gx[0] * U[0] + gx[1] * U[1] + gx[2] * U[2],
+                         gy[0] * U[0] + gy[1] * U[1] + gy[2] * U[2]])
 
     @cached_property
     def uv(self) -> np.ndarray:
-        return self.ws.edge_op @ self.u
+        ue, lam = self.u[self.ws.edge_ends.T], self.ws.edge_lam
+        return ue[0] * lam[0] + ue[1] * lam[1]
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -310,8 +308,8 @@ class QuadValues:
         return _power(self.b, 0.5 * self.ws.q - 1.0)
 
     def _interior(self) -> tuple[np.ndarray, np.ndarray]:
-        """uq and m at the triangle quadrature points, taken afresh."""
-        uq = self.ws.interp_op @ self.u
+        """uq and m at the triangle quadrature points, (kq, nt), taken afresh."""
+        uq = self.ws._bary @ self.U
         return uq, uq * uq + self.eps2
 
     # -- functionals and gradients -------------------------------------------
@@ -326,10 +324,14 @@ class QuadValues:
         # m is overwritten by m^(p/2) and then dropped, to hold fewer arrays
         # of this size at once
         m *= m_pow
-        value = float(np.dot(ws.areas, self.s * self.s_pow)) + float(np.dot(ws.interp_w, m))
+        value = (float(np.dot(ws.areas, self.s * self.s_pow))
+                 + float(np.dot(ws.tri_w.ravel(), m.ravel())))
         del m
-        grad = ws._grad_op_t @ ((p * ws.areas * self.s_pow) * self.gu).ravel()
-        grad += ws.interp_op.T @ (p * ws.interp_w * m_pow * uq)
+        a = p * ws.areas * self.s_pow
+        local = ws._bary.T @ (p * ws.tri_w * m_pow * uq)
+        local += (a * self.gu[0]) * ws._gx
+        local += (a * self.gu[1]) * ws._gy
+        grad = np.bincount(ws.triangles.ravel(), weights=local.ravel(), minlength=ws.num_dof)
         return value, grad, m_pow
 
     @property
@@ -355,7 +357,9 @@ class QuadValues:
     def grad_B(self) -> np.ndarray:
         """Exact nodal gradient of the boundary functional."""
         ws = self.ws
-        return ws._edge_op_t @ (ws.q * ws.edge_wf * self.b_pow * self.uv)
+        w = ws.q * ws.edge_wf * self.b_pow * self.uv
+        return np.bincount(ws.edge_ends.ravel(), weights=(w * ws.edge_lam).T.ravel(),
+                           minlength=ws.num_dof)
 
     @cached_property
     def lam(self) -> float:
@@ -374,9 +378,8 @@ class QuadValues:
         regularized p-Laplacian coefficients p s_pow and p m_pow, so that
         metric @ u = grad_E."""
         ws, p = self.ws, self.ws.p
-        mw = p * self.m_pow * ws.interp_w
-        return ws._sum((p * self.s_pow)[:, None] * ws._grad_gram
-                       + mw.reshape(self.s.size, -1) @ ws._bary_outer)
+        return ws._sum((p * self.s_pow) * ws._grad_gram
+                       + ws._bary_outer @ (p * self.m_pow * ws.tri_w))
 
     def hessian_data(self) -> np.ndarray:
         """Exact Hessian of the regularized energy.
@@ -387,24 +390,24 @@ class QuadValues:
         """
         ws, p = self.ws, self.ws.p
         s = self.s
-        v = np.einsum("tid,dt->ti", ws._grads, self.gu)
+        v = ws._gx * self.gu[0] + ws._gy * self.gu[1]
         # summed in place: fewer arrays of this size at once lower a solve's peak memory
-        local = (v[:, :, None] * v[:, None, :]).reshape(s.size, 9)
-        local *= (p * (p - 2.0) * ws.areas * _over(self.s_pow, s))[:, None]
-        local += (p * self.s_pow)[:, None] * ws._grad_gram
+        local = (v[:, None] * v[None, :]).reshape(9, s.size)
+        local *= p * (p - 2.0) * ws.areas * _over(self.s_pow, s)
+        local += (p * self.s_pow) * ws._grad_gram
         uq, m = self._interior()
-        local += (p * _over(self.m_pow, m) * ((p - 1.0) * (uq * uq) + self.eps2)
-                  * ws.interp_w).reshape(s.size, -1) @ ws._bary_outer
+        local += ws._bary_outer @ (p * _over(self.m_pow, m) * ((p - 1.0) * (uq * uq) + self.eps2)
+                                   * ws.tri_w)
         return ws._sum(local)
 
     def boundary_hessian_data(self) -> np.ndarray:
-        """Exact Hessian of the boundary functional:
-        edge_op^T diag(w) edge_op with w = edge_wf q b^(q/2-2) ((q-1) u^2 + eps^2)
-        at each boundary quadrature point."""
+        """Exact Hessian of the boundary functional: w (1 - lam, lam)^T
+        (1 - lam, lam) on the ends of each boundary quadrature point, with
+        w = edge_wf q b^(q/2-2) ((q-1) u^2 + eps^2)."""
         ws, q = self.ws, self.ws.q
         w = q * ws.edge_wf * _over(self.b_pow, self.b) * ((q - 1.0) * self.uv * self.uv
                                                           + self.eps2)
-        return ws._sum(w[:, None] * ws._edge_outer, ws._edge_slot)
+        return ws._sum(w * ws._edge_outer, ws._edge_slot)
 
 
 _WORKSPACES: "weakref.WeakKeyDictionary[TriMesh, dict]" = weakref.WeakKeyDictionary()

@@ -94,20 +94,19 @@ def _doubled_areas(v: np.ndarray) -> np.ndarray:
     return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
 
 
-def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Signed areas (nt,) and P1 basis gradients (nt, 3, 2) of every triangle.
+def p1_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed areas (nt,) and the x1 and x2 components (3, nt) of the P1
+    basis gradients of every triangle.
 
-    Row k of a triangle's gradients is the gradient of the hat function at
-    its local vertex k. Areas are positive for counter-clockwise triangles.
+    Row k of both holds the gradients of the hat functions at the triangles'
+    local vertex k. Areas are positive for counter-clockwise triangles.
     """
-    v = mesh.vertices[mesh.triangles]                  # (nt, 3, 2)
-    det = _doubled_areas(v)
-    grads = np.empty((mesh.num_triangles, 3, 2))
-    opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]       # edge opposite vertex k
-    grads[:, :, 0] = -opposite[:, :, 1]
-    grads[:, :, 1] = opposite[:, :, 0]
-    grads /= det[:, None, None]
-    return 0.5 * det, grads
+    det = _doubled_areas(mesh.vertices[mesh.triangles])
+    x, y = (mesh.vertices[:, d][mesh.triangles.T] for d in (0, 1))
+    # the edge opposite vertex k, turned by -90 degrees
+    gx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    gy = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    return 0.5 * det, gx / det, gy / det
 
 
 def mesh_area(mesh: TriMesh) -> float:

@@ -317,7 +317,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     # every start shares the Newton pattern's ordering, and the band index,
     # which is built at the first inverse-iteration step: most solves take none
     metric = functools.cache(lambda: _BandCholesky(ws.stiffness, mesh.vertices))
-    newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
+    newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_ends))
     results, failures = [], []
     total_iters = 0
     for restart in range(opts.restarts):

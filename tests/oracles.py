@@ -2,12 +2,18 @@
 
 Everything here deliberately avoids the code paths under test: adaptive
 quadrature comes from scipy, eigenvalues from a dense Schur-complement
-solve, tangential Jacobians from finite-difference Gram determinants.
+solve, tangential Jacobians from finite-difference Gram determinants, and
+the P1 functionals and matrices from sparse operators that the workspace's
+element arrays replaced.
 """
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
+
+from ncusp.quadrature import triangle_rule
+from ncusp.steklov.fem import TRI_ORDER
 
 
 def adaptive_quad(f, a, b, **kw):
@@ -116,46 +122,113 @@ def two_pointer_triangles(mesh):
                                               for r, f in zip(rows, fracs)]
 
 
-def _assembled(ws, local, slot=None):
-    return ws._csr(ws._sum(local, slot))
+def _edge_assembled(ws, local):
+    """The boundary element matrices local (ne_q, 4) summed into the
+    workspace's pattern, which takes one element matrix per column."""
+    return ws._csr(ws._sum(local.T, ws._edge_slot))
 
 
-def previous_fem_formulas(ws, u, reg_eps):
+def _element_sum(mesh, local):
+    """CSR matrix of the element matrices local (nt, 9), summed entry by
+    entry in triangle order into the sorted nodal pattern."""
+    tris, nv = mesh.triangles, mesh.num_vertices
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    keys, slot = np.unique(rows * nv + cols, return_inverse=True)
+    data = np.bincount(slot, weights=local.ravel(), minlength=keys.size)
+    indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
+    return scipy.sparse.csr_matrix((data, keys % nv, indptr), shape=(nv, nv))
+
+
+def p1_gradients(mesh):
+    """P1 basis gradients (nt, 3, 2): row k of a triangle's is the gradient
+    of the hat function at its local vertex k."""
+    v = mesh.vertices[mesh.triangles]
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]       # edge opposite vertex k
+    grads = np.stack([-opposite[:, :, 1], opposite[:, :, 0]], axis=2)
+    return grads / det[:, None, None]
+
+
+def fem_operators(mesh, ws):
+    """The sparse operators from nodal values to the values the functionals
+    integrate, built from the mesh and the workspace's public arrays:
+    gradients (2 nt, nv), x1 rows then x2 rows; values at the triangle
+    quadrature points (nt kq, nv); values at the boundary quadrature points
+    (ne_q, nv)."""
+    tris, nt, nv = mesh.triangles, mesh.num_triangles, mesh.num_vertices
+    grads = p1_gradients(mesh)
+    bary = triangle_rule(TRI_ORDER).barycentric
+    kq = bary.shape[0]
+    ne = ws.edge_wf.size
+    grad_op = scipy.sparse.csr_matrix(
+        (np.concatenate([grads[:, :, 0], grads[:, :, 1]]).ravel(),
+         (np.repeat(np.arange(2 * nt), 3), np.tile(tris, (2, 1)).ravel())), shape=(2 * nt, nv))
+    interp_op = scipy.sparse.csr_matrix(
+        (np.tile(bary.ravel(), nt), (np.repeat(np.arange(nt * kq), 3),
+                                     np.repeat(tris, kq, axis=0).ravel())), shape=(nt * kq, nv))
+    edge_op = scipy.sparse.csr_matrix(
+        (ws.edge_lam.T.ravel(), (np.repeat(np.arange(ne), 2), ws.edge_ends.ravel())),
+        shape=(ne, nv))
+    return grads, grad_op, interp_op, edge_op
+
+
+def previous_matrices(mesh, ws):
+    """Stiffness, mass and boundary mass as they were built from the sparse
+    operators: element sums of the gradient Gram matrices and of the P1 mass
+    matrices, and edge_op^T diag(edge_wf) edge_op."""
+    grads, _, _, edge_op = fem_operators(mesh, ws)
+    areas = ws.areas[:, None]
+    gram = np.einsum("tid,tjd->tij", grads, grads).reshape(-1, 9) * areas
+    mass = areas * ((np.ones((3, 3)) + np.eye(3)) / 12.0).ravel()
+    boundary = edge_op.T.tocsr() @ scipy.sparse.diags(ws.edge_wf) @ edge_op
+    return _element_sum(mesh, gram), _element_sum(mesh, mass), boundary.tocsr()
+
+
+def previous_fem_formulas(mesh, ws, u, reg_eps):
     """Energy, boundary functional, their gradients and the three matrices
-    at u, each integrand evaluated on its own from the workspace's operators
-    (a power per quantity and per call). Returns a dict of values, arrays and
-    CSR matrices."""
+    at u, each integrand evaluated on its own through the sparse operators of
+    `fem_operators` (a power per quantity and per call). Returns a dict of
+    values, arrays and CSR matrices."""
     p, q = ws.p, ws.q
     eps2 = reg_eps * reg_eps
+    grads, grad_op, interp_op, edge_op = fem_operators(mesh, ws)
+    rule = triangle_rule(TRI_ORDER)
+    interp_w = (ws.areas[:, None] * rule.weights).ravel()
+    gram = np.einsum("tid,tjd->tij", grads, grads).reshape(-1, 9) * ws.areas[:, None]
+    bary_outer = np.einsum("qi,qj->qij", rule.barycentric, rule.barycentric).reshape(-1, 9)
+    lam = ws.edge_lam.T
 
     def over(num, den):
         return np.divide(num, den, out=np.zeros_like(den), where=den > 0.0)
 
-    gu = (ws.grad_op @ u).reshape(2, -1)
+    gu = (grad_op @ u).reshape(2, -1)
     s = gu[0] * gu[0] + gu[1] * gu[1] + eps2
-    uq = ws.interp_op @ u
+    uq = interp_op @ u
     m = uq * uq + eps2
-    uv = ws.edge_op @ u
+    uv = edge_op @ u
     b = uv * uv + eps2
     sp_, mp_, bq_ = s ** (0.5 * p), m ** (0.5 * p), b ** (0.5 * q)
     out = {
-        "energy": np.dot(ws.areas, sp_) + np.dot(ws.interp_w, mp_),
-        "energy_grad": ws.grad_op.T @ ((p * ws.areas * over(sp_, s)) * gu).ravel()
-        + ws.interp_op.T @ (p * ws.interp_w * over(mp_, m) * uq),
+        "energy": np.dot(ws.areas, sp_) + np.dot(interp_w, mp_),
+        "energy_grad": grad_op.T @ ((p * ws.areas * over(sp_, s)) * gu).ravel()
+        + interp_op.T @ (p * interp_w * over(mp_, m) * uq),
         "boundary": np.dot(ws.edge_wf, bq_),
-        "boundary_grad": ws.edge_op.T @ (q * ws.edge_wf * over(bq_, b) * uv),
+        "boundary_grad": edge_op.T @ (q * ws.edge_wf * over(bq_, b) * uv),
     }
     nt = s.size
     s_pow = s ** (0.5 * p - 1.0)
-    mass = p * m ** (0.5 * p - 1.0) * ws.interp_w
-    out["metric"] = _assembled(ws, p * s_pow[:, None] * ws._grad_gram
-                               + mass.reshape(nt, -1) @ ws._bary_outer)
-    v = np.einsum("tid,dt->ti", ws._grads, gu)
+    mass = p * m ** (0.5 * p - 1.0) * interp_w
+    out["metric"] = _element_sum(mesh, p * s_pow[:, None] * gram
+                                 + mass.reshape(nt, -1) @ bary_outer)
+    v = np.einsum("tid,dt->ti", grads, gu)
     rank_one = (p * (p - 2.0) * ws.areas * over(s_pow, s))[:, None] \
         * (v[:, :, None] * v[:, None, :]).reshape(nt, 9)
-    mass = p * over(m ** (0.5 * p - 1.0), m) * ((p - 1.0) * uq * uq + eps2) * ws.interp_w
-    out["hessian"] = _assembled(ws, p * s_pow[:, None] * ws._grad_gram + rank_one
-                                + mass.reshape(nt, -1) @ ws._bary_outer)
+    mass = p * over(m ** (0.5 * p - 1.0), m) * ((p - 1.0) * uq * uq + eps2) * interp_w
+    out["hessian"] = _element_sum(mesh, p * s_pow[:, None] * gram + rank_one
+                                  + mass.reshape(nt, -1) @ bary_outer)
     w = q * ws.edge_wf * over(over(bq_, b), b) * ((q - 1.0) * uv * uv + eps2)
-    out["boundary_hessian"] = _assembled(ws, w[:, None] * ws._edge_outer, ws._edge_slot)
+    out["boundary_hessian"] = _edge_assembled(
+        ws, w[:, None] * (lam[:, :, None] * lam[:, None, :]).reshape(-1, 4))
     return out

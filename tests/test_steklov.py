@@ -32,7 +32,12 @@ from ncusp.steklov.solve import (
     trace_constant,
 )
 
-from oracles import dense_smallest_pencil_eigenvalue, fd_gradient, previous_fem_formulas
+from oracles import (
+    dense_smallest_pencil_eigenvalue,
+    fd_gradient,
+    previous_fem_formulas,
+    previous_matrices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +159,26 @@ def _boundary_by_edges(mesh, theta, q, u):
 
 
 class TestOperators:
-    """The sparse P1 operators against the assembled matrices."""
+    """The P1 evaluations against the assembled matrices."""
+
+    @pytest.mark.parametrize("grid, theta", [
+        ("small_mesh", 0.0), ("small_mesh", 2.0), ("simplex_mesh", 0.0), ("p1_mesh", 0.5),
+        ("gamma4_levels8", 0.0)])
+    def test_matrices_are_the_operator_construction(self, request, grid, theta):
+        # the p = q = 2 oracle's pencil stays bit for bit what the sparse
+        # operators built: oracle-check passes with a 5% margin only
+        if grid == "gamma4_levels8":
+            mesh = generate_cusp_mesh(
+                validate_params(2, 4.0, 2.0, 2.0, theta=0.0, usage="discrete"), levels=8)
+        else:
+            mesh = request.getfixturevalue(grid)
+        ws = FemWorkspace(mesh, theta, 2.0, 2.0)
+        got = (ws.stiffness, ws.mass, ws.boundary_mass)
+        for name, a, b in zip(("stiffness", "mass", "boundary_mass"), got,
+                              previous_matrices(mesh, ws)):
+            assert np.array_equal(a.indptr, b.indptr), name
+            assert np.array_equal(a.indices, b.indices), name
+            assert np.array_equal(a.data, b.data), name
 
     @pytest.mark.parametrize("theta", [0.0, 2.0, -0.5])
     def test_boundary_matches_edge_loop(self, small_mesh, rng, theta):
@@ -196,7 +220,7 @@ class TestOperators:
 
         monkeypatch.setattr(solve.spla, "splu", recording_splu)
         ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
-        border = np.unique(ws.edge_op.indices)
+        border = np.unique(ws.edge_ends)
         lu = _PatternLU(ws.stiffness, border)
         for _ in range(3):
             a = ws.metric_matrix(1.0 + rng.random(ws.num_dof), 1e-8)
@@ -310,7 +334,7 @@ class TestNewtonLU:
             return factors[-1]
 
         monkeypatch.setattr(solve.spla, "splu", keep)
-        newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_op.indices))
+        newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_ends))
         n = ws.num_dof + 1
         r = np.diff(full.indptr).max()
 
@@ -397,6 +421,25 @@ class TestReuse:
             assert sol.lam == runs[0].lam
             assert np.array_equal(sol.u.values, runs[0].u.values)
 
+    def test_workspace_holds_element_arrays(self, p1_params):
+        # u is gathered per element and per boundary point: after a solve the
+        # only sparse matrix the workspace holds is the stiffness, whose
+        # pattern the Newton matrices share
+        grid = generate_cusp_mesh(p1_params, levels=6)
+        minimize_rayleigh(grid, p1_params)
+        held = [name for name, value in vars(workspace_for(grid, p1_params)).items()
+                if sp.issparse(value)]
+        assert held == ["stiffness"]
+
+    def test_rescaled_iterate_is_not_gathered_again(self, small_mesh, p1_params):
+        # the per-triangle values u[triangles] are rescaled with u
+        ws = workspace_for(small_mesh, p1_params)
+        pt = ws.at(1.0 + np.arange(ws.num_dof) / ws.num_dof, 1e-8)
+        assert pt.E > 0.0
+        out = solve._normalize(ws, pt)
+        assert "U" in out.__dict__
+        assert np.array_equal(out.U, out.u[ws.triangles])
+
     def test_no_factor_outlives_a_solve(self, p1_params, monkeypatch):
         factors = []
         splu = solve.spla.splu
@@ -439,7 +482,7 @@ class TestReuse:
         ws = workspace_for(small_mesh, _discrete(2.0, p=p, q=2.0))
         for _ in range(2):
             u = rng.standard_normal(ws.num_dof)
-            ref = previous_fem_formulas(ws, u, 1e-8)
+            ref = previous_fem_formulas(small_mesh, ws, u, 1e-8)
             (e, ge), (b, gb) = ws.energy(u, 1e-8), ws.boundary(u, 1e-8)
             he, hb = _hessians(ws, u, 1e-8)
             got = {
