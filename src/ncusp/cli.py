@@ -206,7 +206,8 @@ def cmd_scaling(cfg: dict, outdir: Path) -> int:
         for value in grid:
             check_number("theta_grid", value, -math.inf)
         scan = sharpness_scan(params, q, grid)
-        rows = [f"{row[0]!r},{row[1]!r},{row[2]!r}" for row in scan.rows]
+        rows = [f"{float(th)!r},{float(gap)!r},{float(dist)!r}"
+                for th, gap, dist in scan.rows]
         _write(outdir, "sharpness.csv",
                _csv_text(cfg, "scaling", "theta,slope_gap,theta_gap", rows))
         body = {"theta_min": scan.theta_min,

@@ -12,6 +12,12 @@ All integrals split at the cutoff's plateau edge, so quadrature sees only
 smooth pieces: the plateau (0, eps) is a pure power integral, exact for the
 self-similar terms and on the graded rule for the slanted face, and the
 transition band (eps, 2*eps) uses panel Gauss.
+
+Only the powers of the heights depend on theta. Everything else (the band's
+nodes, the logarithms of every height, the cutoff's powers, the slanted
+face's surface factor) is taken once per eps grid, so a theta of a sharpness
+scan costs one exponential per set of heights. Slopes are one fixed weighted
+sum of log2 of the norms: the least-squares weights of the eps grid.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .geometry import (
     DomainParams,
     derived_exponents,
     face_parametrization,
-    powt,
 )
 from .quadrature import gauss_nodes_01, graded_interval_rule, side_exponent
 
@@ -59,65 +64,102 @@ TRANSITION_ORDER = 16
 TRANSITION_PANELS = 4
 
 
+def _band_nodes(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the transition band's Gauss nodes as one (eps, panel, node) array and
+    # its panel widths as one (eps, panel) array, for the 1-D array eps
+    xg, _ = gauss_nodes_01(TRANSITION_ORDER)
+    edges = eps[:, None] * np.linspace(1.0, 2.0, TRANSITION_PANELS + 1)
+    widths = np.diff(edges)
+    return edges[:, :-1, None] + widths[..., None] * xg, widths
+
+
+def _band_sum(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    # the Gauss sums of values on the nodes of _band_nodes, one per eps
+    _, wg = gauss_nodes_01(TRANSITION_ORDER)
+    return (widths * (values * wg).sum(axis=-1)).sum(axis=-1)
+
+
 def _transition_integral(fn, eps: np.ndarray) -> np.ndarray:
     # integral over (eps, 2*eps) for each entry of the 1-D array eps; the
     # integrand is smooth inside, mildly singular fractional powers only at
     # the panel endpoints. fn sees all nodes as one (eps, panel, node) array.
-    xg, wg = gauss_nodes_01(TRANSITION_ORDER)
-    edges = eps[:, None] * np.linspace(1.0, 2.0, TRANSITION_PANELS + 1)
-    widths = np.diff(edges)
-    values = fn(edges[:, :-1, None] + widths[..., None] * xg)
-    return (widths * (values * wg).sum(axis=-1)).sum(axis=-1)
+    nodes, widths = _band_nodes(eps)
+    return _band_sum(fn(nodes), widths)
 
 
-def _self_similar(grid: np.ndarray, e: float, plateau: float, band) -> np.ndarray:
-    # eps**(e+1) * (plateau + integral of band over (1, 2)), multiplied in
-    # log space so neither factor under- or overflows on its own
-    total = plateau + _transition_integral(band, np.ones(1))
-    return np.exp((e + 1.0) * np.log(grid) + np.log(total))
+def _log_heights(t: np.ndarray) -> np.ndarray:
+    # log t behind every powt(t, e) = exp(e * log t) taken below, with powt's
+    # t > 0 gate run once per array
+    if (t <= 0.0).any():
+        raise RangeViolation("t", "t > 0")
+    return np.log(t)
 
 
-def _slant_factor(params: DomainParams):
-    """The slanted face's surface factor at the heights t of `_boundary_norms`
-    on one eps grid, once per key: the graded rule's exponent for the plateau
-    heights, shared by the thetas of a scan whose rules agree, None for the
-    transition band's, shared by all."""
-    factor = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
-    taken = {}
-
-    def at(t: np.ndarray, key: float | None) -> np.ndarray:
-        if key not in taken:
-            taken[key] = factor(t)
-        return taken[key]
-    return at
+# the transition band (1, 2) of the self-similar terms and its log heights
+_UNIT_BAND, _UNIT_WIDTHS = _band_nodes(np.ones(1))
+_UNIT_LOG = np.log(_UNIT_BAND)
 
 
-def _boundary_norms(params: DomainParams, theta: float, q: float,
-                    grid: np.ndarray, slant) -> np.ndarray:
-    """Boundary half of test_function_norms, one norm per entry of grid, with
-    the surface factor ``slant`` of `_slant_factor` on that grid."""
-    sigma_b = side_exponent(theta, params)
-    flat = _self_similar(grid, sigma_b, 1.0 / (sigma_b + 1.0),
-                         lambda s: _cubic_value(s) ** q * powt(s, sigma_b))
+def _self_similar(log_grid: np.ndarray, e: float, plateau: float,
+                  band: np.ndarray) -> np.ndarray:
+    # eps**(e+1) * (plateau + integral over (1, 2) of the integrand whose
+    # values on _UNIT_BAND are band), multiplied in log space so neither
+    # factor under- or overflows on its own
+    total = plateau + _band_sum(band, _UNIT_WIDTHS)
+    return np.exp((e + 1.0) * log_grid + np.log(total))
 
-    lowest = min(0.0, sigma_b)
-    rule = graded_interval_rule(lowest)
-    t = grid[:, None] * rule.nodes
-    slanted = grid * (powt(t, sigma_b) * slant(t, lowest) * rule.weights).sum(axis=-1)
-    slanted += _transition_integral(
-        lambda t: _cubic_value(t / grid[:, None, None]) ** q * powt(t, sigma_b)
-        * slant(t, None), grid)
-    return ((params.n - 1) * (flat + slanted)) ** (1.0 / q)
+
+class _BoundaryTerms:
+    """The theta-free parts of the boundary norms on one eps grid at one q.
+
+    Every height the norms integrate over is fixed by the grid alone, except
+    the graded rule of the slanted face's plateau, which follows theta's side
+    exponent; those heights are taken once per rule. A theta then costs one
+    exp(sigma * log t) per set of heights, bitwise powt(t, sigma).
+    """
+
+    def __init__(self, params: DomainParams, q: float, grid: np.ndarray):
+        self.params, self.q, self.grid = params, q, grid
+        self.log_grid = np.log(grid)
+        self.slant = face_parametrization(BoundaryFace.slanted(1), params).slant_factor
+        self.unit_eta = _cubic_value(_UNIT_BAND) ** q
+        band, self.band_widths = _band_nodes(grid)
+        self.band_log = _log_heights(band)
+        self.band_eta = _cubic_value(band / grid[:, None, None]) ** q
+        self.band_slant = self.slant(band)
+        self.plateaus = {}
+
+    def _plateau(self, lowest: float):
+        # log heights and surface factor of the slanted face's plateau on the
+        # graded rule for exponents >= lowest, and the rule
+        if lowest not in self.plateaus:
+            rule = graded_interval_rule(lowest)
+            t = self.grid[:, None] * rule.nodes
+            self.plateaus[lowest] = _log_heights(t), self.slant(t), rule
+        return self.plateaus[lowest]
+
+    def norms(self, theta: float) -> np.ndarray:
+        """Boundary half of test_function_norms, one norm per entry of grid."""
+        sigma_b = side_exponent(theta, self.params)
+        flat = _self_similar(self.log_grid, sigma_b, 1.0 / (sigma_b + 1.0),
+                             self.unit_eta * np.exp(sigma_b * _UNIT_LOG))
+        log_t, slant_t, rule = self._plateau(min(0.0, sigma_b))
+        slanted = self.grid * (np.exp(sigma_b * log_t) * slant_t
+                               * rule.weights).sum(axis=-1)
+        slanted += _band_sum(self.band_eta * np.exp(sigma_b * self.band_log)
+                             * self.band_slant, self.band_widths)
+        return ((self.params.n - 1) * (flat + slanted)) ** (1.0 / self.q)
 
 
 def _sobolev_norms(params: DomainParams, grid: np.ndarray) -> np.ndarray:
     """Sobolev half of test_function_norms, one norm per entry of grid."""
     p = params.p
     nu = params.alpha * (params.n - 1)
-    val_p = _self_similar(grid, nu, 1.0 / (nu + 1.0),
-                          lambda s: _cubic_value(s) ** p * powt(s, nu))
-    grad_p = _self_similar(grid, nu - p, 0.0,
-                           lambda s: np.abs(_cubic_derivative(s)) ** p * powt(s, nu))
+    log_grid, weight = np.log(grid), np.exp(nu * _UNIT_LOG)
+    val_p = _self_similar(log_grid, nu, 1.0 / (nu + 1.0),
+                          _cubic_value(_UNIT_BAND) ** p * weight)
+    grad_p = _self_similar(log_grid, nu - p, 0.0,
+                           np.abs(_cubic_derivative(_UNIT_BAND)) ** p * weight)
     return grad_p ** (1.0 / p) + val_p ** (1.0 / p)
 
 
@@ -135,7 +177,7 @@ def test_function_norms(params: DomainParams, theta: float, q: float, eps):
     grid = np.atleast_1d(np.asarray(eps, dtype=float))
     if grid.ndim != 1 or not np.all((0.0 < grid) & (grid < 0.5)):
         raise RangeViolation("eps", "0 < eps < 1/2, as a number or a 1-D array")
-    boundary_norm = _boundary_norms(params, theta, q, grid, _slant_factor(params))
+    boundary_norm = _BoundaryTerms(params, q, grid).norms(theta)
     sobolev = _sobolev_norms(params, grid)
     if np.ndim(eps) == 0:
         return float(boundary_norm[0]), float(sobolev[0])
@@ -143,6 +185,10 @@ def test_function_norms(params: DomainParams, theta: float, q: float, eps):
 
 
 DEFAULT_EPS_GRID = 2.0 ** (-np.arange(4, 13, dtype=float))
+# least-squares slope weights on DEFAULT_EPS_GRID: for x = log2(eps), the slope
+# of the fit to y is sum_i W_i y_i with W = (x - mean x) / sum (x - mean x)**2
+_CENTRED = np.log2(DEFAULT_EPS_GRID) - np.log2(DEFAULT_EPS_GRID).mean()
+_SLOPE_WEIGHTS = _CENTRED / (_CENTRED ** 2).sum()
 
 
 @dataclass(frozen=True)
@@ -165,7 +211,7 @@ def _slope(norms: np.ndarray, key: str, side: str) -> float:
         raise NumericalError(
             f"{key}: the {side} norm of the test function on the eps grid is not a "
             "finite positive number, so no slope can be fitted")
-    return float(np.polyfit(np.log2(DEFAULT_EPS_GRID), np.log2(norms), 1)[0])
+    return float(np.dot(_SLOPE_WEIGHTS, np.log2(norms)))
 
 
 def _sobolev_slope(params: DomainParams, norms: np.ndarray) -> float:
@@ -228,18 +274,18 @@ def sharpness_scan(params: DomainParams, q: float, theta_grid) -> SharpnessScan:
     if not thetas[0] <= theta_min <= thetas[-1]:
         raise RangeViolation("theta_grid", "grid must straddle theta_min")
     # the gaps scaling_slopes gives at each theta, with the theta-free Sobolev
-    # slope fitted once and the surface factor taken once per set of heights;
-    # scaling_slopes rejects a theta that is not integrable before it fits a
-    # slope, so the smallest theta is checked first
+    # slope fitted once and the theta-free parts of the boundary norms taken
+    # once; scaling_slopes rejects a theta that is not integrable before it
+    # fits a slope, so the smallest theta is checked first
     side_exponent(thetas[0], params)
     with np.errstate(all="ignore"):
         rhs = _sobolev_norms(params, DEFAULT_EPS_GRID)
+        terms = _BoundaryTerms(params, q, DEFAULT_EPS_GRID)
     rhs_slope = _sobolev_slope(params, rhs)
-    slant = _slant_factor(params)
     rows = np.empty((thetas.size, 3))
     for k, theta in enumerate(thetas):
         with np.errstate(all="ignore"):
-            lhs = _boundary_norms(params, theta, q, DEFAULT_EPS_GRID, slant)
+            lhs = terms.norms(theta)
         rows[k] = (theta, _boundary_slope(params, theta, lhs) - rhs_slope,
                    theta - theta_min)
     return SharpnessScan(theta_min=theta_min, rows=rows)

@@ -222,8 +222,11 @@ def validate_params(n, gamma, p, q=None, theta=None, simplex=False, usage="trace
     return DomainParams(n=n, gamma=gamma, p=p, q=q, theta=theta, simplex=simplex)
 
 
+@lru_cache(maxsize=64)
 def derived_exponents(params: DomainParams) -> ExponentSet:
-    """Populate every derived exponent for validated parameters."""
+    """Populate every derived exponent for validated parameters.
+
+    Equal parameters return the same (frozen) set."""
     n, gamma, p = params.n, params.gamma, params.p
     if p >= n:
         raise RangeViolation("p", "p < n required for derived exponents")

@@ -188,6 +188,22 @@ def _tensor_cube_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(pts, wts)
 
 
+def _section_points(point, dim: int, order: int):
+    """(w_k, point(c_k)) over the nodes c_k and weights w_k of the
+    order-``order`` tensor Gauss rule on (0, 1)^dim, in node order, each rows
+    set made when it is reached."""
+    nodes, weights = _tensor_cube_nodes(dim, order)
+    return ((w, point(c)) for c, w in zip(nodes, weights))
+
+
+def _section_total(f, t, points) -> np.ndarray:
+    """sum_k w_k * f(rows_k) over the pairs (w_k, rows_k) of points, in order."""
+    acc = np.zeros_like(t)
+    for w, rows in points:
+        acc += w * np.asarray(f(rows), dtype=float)
+    return acc
+
+
 def section_sum(f, t, point, dim: int, order: int) -> np.ndarray:
     """Tensor Gauss sum over a cross section, one value per height in t.
 
@@ -196,10 +212,7 @@ def section_sum(f, t, point, dim: int, order: int) -> np.ndarray:
     ``point`` maps one node (shape (dim,)) to the rows, one per height, at
     which f is evaluated.
     """
-    acc = np.zeros_like(t)
-    for c, w in zip(*_tensor_cube_nodes(dim, order)):
-        acc += w * np.asarray(f(point(c)), dtype=float)
-    return acc
+    return _section_total(f, t, _section_points(point, dim, order))
 
 
 def side_exponent(theta: float, params: DomainParams) -> float:

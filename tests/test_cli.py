@@ -80,6 +80,20 @@ class TestCommands:
         assert doc["theta_min"] == pytest.approx(1.0)
         assert (out / "sharpness.csv").exists()
 
+    def test_sharpness_csv_rows_are_the_json_rows(self, tmp_path):
+        # every data row is three plain floats, the row of sharpness.json
+        cfg = _write_config(tmp_path, "scan.json", {
+            "params": {"n": 2, "p": 1.5, "gamma": 3.0, "q": 2.0},
+            "scaling": {"q": 2.0, "theta_grid": [1.5, 0.5, 1.0, 0.8]},
+        })
+        out = tmp_path / "run"
+        assert main(["scaling", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "sharpness.csv").read_text().splitlines()
+        assert lines[3] == "theta,slope_gap,theta_gap"
+        rows = [[float(value) for value in line.split(",")] for line in lines[4:]]
+        assert rows == _json_artifact(out, "sharpness.json")["rows"]
+        assert len(rows) == 4
+
     def test_solve(self, p1_config, tmp_path):
         out = tmp_path / "run"
         assert main(["solve", "--config", p1_config, "--out", str(out)]) == 0

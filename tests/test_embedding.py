@@ -11,7 +11,7 @@ from ncusp.embedding import (
     sharpness_scan,
 )
 from ncusp.embedding import test_function_norms as cutoff_norms
-from ncusp.errors import NonIntegrable, RangeViolation
+from ncusp.errors import NonIntegrable, NumericalError, RangeViolation
 from ncusp.geometry import (
     BoundaryFace,
     derived_exponents,
@@ -191,6 +191,27 @@ class TestScalingSlopes:
         scaling_slopes(p1_trace, 2.0, 3.0)
         assert len(calls) == 1 and np.array_equal(calls[0], DEFAULT_EPS_GRID)
 
+    def test_slope_is_the_least_squares_fit(self, rng):
+        # the fixed weights against np.polyfit, within a rounding bound of the
+        # weighted sum: norms spread over many orders of magnitude
+        x = np.log2(DEFAULT_EPS_GRID)
+        weights = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
+        bound = 8.0 * np.finfo(float).eps
+        for _ in range(2000):
+            norms = np.exp(rng.uniform(-300.0, 300.0) + rng.normal(0.0, 5.0, x.size)
+                           - rng.uniform(0.0, 3.0) * x)
+            y = np.log2(norms)
+            fit = np.polyfit(x, y, 1)[0]
+            assert abs(embedding._slope(norms, "k", "s") - fit) \
+                <= bound * np.sum(np.abs(weights) * np.abs(y))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_slope_needs_finite_positive_norms(self, bad):
+        norms = DEFAULT_EPS_GRID.copy()
+        norms[3] = bad
+        with pytest.raises(NumericalError, match="theta = 1: the boundary norm"):
+            embedding._slope(norms, "theta = 1", "boundary")
+
     def test_theta_min_matches_beta_randomized(self, rng):
         for _ in range(1000):
             n = int(rng.integers(2, 5))
@@ -267,6 +288,24 @@ class TestSharpnessScan:
             for theta in sorted(grid):
                 scaling_slopes(params, theta, 2.0)
         assert str(scan_err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("case", ["p1", "p2"])
+    def test_cutoff_is_evaluated_once_per_scan(self, case, p1_trace, p2_params,
+                                               monkeypatch):
+        # the cutoff's powers are theta-free: as many evaluations for 5
+        # thetas as for 2
+        params, q, grid = {"p1": (p1_trace, 2.0, [0.5, 0.9, 1.0, 1.1, 1.5]),
+                           "p2": (p2_params, 3.0, [0.2, 0.4, 0.5, 0.6, 0.8])}[case]
+        calls = []
+        cubic = embedding._cubic_value
+        monkeypatch.setattr(embedding, "_cubic_value",
+                            lambda s: calls.append(1) or cubic(s))
+        counts = []
+        for thetas in (grid[::4], grid):
+            calls.clear()
+            sharpness_scan(params, q, thetas)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_sign_agreement_away_from_threshold(self, p1_trace):
         scan = sharpness_scan(p1_trace, 2.0, [0.7, 0.95, 1.0, 1.05, 1.3])

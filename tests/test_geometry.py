@@ -135,6 +135,11 @@ class TestDerivedExponents:
         assert e.alpha == 1.0 and e.a_max == 1.0 and e.beta == 0.0
         assert e.r_max == pytest.approx(e.p_star)
 
+    def test_equal_parameters_share_one_set(self, p1_params):
+        again = validate_params(q=2.0, usage="steklov", n=2, gamma=3.0, p=1.5)
+        assert again is not p1_params
+        assert derived_exponents(again) is derived_exponents(p1_params)
+
     def test_identities_over_random_tuples(self, rng):
         for _ in range(1000):
             n = int(rng.integers(2, 5))

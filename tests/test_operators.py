@@ -9,6 +9,7 @@ from ncusp.errors import (
     MapParameterTooLarge,
     RangeViolation,
 )
+from ncusp import operators
 from ncusp.geometry import BoundaryFace, cusp_map, validate_params
 from ncusp.operators import (
     K_pp_estimate,
@@ -21,6 +22,7 @@ from ncusp.operators import (
     weighted_boundary_norm,
 )
 from ncusp.quadrature import graded_interval_rule
+from ncusp.verify import measure_suite
 
 from oracles import adaptive_quad
 
@@ -141,6 +143,21 @@ class TestAreaFormula:
 
     def test_p2_const(self, p2_map):
         assert area_formula_check(lambda y: np.ones(y.shape[0]), p2_map) < 1e-6
+
+    def test_probes_share_their_face_points(self, p1_map, monkeypatch):
+        # one measure suite at n = 2 pulls each side face's points back once,
+        # and each discrepancy is bitwise the one of a single-probe check
+        calls = []
+        unmap = operators.unmap_points
+        monkeypatch.setattr(operators, "unmap_points",
+                            lambda *args: calls.append(1) or unmap(*args))
+        report = measure_suite(p1_map)
+        assert len(calls) == 2
+        probes = {"const": lambda y: np.ones(y.shape[0]), "height": lambda y: y[:, -1],
+                  "first": lambda y: y[:, 0]}
+        for name, g in probes.items():
+            assert getattr(report, f"area_discrepancy_{name}") \
+                == area_formula_check(g, p1_map)
 
     def test_refinement_decreases(self, p1_map):
         g = lambda y: np.sqrt(y[:, -1])
