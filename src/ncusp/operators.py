@@ -201,11 +201,11 @@ def _area_discrepancies(probes, cmap: CuspMap,
     for face in boundary_faces(n):
         if not face.is_side:
             continue
-        flat = face_parametrization(face, model)
-        width = powt(t, model.alpha)
+        model_chart = face_parametrization(face, model)
+        model_width = powt(t, model.alpha)
         model_points = list(_section_points(
-            lambda c: flat.point(t, c * width[:, None]), n - 2, CROSS_ORDER))
-        model_weight = powt(t, 0.0) * flat.density(t)
+            lambda c: model_chart.point(t, c * model_width[:, None]), n - 2, CROSS_ORDER))
+        model_weight = powt(t, 0.0) * model_chart.density(t)
         chart = face_parametrization(face, params)
         width = powt(t, alpha)
         cusp_points = [(w, unmap_points(cmap, x)) for w, x in _section_points(
