@@ -79,14 +79,6 @@ def _band_sum(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return (widths * (values * wg).sum(axis=-1)).sum(axis=-1)
 
 
-def _transition_integral(fn, eps: np.ndarray) -> np.ndarray:
-    # integral over (eps, 2*eps) for each entry of the 1-D array eps; the
-    # integrand is smooth inside, mildly singular fractional powers only at
-    # the panel endpoints. fn sees all nodes as one (eps, panel, node) array.
-    nodes, widths = _band_nodes(eps)
-    return _band_sum(fn(nodes), widths)
-
-
 def _log_heights(t: np.ndarray) -> np.ndarray:
     # log t behind every powt(t, e) = exp(e * log t) taken below, with powt's
     # t > 0 gate run once per array

@@ -84,15 +84,31 @@ def dphi_spectral_norm(cmap: CuspMap, y) -> np.ndarray:
     y = np.atleast_2d(np.asarray(y, dtype=float))
     yn = y[:, -1]
     a, alpha = cmap.a, cmap.alpha
+    # the closed form's terms, each updated in place in its order of
+    # operations, so that only a few vectors of heights are alive at once:
+    # v2 = (a*alpha-1)**2 * |y'|**2 * y_n**(2(a*alpha-2)) is the last column's
+    # squared length, d the diagonal and b the last diagonal entry
+    v2 = np.square(y[:, 0])
+    for i in range(1, y.shape[1] - 1):
+        v2 += np.square(y[:, i])
+    v2 *= (a * alpha - 1.0) ** 2
+    v2 *= powt(yn, 2.0 * (a * alpha - 2.0))
     d = powt(yn, a * alpha - 1.0)
-    b = a * powt(yn, a - 1.0)
-    r2 = sum(y[:, i] ** 2 for i in range(y.shape[1] - 1))
-    v2 = (a * alpha - 1.0) ** 2 * r2 * powt(yn, 2.0 * (a * alpha - 2.0))
-    trace = d * d + v2 + b * b
-    disc = np.sqrt(np.maximum(trace * trace - 4.0 * (d * b) ** 2, 0.0))
-    smax2 = 0.5 * (trace + disc)
+    b = powt(yn, a - 1.0)
+    b *= a
+    trace = np.multiply(d, d)  # d*d + v2 + b*b
+    trace += v2
+    trace += np.multiply(b, b, out=v2)
+    disc = np.multiply(trace, trace, out=v2)  # trace*trace - 4.0*(d*b)**2
+    np.square(np.multiply(d, b, out=b), out=b)
+    b *= 4.0
+    disc -= b
+    np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    smax2 = trace  # 0.5 * (trace + disc)
+    smax2 += disc
+    smax2 *= 0.5
     # the diagonal singular value can dominate only if it exceeds the block
-    return np.sqrt(np.maximum(smax2, d * d))
+    return np.sqrt(np.maximum(smax2, np.square(d, out=d), out=smax2), out=smax2)
 
 
 @dataclass(frozen=True)
@@ -118,7 +134,10 @@ def K_pp_estimate(cmap: CuspMap, samples: int = 20000) -> KDistortion:
             f"a = {cmap.a:g} exceeds (n-p)/(gamma-p) = {exps.a_max:g}")
     p = cmap.params.p
     y = quasi_random_model_interior(cmap.n, samples)
-    vals = dphi_spectral_norm(cmap, y) / map_jacobian(cmap, y[:, -1]) ** (1.0 / p)
+    vals = dphi_spectral_norm(cmap, y)
+    jac = map_jacobian(cmap, y[:, -1])
+    jac **= 1.0 / p
+    vals /= jac
     bound = (1.0 / cmap.a) ** (1.0 / p) * exps.distortion(cmap.a)
     return KDistortion(sampled=float(np.max(vals)), analytic_bound=bound,
                        samples=samples)

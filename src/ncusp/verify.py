@@ -16,14 +16,12 @@ import numpy as np
 from .errors import SIZE_BUDGET, NumericalError, check_number
 from .geometry import (
     CuspMap,
-    _scaled_cross,
     boundary_faces,
     forward_map,
     inverse_map,
     jacobian_forward,
     jacobian_inverse,
     map_jacobian,
-    map_points,
     powt,
     quasi_random_interior,
     quasi_random_model_interior,
@@ -81,22 +79,44 @@ def _fd_jacobi_matrix(cmap: CuspMap, y: np.ndarray) -> np.ndarray:
     """Central differences D[i, j] = dx_i/dy_j of the forward map, shape (n, n, m).
 
     The stencil points are mapped without the forward map's gate, so y must
-    keep more than FD_STEP from every wall. A step in a cross coordinate
-    leaves y_n, and with it both height powers of the map, unchanged.
+    keep more than FD_STEP from every wall. Each entry is the difference of
+    two stencil columns of the map's image, made one column at a time: a step
+    in y_j moves y_j alone, so every other image column is the same on both
+    sides of the stencil. A step in a cross coordinate leaves y_n, and with
+    it both height powers of the map, unchanged.
     """
     m, n = y.shape
+    e = cmap.a * cmap.alpha - 1.0
     yn = y[:, -1]
-    scale, height = powt(yn, cmap.a * cmap.alpha - 1.0), powt(yn, cmap.a)
     D = np.empty((n, n, m))
-    for j in range(n):
-        # order "K": a plain copy() would turn column-major points into rows
-        up, down = y.copy(order="K"), y.copy(order="K")
-        up[:, j], down[:, j] = y[:, j] + FD_STEP, y[:, j] - FD_STEP
-        if j < n - 1:
-            up, down = _scaled_cross(up, scale, height), _scaled_cross(down, scale, height)
-        else:
-            up, down = map_points(cmap, up), map_points(cmap, down)
-        D[:, j] = ((up - down) / (2.0 * FD_STEP)).T
+
+    def entry(i, j, up, down):
+        # D[i, j] = (up - down) / (2 FD_STEP); up may be D[i, j] itself
+        np.subtract(up, down, out=D[i, j])
+        D[i, j] /= 2.0 * FD_STEP
+
+    scale, height = powt(yn, e), powt(yn, cmap.a)
+    for j in range(n - 1):
+        for i in range(n - 1):
+            if i == j:
+                np.multiply(y[:, i] + FD_STEP, scale, out=D[i, j])
+                entry(i, j, D[i, j], (y[:, i] - FD_STEP) * scale)
+            else:
+                image = np.multiply(y[:, i], scale, out=D[i, j])
+                entry(i, j, image, image)
+        entry(n - 1, j, height, height)
+    # a step in y_n moves every image column through the height powers: the
+    # images of the upper stencil point go into column n - 1 first
+    y_up = yn + FD_STEP
+    scale = powt(y_up, e)
+    for i in range(n - 1):
+        np.multiply(y[:, i], scale, out=D[i, -1])
+    D[-1, -1] = powt(y_up, cmap.a)
+    y_down = np.subtract(yn, FD_STEP, out=y_up)
+    scale = powt(y_down, e)
+    for i in range(n - 1):
+        entry(i, n - 1, D[i, -1], y[:, i] * scale)
+    entry(n - 1, n - 1, D[-1, -1], powt(y_down, cmap.a))
     return D
 
 
@@ -111,14 +131,10 @@ def _determinant(D: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.moveaxis(D, -1, 0))
 
 
-def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
-    """Roundtrip, reciprocity, finite-difference, and sandwich checks.
+# Each check below makes its own sample points and returns only its maxima,
+# so one check's points are freed before the next check makes its own.
 
-    Raises NumericalError naming gamma and a when an image height y_n**a
-    rounds to 1 (with n = 2, p = 1.5 and the default a = (n-p)/(gamma-p) and
-    samples, already at gamma = 3e12): the map cannot then be inverted.
-    """
-    check_number("samples", samples, 1, SIZE_BUDGET, integer=True)
+def _roundtrip_and_reciprocity(cmap: CuspMap, samples: int) -> tuple[float, float]:
     n = cmap.n
     y = quasi_random_model_interior(n, samples)
     x = forward_map(cmap, y)
@@ -126,33 +142,47 @@ def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
         raise NumericalError(
             f"gamma = {cmap.params.gamma:g}, a = {cmap.a:g}: the image height "
             "y_n**a of a sample point rounds to 1, so the map cannot be inverted")
+    # forward_map has gated y
+    rec = map_jacobian(cmap, y[:, -1])
+    rec *= jacobian_inverse(cmap, x)
+    rec -= 1.0
+    rec = float(np.max(np.abs(rec, out=rec)))
+
     back = inverse_map(cmap, x)
     # row maxima one column at a time: a reduction over rows of n is slow
     err, size = np.abs(back[:, 0] - y[:, 0]), np.abs(y[:, 0])
     for i in range(1, n):
         np.maximum(err, np.abs(back[:, i] - y[:, i]), out=err)
         np.maximum(size, np.abs(y[:, i]), out=size)
-    rt = np.max(err / (1.0 + size))
+    return float(np.max(err / (1.0 + size))), rec
 
-    # forward_map has gated y
-    jf = map_jacobian(cmap, y[:, -1])
-    ji = jacobian_inverse(cmap, x)
-    rec = np.max(np.abs(jf * ji - 1.0))
 
+def _fd_rel_error(cmap: CuspMap, samples: int) -> float:
     # finite differences need headroom from the domain walls: jacobian_forward
-    # gates y_fd, and the stencil keeps at least 0.05 * 0.05 - FD_STEP from
+    # gates y, and the stencil keeps at least 0.05 * 0.05 - FD_STEP from
     # each wall, so it is not gated again
-    y_fd = 0.05 + 0.9 * quasi_random_model_interior(n, samples, skip=samples + 1)
-    for i in range(n - 1):
-        y_fd[:, i] *= y_fd[:, -1]
-    exact = jacobian_forward(cmap, y_fd)
-    fd = _determinant(_fd_jacobi_matrix(cmap, y_fd))
-    fd_rel = np.max(np.abs(fd - exact) / np.abs(exact))
+    y = quasi_random_model_interior(cmap.n, samples, skip=samples + 1)
+    y *= 0.9
+    y += 0.05
+    for i in range(cmap.n - 1):
+        y[:, i] *= y[:, -1]
+    D = _fd_jacobi_matrix(cmap, y)
+    exact = jacobian_forward(cmap, y)
+    fd = _determinant(D)
+    fd -= exact
+    np.abs(fd, out=fd)
+    fd /= np.abs(exact, out=exact)
+    return float(np.max(fd))
 
+
+def _sandwich_violation(cmap: CuspMap, samples: int) -> float:
+    # 0 when every Jacobian lies inside its bounds, NaN (which fails the
+    # check) when one is NaN
+    n = cmap.n
     xg = quasi_random_interior(cmap.params, samples)
     t = xg[:, -1]
     lo, hi = tangential_jacobian_bounds(cmap, t)
-    viols = []
+    worst = 0.0
     for face in boundary_faces(n):
         if not face.is_side:
             continue
@@ -162,15 +192,28 @@ def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
         else:
             xhat = xg[:, [j for j in range(n - 1) if j != face.index - 1]]
             val = tangential_jacobian(cmap, face, t, xhat=xhat)
-        viols.append(np.maximum(lo - val, val - hi) / np.maximum(1.0, np.abs(val)))
+        viol = lo - val
+        np.maximum(viol, val - hi, out=viol)
+        viol /= np.maximum(np.abs(val), 1.0)
+        worst = np.maximum(worst, np.max(viol))
+    return float(worst)
+
+
+def jacobian_suite(cmap: CuspMap, samples: int = 10000) -> JacobianSuiteReport:
+    """Roundtrip, reciprocity, finite-difference, and sandwich checks.
+
+    Raises NumericalError naming gamma and a when an image height y_n**a
+    rounds to 1 (with n = 2, p = 1.5 and the default a = (n-p)/(gamma-p) and
+    samples, already at gamma = 3e12): the map cannot then be inverted.
+    """
+    check_number("samples", samples, 1, SIZE_BUDGET, integer=True)
+    rt, rec = _roundtrip_and_reciprocity(cmap, samples)
     return JacobianSuiteReport(
         samples=samples,
-        max_roundtrip=float(rt),
-        max_reciprocity=float(rec),
-        max_fd_rel=float(fd_rel),
-        # 0 when every Jacobian lies inside its bounds, NaN (which fails the
-        # check) when one is NaN
-        max_sandwich_violation=float(np.max(viols, initial=0.0)),
+        max_roundtrip=rt,
+        max_reciprocity=rec,
+        max_fd_rel=_fd_rel_error(cmap, samples),
+        max_sandwich_violation=_sandwich_violation(cmap, samples),
     )
 
 

@@ -4,9 +4,10 @@ import pytest
 from ncusp import embedding
 from ncusp.embedding import (
     DEFAULT_EPS_GRID,
+    _band_nodes,
+    _band_sum,
     _cubic_derivative,
     _cubic_value,
-    _transition_integral,
     scaling_slopes,
     sharpness_scan,
 )
@@ -60,8 +61,8 @@ EPS = np.array([*DEFAULT_EPS_GRID, 0.003, 0.01, 0.03])
 
 @pytest.mark.parametrize("eps", EPS)
 def test_transition_integral_matches_panel_loop(eps):
-    # the row of eps in a whole-array call; its Gauss sums are not added in
-    # the loop's order, so it agrees to rounding, not bitwise
+    # the row of eps in the band sums over all of EPS at once; its Gauss sums
+    # are not added in the loop's order, so it agrees to rounding, not bitwise
     integrands = [
         lambda t, e: powt(t, 1.7),
         lambda t, e: _cubic_value(t / e) ** 3.0 * powt(t, -0.4),
@@ -70,7 +71,8 @@ def test_transition_integral_matches_panel_loop(eps):
     ]
     row = list(EPS).index(eps)
     for fn in integrands:
-        rows = _transition_integral(lambda t: fn(t, EPS[:, None, None]), EPS)
+        nodes, widths = _band_nodes(EPS)
+        rows = _band_sum(fn(nodes, EPS[:, None, None]), widths)
         ref = _panel_loop(lambda t: fn(t, eps), eps)
         assert rows[row] == pytest.approx(ref, rel=1e-14, abs=0.0)
 

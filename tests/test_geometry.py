@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from ncusp.geometry import (
     tangential_jacobian_bounds,
     validate_params,
 )
-from ncusp.operators import dphi_spectral_norm
+from ncusp.operators import K_pp_estimate, dphi_spectral_norm
 from ncusp.verify import FD_STEP, _determinant, _fd_jacobi_matrix, jacobian_suite
 
 from oracles import fd_tangential_jacobian
@@ -322,6 +323,41 @@ class TestColumnKernels:
         assert np.array_equal(dphi_spectral_norm(cmap, y), norm)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_suite_maxima_equal_the_broadcast_form(self, n):
+        cmap, m = MAPS_BY_N[n], 3000
+        y = quasi_random_model_interior(n, m)
+        x = forward_map(cmap, y)
+        err = np.max(np.abs(inverse_map(cmap, x) - y), axis=1)
+        roundtrip = np.max(err / (1.0 + np.max(np.abs(y), axis=1)))
+        reciprocity = np.max(np.abs(
+            map_jacobian(cmap, y[:, -1]) * jacobian_inverse(cmap, x) - 1.0))
+
+        y = _suite_fd_points(n, m)
+        D = np.empty((m, n, n))
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = FD_STEP
+            D[:, :, j] = (forward_map(cmap, y + step)
+                          - forward_map(cmap, y - step)) / (2 * FD_STEP)
+        exact = jacobian_forward(cmap, y)
+        fd_rel = np.max(np.abs(_determinant(np.moveaxis(D, 0, -1)) - exact) / np.abs(exact))
+
+        xg = quasi_random_interior(cmap.params, m)
+        t = xg[:, -1]
+        lo, hi = tangential_jacobian_bounds(cmap, t)
+        val = np.array([tangential_jacobian(cmap, face, t,
+                                            xhat=np.delete(xg[:, :-1], face.index - 1, 1))
+                        for face in boundary_faces(n) if face.is_side])
+        sandwich = np.max(np.maximum(lo - val, val - hi) / np.maximum(1.0, np.abs(val)),
+                          initial=0.0)
+
+        report = jacobian_suite(cmap, m)
+        got = (report.max_roundtrip, report.max_reciprocity, report.max_fd_rel,
+               report.max_sandwich_violation)
+        want = (roundtrip, reciprocity, fd_rel, sandwich)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_points_are_stored_column_major(self, n):
         # each coordinate column is contiguous for the column kernels
         cmap = MAPS_BY_N[n]
@@ -425,18 +461,46 @@ class TestFdDeterminant:
         assert calls[1:] == [(300, 4, 4)]
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_a_wrong_determinant_fails_the_check(self, n, monkeypatch):
+    @pytest.mark.parametrize("name, field, factor", [
+        ("inverse_map", "max_roundtrip", 1 + 1e-5),
+        ("jacobian_inverse", "max_reciprocity", 1 + 1e-5),
+        ("jacobian_forward", "max_fd_rel", 1 + 1e-5),
+        # a slanted face's Jacobian over its lower bound is at most
+        # sqrt(2n - 1) < 4 times its upper bound's
+        ("tangential_jacobian", "max_sandwich_violation", 4.0),
+    ], ids=["roundtrip", "reciprocity", "fd", "sandwich"])
+    def test_a_wrong_determinant_fails_the_check(self, n, name, field, factor, monkeypatch):
+        # each check compares its own map: a wrong one fails that check alone
         import ncusp.verify
 
         cmap = MAPS_BY_N[n]
         assert jacobian_suite(cmap, 2000).ok
-        exact = ncusp.verify.jacobian_forward
-        monkeypatch.setattr(ncusp.verify, "jacobian_forward",
-                            lambda cm, y: exact(cm, y) * (1 + 1e-5))
+        exact = getattr(ncusp.verify, name)
+        monkeypatch.setattr(ncusp.verify, name,
+                            lambda *args, **kwargs: exact(*args, **kwargs) * factor)
         report = jacobian_suite(cmap, 2000)
-        assert not report.ok
-        assert any(line.startswith("max_fd_rel") for line in report.unmet)
-        assert report.max_fd_rel == pytest.approx(1e-5, rel=1e-3)
+        assert [line.split(" = ")[0] for line in report.unmet] == [field]
+        if name == "jacobian_forward":
+            assert report.max_fd_rel == pytest.approx(1e-5, rel=1e-3)
+
+
+class TestAllocationBudget:
+    """Traced peaks of the two longest trace ops, after a warm-up call that
+    makes the cached Halton points; tracemalloc sees numpy's buffers."""
+
+    @pytest.mark.parametrize("op, budget_mib", [
+        (lambda: jacobian_suite(MAPS_BY_N[3], 10_000), 2.0),
+        (lambda: K_pp_estimate(MAPS_BY_N[3], 20_000), 1.5),
+    ], ids=["jacobian_suite", "K_pp_estimate"])
+    def test_peak_stays_in_budget(self, op, budget_mib):
+        op()
+        tracemalloc.start()
+        try:
+            op()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget_mib * 2**20
 
 
 class TestTangential:
