@@ -324,6 +324,7 @@ class TestColumnKernels:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_suite_maxima_equal_the_broadcast_form(self, n):
+        # the suite's four maxima from the public maps on whole point arrays
         cmap, m = MAPS_BY_N[n], 3000
         y = quasi_random_model_interior(n, m)
         x = forward_map(cmap, y)
@@ -465,8 +466,8 @@ class TestFdDeterminant:
         ("inverse_map", "max_roundtrip", 1 + 1e-5),
         ("jacobian_inverse", "max_reciprocity", 1 + 1e-5),
         ("jacobian_forward", "max_fd_rel", 1 + 1e-5),
-        # a slanted face's Jacobian over its lower bound is at most
-        # sqrt(2n - 1) < 4 times its upper bound's
+        # the upper bound is at most sqrt(2n - 1) < 4 times a slanted face's
+        # Jacobian, so 4 times that Jacobian lies above it
         ("tangential_jacobian", "max_sandwich_violation", 4.0),
     ], ids=["roundtrip", "reciprocity", "fd", "sandwich"])
     def test_a_wrong_determinant_fails_the_check(self, n, name, field, factor, monkeypatch):
