@@ -7,11 +7,12 @@ term,
          + sum_T area_T * sum_q w_q (u(x_q)^2 + eps^2)^(p/2),
 
 and the boundary functional integrates the matching regularization of
-|u|^q against the weight x2**theta along boundary edges. The same edge
-quadrature builds the weighted boundary mass matrix, so the p = q = 2
-functionals agree with the assembled matrices to machine precision. Edges
-touching the origin use the graded interval rule so the power weight is
-integrated accurately along the two tip edges. The values of u per triangle
+|u|^q against the weight x2**theta along boundary edges. Every matrix is
+summed from element data into one fixed CSR pattern; at p = q = 2, half the
+metric is K + M and half the boundary Hessian at u = 1 is the weighted
+boundary mass, the pencil of the linear problem. Edges touching the origin
+use the graded interval rule so the power weight is integrated accurately
+along the two tip edges. The values of u per triangle
 and at the boundary quadrature points are taken once per u (`QuadValues`)
 and shared by every functional, gradient and matrix at it.
 """
@@ -95,13 +96,13 @@ class FemWorkspace:
     edge_lam      (2, ne_q)   their weights 1 - lam and lam at the point
     edge_wf       (ne_q,)     the point's weight times x2**theta
 
-    No sparse operator is kept: the workspace holds 3.8 MB at levels 10, and
-    the gradient, interpolation and edge operators with the transposes that
-    make their products fast would take 7.1 MB.
-    Element matrices (stiffness, mass, the metric, both Hessians), (9, nt),
-    are summed triangle by triangle into one fixed CSR pattern, so the
-    matrices built from it share indices and indptr and can be combined
-    through their data arrays.
+    No sparse matrix or operator is kept: the workspace holds 3.4 MB at
+    levels 10, and the gradient, interpolation and edge operators with the
+    transposes that make their products fast would take 7.1 MB.
+    Element matrices (the metric and the Hessian, (9, nt); the boundary
+    Hessian, (4, ne_q)) are summed element by element into one fixed CSR
+    pattern, ``_indices`` and ``_indptr``, so the matrices built from it share
+    them and can be combined through their data arrays.
     """
 
     def __init__(self, mesh: TriMesh, theta: float, p: float, q: float):
@@ -170,26 +171,8 @@ class FemWorkspace:
                               edge_keys):
             raise RangeViolation("boundary_edges", "every boundary edge is a triangle edge")
         self._edge_outer = (self.edge_lam[:, None] * self.edge_lam[None, :]).reshape(4, -1)
-        self.stiffness = self._csr(self._sum(self._grad_gram))
 
     # -- matrices ----------------------------------------------------------
-
-    # the two mass matrices serve the p = q = 2 oracle, and are made on first use
-    @cached_property
-    def mass(self) -> sp.csr_matrix:
-        return self._csr(self._sum(
-            ((np.ones((3, 3)) + np.eye(3)) / 12.0).reshape(9, 1) * self.areas))
-
-    @cached_property
-    def boundary_mass(self) -> sp.csr_matrix:
-        # edge^T diag(edge_wf) edge, with the edge operator (the values at the
-        # boundary quadrature points) built here: assembled through _edge_slot,
-        # the entries change in their last bits, and the p = q = 2 oracle's
-        # check passes with a 5% margin only
-        rows = np.arange(self.edge_lam.size) // 2
-        edge = sp.csr_matrix((self.edge_lam.T.ravel(), (rows, self.edge_ends.ravel())),
-                             shape=(self.edge_wf.size, self.num_dof))
-        return (edge.T.tocsr() @ sp.diags(self.edge_wf) @ edge).tocsr()
 
     def _sum(self, local: np.ndarray, slot: np.ndarray | None = None) -> np.ndarray:
         """Sum element matrices, (9, nt) or with their own slot map, into the

@@ -17,8 +17,8 @@ is evaluated once; no factor outlives a solve.
 The first eigenfunction does not change sign, so an iterate that does, or a
 metric that is numerically not positive definite, ends the solve with an error:
 near p = 1 the discrete map can lose positivity and settle in another basin.
-`linear_oracle` solves p = q = 2 independently: one ARPACK call on the
-matrix pencil.
+`linear_oracle` solves p = q = 2 as one ARPACK call on the matrix pencil,
+taken from the solver's element data.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _kkt(pt: QuadValues, mu: float) -> float:
 
 class _BandCholesky:
     """Cholesky factors of a sequence of symmetric positive definite matrices
-    A in the fixed nodal pattern of ``a``, held as a lower band (LAPACK pbtrf).
+    A in the fixed nodal pattern of ``ws``, held as a lower band (LAPACK pbtrf).
 
     The vertices are ordered by (height, x). The generated meshes come in rows
     of vertices, and each vertex couples only to its own row and the rows next
@@ -125,12 +125,12 @@ class _BandCholesky:
     storage, column-major as LAPACK keeps it so that it is factored in place.
     """
 
-    def __init__(self, a: sp.csr_matrix, vertices: np.ndarray):
+    def __init__(self, ws: FemWorkspace, vertices: np.ndarray):
         order = np.lexsort((vertices[:, 0], vertices[:, 1]))
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        rows = rank[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))]
-        cols = rank[a.indices]
+        rows = rank[np.repeat(np.arange(ws.num_dof), np.diff(ws._indptr))]
+        cols = rank[ws._indices]
         depth = rows - cols
         lower = depth >= 0
         self.width = int(depth.max())
@@ -157,7 +157,7 @@ class _BandCholesky:
 
 class _PatternLU:
     """LU factors of a sequence of bordered matrices [[A, -g], [-g^T, 0]],
-    with A in the fixed nodal pattern of ``a`` and g zero off ``border``.
+    with A in the fixed nodal pattern of ``ws`` and g zero off ``border``.
 
     One integer index gathers [A.data, -g[border]] into the CSC data that is
     factored. The first matrix is factored with LU_OPTIONS, which finds a
@@ -168,13 +168,14 @@ class _PatternLU:
     factor until the next one is made or it is released.
     """
 
-    def __init__(self, a: sp.csr_matrix, border: np.ndarray):
+    def __init__(self, ws: FemWorkspace, border: np.ndarray):
         # 1-based ids of the data entries, so that none is a structural zero
-        ids = sp.csr_matrix((np.arange(1.0, a.nnz + 1.0), a.indices, a.indptr),
-                            shape=a.shape)
+        n, nnz = ws.num_dof, ws._indices.size
+        ids = sp.csr_matrix((np.arange(1.0, nnz + 1.0), ws._indices, ws._indptr),
+                            shape=(n, n))
         k = border.size
-        col = sp.csr_matrix((np.arange(a.nnz + 1.0, a.nnz + k + 1.0),
-                             (border, np.zeros(k, dtype=int))), shape=(a.shape[0], 1))
+        col = sp.csr_matrix((np.arange(nnz + 1.0, nnz + k + 1.0),
+                             (border, np.zeros(k, dtype=int))), shape=(n, 1))
         self._border = border
         self._order = None
         self._lu = None
@@ -244,7 +245,7 @@ def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: fl
             return taken
         # the held factor is released before the Hessian is assembled
         newton_lu.release()
-    # the Hessians and the stiffness share one fixed pattern
+    # both Hessians are data of the workspace's fixed pattern
     newton_lu.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(), pt.grad_B)
     step = newton_lu.solve(rhs)
     for k in range(MAX_HALVINGS + 1):
@@ -316,8 +317,8 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
 
     # every start shares the Newton pattern's ordering, and the band index,
     # which is built at the first inverse-iteration step: most solves take none
-    metric = functools.cache(lambda: _BandCholesky(ws.stiffness, mesh.vertices))
-    newton_lu = _PatternLU(ws.stiffness, np.unique(ws.edge_ends))
+    metric = functools.cache(lambda: _BandCholesky(ws, mesh.vertices))
+    newton_lu = _PatternLU(ws, np.unique(ws.edge_ends))
     results, failures = [], []
     total_iters = 0
     for restart in range(opts.restarts):
@@ -369,12 +370,17 @@ def linear_oracle(mesh: TriMesh, theta: float) -> tuple[float, FemFunction]:
     and lambda is its Rayleigh quotient rather than 1 / mu, because callers
     pass (u, lambda) to the weak residual, which is not scale-free. An ARPACK
     failure, or an eigenvector without a finite positive boundary norm, raises
-    IterationStall. Independent of `minimize_rayleigh`, whose p = q = 2 solves
-    share the cached workspace.
+    IterationStall.
+
+    The pencil is taken from the workspace that p = q = 2 solves share: at
+    p = 2 half the metric is K + M for any u, and half the boundary Hessian at
+    u = 1, reg_eps = 0 is M_b. The pencils assembled apart that check it are
+    `previous_matrices` in tests/oracles.py and the bench's `pencil_eigenvalue`.
     """
     ws = _cached_workspace(mesh, theta, 2.0, 2.0)
-    A = (ws.stiffness + ws.mass).tocsc()
-    Mb = ws.boundary_mass
+    ones = ws.at(np.ones(ws.num_dof), 0.0)
+    A = ws._csr(0.5 * ones.metric_data()).tocsc()
+    Mb = ws._csr(0.5 * ones.boundary_hessian_data())
     solver = spla.splu(A, **LU_OPTIONS)
     n = ws.num_dof
     op = spla.LinearOperator((n, n), matvec=lambda x: solver.solve(Mb @ x), dtype=float)

@@ -175,9 +175,10 @@ def fem_operators(mesh, ws):
 
 
 def previous_matrices(mesh, ws):
-    """Stiffness, mass and boundary mass as they were built from the sparse
-    operators: element sums of the gradient Gram matrices and of the P1 mass
-    matrices, and edge_op^T diag(edge_wf) edge_op."""
+    """Reference stiffness, mass and boundary mass, assembled apart from the
+    workspace's element data: element sums of the gradient Gram matrices and
+    of the closed-form P1 mass matrices, and edge_op^T diag(edge_wf) edge_op
+    through the sparse edge operator of `fem_operators`."""
     grads, _, _, edge_op = fem_operators(mesh, ws)
     areas = ws.areas[:, None]
     gram = np.einsum("tid,tjd->tij", grads, grads).reshape(-1, 9) * areas

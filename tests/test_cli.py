@@ -130,6 +130,20 @@ class TestCommands:
         assert doc["agree"] is True
         assert doc["rel_difference"] < 1e-6
 
+    def test_oracle_check_at_gamma_4(self, tmp_path):
+        # gamma 4, theta 0 at levels 8, with the default solver and rtol 1e-6:
+        # u @ (A @ u) is ill-conditioned there, and rel_difference (8.8e-7) is
+        # only 12% below rtol
+        cfg = _write_config(tmp_path, "g4.json", {
+            "params": {"n": 2, "p": 2.0, "gamma": 4.0, "q": 2.0, "theta": 0.0},
+            "mesh": {"levels": 8},
+        })
+        out = tmp_path / "run"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 0
+        doc = _json_artifact(out, "oracle_check.json")
+        assert doc["agree"] is True
+        assert doc["rel_difference"] < doc["rtol"] == 1e-6
+
     def test_solve_linear_testbed_on_simplex(self, tmp_path):
         # p = q = 2 with theta = 0 must solve and match the linear oracle
         cfg = _write_config(tmp_path, "simplex.json", {
