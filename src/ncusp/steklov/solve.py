@@ -2,16 +2,20 @@
 
 The eigenvalue is the minimum of E(u) / B(u)^(p/q). `minimize_rayleigh` runs
 Newton on the bordered system grad E = mu grad B, B = 1 (Ruhe, SIAM J. Numer.
-Anal. 10, 1973) from a one-signed start, on SuperLU without relaxed
-supernodes. Each step first tries the chord step (the last factor, the
-right-hand side at the current point), else a fresh factor with a damped
-step; where Newton finds no descent, the step is one of nonlinear inverse
-iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009): as
-grad E(u) = metric(u) @ u, it factors the lagged-diffusivity metric, a banded
-Cholesky in height order, and maps u to metric(u)^{-1} grad B(u),
-renormalized (globalization as in Deuflhard, Newton Methods for Nonlinear
-Problems, 2004). A Newton step must not raise the quotient, or Newton can
-climb towards a higher critical point while inverse iteration goes back down.
+Anal. 10, 1973) from a one-signed start. The vertices are taken in (height, x)
+order, where every matrix of the mesh is a band about one row wide; the
+bordered matrix is solved by block elimination, a banded Cholesky of all rows
+but the highest and a dense Schur complement for that row and the multiplier,
+and on SuperLU where that leading block is not positive definite. Each step
+first tries the chord step (the last factor, the right-hand side at the
+current point), else a fresh factor with a damped step; where Newton finds no
+descent, the step is one of nonlinear inverse iteration (Biezuner, Ercole &
+Martins, J. Funct. Anal. 257, 2009): as grad E(u) = metric(u) @ u, it factors
+the lagged-diffusivity metric, a banded Cholesky on the same index, and maps u
+to metric(u)^{-1} grad B(u), renormalized (globalization as in Deuflhard,
+Newton Methods for Nonlinear Problems, 2004). A Newton step must not raise
+the quotient beyond its rounding, or Newton can climb towards a higher
+critical point while inverse iteration goes back down.
 Each iterate carries its values at the quadrature points (`QuadValues`), so it
 is evaluated once; no factor outlives a solve.
 The first eigenfunction does not change sign, so an iterate that does, or a
@@ -23,14 +27,16 @@ taken from the solver's element data.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack, lapack
 
 from ..errors import IterationStall, NumericalError, RangeViolation, ZeroTrace
 from ..geometry import DomainParams, derived_exponents
@@ -55,12 +61,22 @@ MAX_HALVINGS = 4
 # Nonlinear Problems, 2004). Accepting any decrease took the levels-9 exponent
 # sweep from 301 to 1021 steps
 CHORD_CONTRACTION = 0.5
-# the bordered Newton matrix is symmetric: order on A + A^T. SuperLU's relaxed
-# supernodes and wide panels (its built-in relax and panel_size) leave the fill
-# and the pivots of these matrices as they are and only slow the factorization
-# down: with 1 and 1, one in the fill-reducing order takes 4.9 ms instead of
-# 9.6 ms at levels 10, and 2.4 ms instead of 21 ms on a graded simplex mesh of
-# 2124 dof (one BLAS thread)
+# a Newton step may raise the quotient, relative, by its rounding only. Over
+# exact rescalings u 2^k, k = -20..20, of iterates at reg_eps 0, where the
+# quotient is scale-free, lam spread by up to 5.7e-15 on the reference, the
+# criterion-7 cusp and the p = 1.1 sweep inputs. At the merit's rounding floor
+# steps raised it by up to 6.8e-14 (p 1.1, levels 9); turning down the one at
+# gamma 4, q at 10% of the window ended that solve in a metric that is not
+# positive definite. A climb towards a higher critical point, 1.7e-2 to
+# 2.8e-2 at p 1.8, q at 90%, is still rejected
+LAM_ROUNDING = 1e-13
+# SuperLU, for the oracle's K + M and the bordered Newton matrices whose
+# leading band block is not positive definite. Both are symmetric: order on
+# A + A^T. SuperLU's relaxed supernodes and wide panels (its built-in relax and
+# panel_size) leave the fill and the pivots of these matrices as they are and
+# only slow the factorization down: with 1 and 1, a Newton matrix in the
+# fill-reducing order took 4.9 ms instead of 9.6 ms at levels 10, and 2.4 ms
+# instead of 21 ms on a graded simplex mesh of 2124 dof (one BLAS thread)
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1,
               "options": {"SymmetricMode": True}}
 # linear_oracle: the size of ARPACK's Arnoldi basis. scipy's default of 20 is
@@ -114,22 +130,60 @@ def _kkt(pt: QuadValues, mu: float) -> float:
     return float(np.max(np.abs(pt.grad_E - mu * pt.grad_B))) + abs(1.0 - pt.B)
 
 
+@functools.cache
+def _blas_threads_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS behind scipy's LAPACK
+    (0.3.27 and later): it sets the calling thread's BLAS thread count and
+    returns the one before. None where that LAPACK does not export it."""
+    try:
+        lib = ctypes.CDLL(cython_lapack.__file__)
+    except OSError:
+        return None
+    return (getattr(lib, "scipy_openblas_set_num_threads_local", None)
+            or getattr(lib, "openblas_set_num_threads_local", None))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """The calling thread's calls into scipy's OpenBLAS held to one thread.
+
+    pbtrf calls level-3 BLAS on blocks of 32 columns, too small to share.
+    Under OPENBLAS_NUM_THREADS=2 the levels-10 band factor took 4.1 ms, and
+    11.6 ms after a threaded numpy product, whose own OpenBLAS threads were
+    still spinning, against 2.7 ms held to one thread; a reference solve took
+    2.5 times as long.
+    """
+    setter = _blas_threads_setter()
+    if setter is None:
+        yield
+        return
+    count = setter(1)
+    try:
+        yield
+    finally:
+        setter(count)
+
+
 class _BandCholesky:
-    """Cholesky factors of a sequence of symmetric positive definite matrices
-    A in the fixed nodal pattern of ``ws``, held as a lower band (LAPACK pbtrf).
+    """The fixed nodal pattern of ``ws`` as a lower band (LAPACK pbtrf) in one
+    buffer, and Cholesky solves of symmetric positive definite matrices in it.
 
     The vertices are ordered by (height, x). The generated meshes come in rows
     of vertices, and each vertex couples only to its own row and the rows next
     to it, so in this order the band is about one row wide however the
     vertices are numbered. One integer index scatters A.data into the band
     storage, column-major as LAPACK keeps it so that it is factored in place.
+    A second one gathers the rows of the highest vertex row, the last
+    n - ``lead`` in this order, from column ``reach`` on, the first they
+    couple to: block elimination leaves them out of the band.
     """
 
     def __init__(self, ws: FemWorkspace, vertices: np.ndarray):
+        n = ws.num_dof
         order = np.lexsort((vertices[:, 0], vertices[:, 1]))
         rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        rows = rank[np.repeat(np.arange(ws.num_dof), np.diff(ws._indptr))]
+        rank[order] = np.arange(n)
+        rows = rank[np.repeat(np.arange(n), np.diff(ws._indptr))]
         cols = rank[ws._indices]
         depth = rows - cols
         lower = depth >= 0
@@ -139,19 +193,37 @@ class _BandCholesky:
         # band entry A[i, j], i >= j, sits at (i - j, j) of a
         # (width + 1) x n column-major array
         self._target = cols[lower] * (self.width + 1) + depth[lower]
+        self._flat = np.empty((self.width + 1) * n)
+        heights = vertices[order, 1]
+        self.lead = int(np.searchsorted(heights, heights[-1]))
+        top = rows >= self.lead
+        self.reach = int(cols[top].min())
+        self._top_source = np.flatnonzero(top)
+        self._top_target = (rows[top] - self.lead) * (n - self.reach) + cols[top] - self.reach
+
+    def band(self, a_data: np.ndarray) -> np.ndarray:
+        """The lower band of the matrix with data ``a_data``, in the buffer."""
+        self._flat.fill(0.0)
+        self._flat[self._target] = a_data[self._source]
+        return self._flat.reshape((self.width + 1, -1), order="F")
+
+    def top_rows(self, a_data: np.ndarray) -> np.ndarray:
+        """A[lead:, reach:] of the matrix with data ``a_data``, dense."""
+        n = self._order.size
+        top = np.zeros((n - self.lead, n - self.reach))
+        top.ravel()[self._top_target] = a_data[self._top_source]
+        return top
 
     def solve(self, a_data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs through a fresh factorization of the matrix A with
         data ``a_data`` in the nodal pattern; LinAlgError if it is not
         numerically positive definite."""
-        n = self._order.size
-        band = np.zeros(n * (self.width + 1))
-        band[self._target] = a_data[self._source]
-        factor = sla.cholesky_banded(band.reshape((self.width + 1, n), order="F"),
-                                     overwrite_ab=True, lower=True, check_finite=False)
+        with _one_blas_thread():
+            factor, info = lapack.dpbtrf(self.band(a_data), lower=1, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError("the band matrix is not positive definite")
         x = np.empty_like(rhs)
-        x[self._order] = sla.cho_solve_banded((factor, True), rhs[self._order],
-                                              overwrite_b=True, check_finite=False)
+        x[self._order] = lapack.dpbtrs(factor, rhs[self._order], lower=1)[0]
         return x
 
 
@@ -224,11 +296,98 @@ class _PatternLU:
         self._lu = None
 
 
-def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: float):
+class _BorderedNewton:
+    """Factors of a sequence of bordered Newton matrices
+    M = [[A, -g], [-g^T, 0]], with A in the fixed nodal pattern of ``ws`` and
+    g zero off ``border``, by block elimination in the band's order (Keller's
+    bordering; Govaerts, Numerical Methods for Bifurcations of Dynamical
+    Equilibria, 2000, ch. 3).
+
+    M is indefinite, but with the highest row of vertices left out A was
+    positive definite at every Newton factor of the benchmark inputs. So the
+    leading block, the rows below the highest, gets a band Cholesky L L^T in
+    place in the band's buffer, and the highest row with the multiplier a
+    dense Schur complement, factored by LU. That row couples only to the
+    columns from ``reach`` on, so its part of the Schur complement needs only
+    the trailing block of L, and the border one forward solve. Where the
+    leading block is not numerically positive definite, M goes to a
+    `_PatternLU`, built at the first such factor. The instance holds the last
+    factor until the next one is made or it is released; the metric shares
+    the band's buffer and is factored only while no Newton factor is held.
+    """
+
+    def __init__(self, ws: FemWorkspace, band: _BandCholesky, border: np.ndarray):
+        self._ws, self._band, self._border = ws, band, border
+        self._lu = None
+        self._factor = None
+
+    def factor(self, a_data: np.ndarray, g: np.ndarray) -> None:
+        """Factor the matrix M with data ``a_data`` in the nodal pattern,
+        bordered by ``g``; release the last factor first to keep memory low."""
+        self.release()
+        band, lead, reach = self._band, self._band.lead, self._band.reach
+        with _one_blas_thread():
+            chol, info = lapack.dpbtrf(band.band(a_data)[:, :lead], lower=1, overwrite_ab=1)
+        if info:
+            if self._lu is None:
+                self._lu = _PatternLU(self._ws, self._border)
+            self._lu.factor(a_data, g)
+            self._factor = self._lu
+            return
+        g = g[band._order]
+        top = band.top_rows(a_data)
+        k = lead - reach
+        # y = L^-1 g[:lead], and w = L^-1 A[:lead, lead:] on its rows from reach on
+        y = lapack.dtbtrs(chol, g[:lead], uplo="L")[0]
+        w = lapack.dtbtrs(chol[:, reach:], top[:, :k].T, uplo="L")[0]
+        m = top.shape[0]
+        schur = np.empty((m + 1, m + 1))
+        schur[:m, :m] = top[:, k:] - w.T @ w
+        schur[:m, m] = w.T @ y[reach:] - g[lead:]
+        schur[m, :m] = schur[:m, m]
+        schur[m, m] = -(y @ y)
+        self._factor = (chol, y, w, sla.lu_factor(schur, overwrite_a=True, check_finite=False))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs with the last factor: L forward, the Schur complement,
+        L^T backward."""
+        if self._factor is self._lu:
+            return self._lu.solve(rhs)
+        chol, y, w, schur = self._factor
+        order, lead, reach = self._band._order, self._band.lead, self._band.reach
+        r = rhs[:-1][order]
+        z = lapack.dtbtrs(chol, r[:lead], uplo="L")[0]
+        c = np.append(r[lead:], rhs[-1])
+        c[:-1] -= w.T @ z[reach:]
+        c[-1] += y @ z
+        tail = sla.lu_solve(schur, c, overwrite_b=True, check_finite=False)
+        z[reach:] -= w @ tail[:-1]
+        z += tail[-1] * y
+        x = np.empty_like(rhs)
+        x[order[:lead]] = lapack.dtbtrs(chol, z, uplo="L", trans="T", overwrite_b=1)[0]
+        x[order[lead:]] = tail[:-1]
+        x[-1] = tail[-1]
+        return x
+
+    @property
+    def held(self) -> bool:
+        return self._factor is not None
+
+    def release(self) -> None:
+        self._factor = None
+        if self._lu is not None:
+            self._lu.release()
+
+
+def _newton_step(ws: FemWorkspace, newton: _BorderedNewton, pt: QuadValues, mu: float):
     """One step on the bordered system from pt with multiplier mu: the new
     point and multiplier, or None where Newton finds no descent. A candidate
-    must lower the KKT merit (the chord step: at least halve it), not raise
-    the quotient and keep the sign.
+    must lower the KKT merit, not raise the quotient beyond rounding and keep
+    the sign. The chord step is taken if it at least halves the merit, and
+    otherwise only where the fresh step finds no descent: near the merit's
+    rounding floor at p = 1.1 an inverse-iteration step from there raised
+    the residual tenfold and went on to a metric that is not positive definite.
+    No factor is held after None.
     """
     rhs = np.append(mu * pt.grad_B - pt.grad_E, pt.B - 1.0)
     kkt = _kkt(pt, mu)
@@ -236,18 +395,20 @@ def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: fl
     def trial(step, t, bound):
         cand = _normalize(ws, ws.at(pt.u + t * step[:-1], pt.reg_eps))
         cand_mu = mu + t * step[-1]
-        ok = _kkt(cand, cand_mu) < bound and cand.lam <= pt.lam and not _changes_sign(cand.u)
+        ok = (_kkt(cand, cand_mu) < bound and cand.lam <= pt.lam * (1.0 + LAM_ROUNDING)
+              and not _changes_sign(cand.u))
         return (cand, cand_mu) if ok else None
 
-    if newton_lu.held:
-        taken = trial(newton_lu.solve(rhs), 1.0, CHORD_CONTRACTION * kkt)
-        if taken:
-            return taken
+    chord = None
+    if newton.held:
+        chord = trial(newton.solve(rhs), 1.0, kkt)
+        if chord and _kkt(*chord) < CHORD_CONTRACTION * kkt:
+            return chord
         # the held factor is released before the Hessian is assembled
-        newton_lu.release()
+        newton.release()
     # both Hessians are data of the workspace's fixed pattern
-    newton_lu.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(), pt.grad_B)
-    step = newton_lu.solve(rhs)
+    newton.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(), pt.grad_B)
+    step = newton.solve(rhs)
     for k in range(MAX_HALVINGS + 1):
         taken = trial(step, 0.5 ** k, kkt)
         if taken:
@@ -255,12 +416,12 @@ def _newton_step(ws: FemWorkspace, newton_lu: _PatternLU, pt: QuadValues, mu: fl
     # held for chord steps only if its own step halved the merit: after a
     # weaker step the chord step was rejected every time on the reference
     if taken is None or _kkt(*taken) > CHORD_CONTRACTION * kkt:
-        newton_lu.release()
-    return taken
+        newton.release()
+    return taken or chord
 
 
-def _solve_start(ws: FemWorkspace, metric: Callable[[], _BandCholesky],
-                 newton_lu: _PatternLU, u: np.ndarray, opts: SolverOptions):
+def _solve_start(ws: FemWorkspace, band: _BandCholesky, newton: _BorderedNewton,
+                 u: np.ndarray, opts: SolverOptions):
     """Newton from one start, with an inverse-iteration step where it finds no descent.
 
     Every iterate is renormalized to B(u) = 1 before its weak residual is
@@ -275,10 +436,10 @@ def _solve_start(ws: FemWorkspace, metric: Callable[[], _BandCholesky],
     history = []
     try:
         while pt.res >= 10.0 * opts.tol_rel and len(history) < opts.max_iter:
-            step = _newton_step(ws, newton_lu, pt, mu)
+            step = _newton_step(ws, newton, pt, mu)
             if step is None:
                 try:
-                    z = metric().solve(pt.metric_data(), pt.grad_B)
+                    z = band.solve(pt.metric_data(), pt.grad_B)
                 except np.linalg.LinAlgError:
                     raise NumericalError(
                         f"inverse-iteration step {len(history) + 1}: the metric is not "
@@ -293,7 +454,7 @@ def _solve_start(ws: FemWorkspace, metric: Callable[[], _BandCholesky],
             pt, mu = step
             history.append(pt.res)
     finally:
-        newton_lu.release()
+        newton.release()
     return pt, history
 
 
@@ -315,10 +476,10 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     if opts.initial is not None and len(opts.initial) != ws.num_dof:
         raise RangeViolation("initial", f"one value per mesh vertex ({ws.num_dof})")
 
-    # every start shares the Newton pattern's ordering, and the band index,
-    # which is built at the first inverse-iteration step: most solves take none
-    metric = functools.cache(lambda: _BandCholesky(ws, mesh.vertices))
-    newton_lu = _PatternLU(ws, np.unique(ws.edge_ends))
+    # every start shares the band index and its buffer, for the Newton factors
+    # and the inverse-iteration metric
+    band = _BandCholesky(ws, mesh.vertices)
+    newton = _BorderedNewton(ws, band, np.unique(ws.edge_ends))
     results, failures = [], []
     total_iters = 0
     for restart in range(opts.restarts):
@@ -327,7 +488,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
         else:
             u = np.ones(ws.num_dof) if opts.initial is None else np.asarray(opts.initial, float)
         try:
-            pt, history = _solve_start(ws, metric, newton_lu, u, opts)
+            pt, history = _solve_start(ws, band, newton, u, opts)
             total_iters += len(history)
         except NumericalError as exc:
             failures.append(exc)

@@ -26,6 +26,7 @@ from ncusp.steklov.solve import (
     LU_OPTIONS,
     SolverOptions,
     _BandCholesky,
+    _BorderedNewton,
     _PatternLU,
     linear_oracle,
     minimize_rayleigh,
@@ -299,95 +300,158 @@ class TestBandCholesky:
         lam = [minimize_rayleigh(m, p1_params).lam for m in (grid, shuffled)]
         assert abs(lam[1] - lam[0]) <= 1e-12 * lam[0]
 
-    def test_built_at_the_first_inverse_iteration_step(self, p1_params, monkeypatch):
-        # the reference takes no inverse-iteration step and builds no band
-        # index; on this mesh both random starts take one, on a single index
+    def test_metric_shares_the_newton_index(self, p1_params, monkeypatch):
+        # one index per solve, built at its start: the reference factors its
+        # Newton matrices on it and takes no inverse-iteration step; on this
+        # mesh the random starts take inverse-iteration steps on the same index
         log = []
-        init, cholesky = _BandCholesky.__init__, solve.sla.cholesky_banded
+        init, metric = _BandCholesky.__init__, _BandCholesky.solve
         monkeypatch.setattr(_BandCholesky, "__init__",
                             lambda self, *args: log.append("build") or init(self, *args))
-        monkeypatch.setattr(solve.sla, "cholesky_banded",
-                            lambda *args, **kwargs: log.append("factor")
-                            or cholesky(*args, **kwargs))
+        monkeypatch.setattr(_BandCholesky, "solve",
+                            lambda self, *args: log.append("metric") or metric(self, *args))
         minimize_rayleigh(generate_cusp_mesh(p1_params, levels=10), p1_params)
-        assert log == []
+        assert log == ["build"]
+        log.clear()
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
         sol = minimize_rayleigh(grid, p1_params, SolverOptions(restarts=3))
         assert sol.converged
-        assert log.count("build") == 1 and log.count("factor") >= 2
+        assert log.count("build") == 1 and log.count("metric") >= 2
         assert log[0] == "build"
 
 
+def _gamma(j):
+    return j * 2.0 ** -53 / (1.0 - j * 2.0 ** -53)
+
+
+def _bordered(ws, a_data, g):
+    """[[A, -g], [-g^T, 0]] as CSR, A the matrix with data a_data."""
+    col = sp.csr_matrix(-g[:, None])
+    return sp.bmat([[ws._csr(a_data), col], [col.T, None]], format="csr")
+
+
+def _within_lu_bound(full, rhs, x, order, lower, upper):
+    """Whether x solves full x = rhs as an LU solve with the computed factors
+    lower @ upper of full[order][:, order] does, componentwise.
+
+    Higham, Accuracy and Stability of Numerical Algorithms (2002), Thm 9.4:
+    the solve returns x with (M + dM) x = rhs, |dM| <= gamma(3k) |L||U| in
+    the factored order, k the longest row or column of L and U, which bounds
+    the terms of every inner product; the residual rhs - M x is itself
+    evaluated within gamma(r + 1) (|M||x| + |rhs|), r the longest row of M,
+    the border row that holds every boundary node.
+    """
+    L, U = abs(sp.csr_matrix(lower)), abs(sp.csr_matrix(upper))
+    k = max(max(np.diff(m.indptr).max(), np.diff(m.tocsc().indptr).max()) for m in (L, U))
+    r = np.diff(full.indptr).max()
+    bound = _gamma(3 * k) * (L @ (U @ np.abs(x[order]))) \
+        + _gamma(r + 1) * (abs(full) @ np.abs(x) + np.abs(rhs))[order]
+    return bool(np.all(np.abs(rhs - full @ x)[order] <= bound))
+
+
+def _block_factors(newton):
+    """The held block factor as lower and upper triangular factors of M in
+    the band's order, the multiplier last, and that order.
+
+    With F = L^-1 M[:lead, lead:] (w on the rows from reach, -y on the
+    multiplier) and the Schur complement S = P L_s U_s, the block solve is a
+    forward and a backward substitution with [[L, 0], [F^T, P L_s]] and
+    [[L^T, F], [0, U_s]]; each block is computed within gamma(k) of its
+    terms (Higham, 2002: Thm 10.3 for the band Cholesky, Thm 8.5 for the
+    triangular solves, Thm 9.3 for the LU of S), so Thm 9.4's bound holds
+    for the product of the computed blocks.
+    """
+    chol, y, w, (lu, piv) = newton._factor
+    band = newton._band
+    lead, reach, n = band.lead, band.reach, band._order.size
+    cols = np.arange(lead)
+    ll = np.zeros((lead, lead))
+    for d in range(chol.shape[0]):
+        ll[cols[d:], cols[:lead - d]] = chol[d, :lead - d]
+    f = np.zeros((lead, n + 1 - lead))
+    f[reach:, :-1] = w
+    f[:, -1] = -y
+    swaps = np.arange(piv.size)
+    for i, j in enumerate(piv):
+        swaps[[i, j]] = swaps[[j, i]]
+    l_s = np.tril(lu, -1) + np.eye(piv.size)
+    lower = np.block([[ll, np.zeros_like(f)], [f.T, l_s[np.argsort(swaps)]]])
+    upper = np.block([[ll.T, f], [np.zeros_like(f.T), np.triu(lu)]])
+    return lower, upper, np.append(band._order, n)
+
+
+def _pattern_lu_factors(newton_lu, n, first):
+    """The held SuperLU factor of a `_PatternLU` as lower and upper factors
+    of M[order][:, order], and that order: the first factor is of M in the
+    order SuperLU finds, a later one of M[order][:, order] in NATURAL order."""
+    lu = newton_lu._lu
+    pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
+    pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
+    order = np.arange(n) if first else newton_lu._order
+    return pr.T @ lu.L, lu.U @ pc.T, order
+
+
 class TestNewtonLU:
-    """The bordered Newton matrix on SuperLU, ordered once per solve."""
+    """The bordered Newton matrix by block elimination on the band: a band
+    Cholesky of every row below the highest and a dense Schur complement,
+    with SuperLU where the leading block is not positive definite."""
 
     @pytest.mark.parametrize("case", ["cusp", "simplex"])
     def test_solve_backward_error(self, case, small_mesh, simplex_mesh, p1_params,
-                                  simplex_params, rng, monkeypatch):
-        # at the converged eigenpair, componentwise: an LU solve returns x
-        # with (M + dM) x = rhs, |dM| <= gamma(3k) |L||U| in the factored order
-        # (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-        # Thm 9.4), k the longest row or column of L and U, which bounds the
-        # terms of every inner product; the residual rhs - M x is itself
-        # evaluated within gamma(r + 1) (|M||x| + |rhs|), r the longest row of
-        # M, the border row that holds every boundary node
+                                  simplex_params, rng):
+        # at the converged eigenpair, componentwise, with the block factors
+        # as the LU factors of the bound
         grid, params = {"cusp": (small_mesh, p1_params),
                         "simplex": (simplex_mesh, simplex_params)}[case]
         ws = workspace_for(grid, params)
         sol = minimize_rayleigh(grid, params)
         assert sol.converged
         u, eps = sol.u.values, sol.reg_eps
-        he, hb = _hessians(ws, u, eps)
-        a = he - sol.mu * hb
-        g = ws.boundary(u, eps)[1]
-        col = sp.csr_matrix(-g[:, None])
-        full = sp.bmat([[a, col], [col.T, None]], format="csr")
-        factors = []
-        splu = solve.spla.splu
-
-        def keep(m, **kwargs):
-            factors.append(splu(m, **kwargs))
-            return factors[-1]
-
-        monkeypatch.setattr(solve.spla, "splu", keep)
-        newton_lu = _PatternLU(ws, np.unique(ws.edge_ends))
+        vals = ws.at(u, eps)
+        a = vals.hessian_data() - sol.mu * vals.boundary_hessian_data()
+        g = vals.grad_B
+        full = _bordered(ws, a, g)
+        newton = _BorderedNewton(ws, _BandCholesky(ws, grid.vertices), np.unique(ws.edge_ends))
+        newton.factor(a, g)
+        assert newton._lu is None
+        lower, upper, order = _block_factors(newton)
         n = ws.num_dof + 1
-        r = np.diff(full.indptr).max()
+        for _ in range(2):
+            rhs = rng.standard_normal(n)
+            x = newton.solve(rhs)
+            assert _within_lu_bound(full, rhs, x, order, lower, upper)
+            # a solution off by 1e-10, relative, is rejected
+            off = x * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], n))
+            assert not _within_lu_bound(full, rhs, off, order, lower, upper)
 
-        def gamma(j):
-            return j * 2.0 ** -53 / (1.0 - j * 2.0 ** -53)
+    def test_fallback_to_superlu(self, rng, monkeypatch):
+        # gamma 4, theta 0, p = q = 2 at levels 7: the leading block is not
+        # positive definite at any Newton factor; each goes to SuperLU, whose
+        # step solves the bordered system within the same bound
+        params = validate_params(2, 4.0, 2.0, 2.0, theta=0.0, usage="discrete")
+        grid = generate_cusp_mesh(params, levels=7)
+        ws = workspace_for(grid, params)
+        seen = []
+        factor = _BorderedNewton.factor
 
-        # the first factor is of M in the order SuperLU finds, a later one of
-        # M[order][:, order] in NATURAL order
-        for first in (True, False):
-            newton_lu.factor(a.data, g)
-            lu = factors[-1]
-            order = np.arange(n) if first else newton_lu._order
-            L, U = abs(lu.L), abs(lu.U)
-            pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
-            pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
-            k = max(np.bincount(m.indices).max() for m in (L, U))
-            k = max(k, *(np.diff(m.indptr).max() for m in (L, U)))
+        def checked(self, a_data, g):
+            factor(self, a_data, g)
+            assert self._factor is self._lu is not None
+            first = len(seen) == 0
+            full = _bordered(ws, a_data, g)
+            lower, upper, order = _pattern_lu_factors(self._lu, ws.num_dof + 1, first)
+            rhs = rng.standard_normal(ws.num_dof + 1)
+            seen.append(_within_lu_bound(full, rhs, self.solve(rhs), order, lower, upper))
 
-            def within_bound(rhs, x):
-                # the matrix factored is pr^T L U pc^T
-                lu_part = pr.T @ (L @ (U @ (pc.T @ np.abs(x[order]))))
-                bound = gamma(3 * k) * lu_part \
-                    + gamma(r + 1) * (abs(full) @ np.abs(x) + np.abs(rhs))[order]
-                return bool(np.all(np.abs(rhs - full @ x)[order] <= bound))
-
-            for _ in range(2):
-                rhs = rng.standard_normal(n)
-                x = newton_lu.solve(rhs)
-                assert within_bound(rhs, x)
-                # a solution off by 1e-10, relative, is rejected
-                assert not within_bound(rhs, x * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], n)))
-        assert len(factors) == 2
+        monkeypatch.setattr(_BorderedNewton, "factor", checked)
+        sol = minimize_rayleigh(grid, params)
+        assert sol.converged
+        assert len(seen) >= 2 and all(seen)
 
     def test_reference_solve_factorization_counts(self, p1_params, monkeypatch):
-        # 8 Newton steps on 5 SuperLU factors, the first of which finds the
-        # order, 3 of them chord steps, and no inverse-iteration step on the
-        # band; a second solve on the mesh does the same
+        # 8 Newton steps on 5 band factors, 3 of them chord steps, no
+        # inverse-iteration step and no SuperLU factor; a second solve on the
+        # mesh does the same
         calls = {"band": 0, "splu": 0}
 
         def counted(key, fn):
@@ -396,32 +460,43 @@ class TestNewtonLU:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(solve.sla, "cholesky_banded",
-                            counted("band", solve.sla.cholesky_banded))
+        monkeypatch.setattr(solve.lapack, "dpbtrf", counted("band", solve.lapack.dpbtrf))
         monkeypatch.setattr(solve.spla, "splu", counted("splu", solve.spla.splu))
         grid = generate_cusp_mesh(p1_params, levels=10)
         sol = minimize_rayleigh(grid, p1_params)
         assert sol.converged and sol.iterations == 8
-        assert calls == {"band": 0, "splu": 5}
+        assert calls == {"band": 5, "splu": 0}
         sol = minimize_rayleigh(grid, p1_params)
         assert sol.converged and sol.iterations == 8
-        assert calls == {"band": 0, "splu": 10}
+        assert calls == {"band": 10, "splu": 0}
 
     def test_restarts_order_once(self, small_mesh, p1_params, monkeypatch):
-        specs = []
-        splu = solve.spla.splu
-
-        def recording_splu(a, **kwargs):
-            specs.append(kwargs["permc_spec"])
-            return splu(a, **kwargs)
-
-        monkeypatch.setattr(solve.spla, "splu", recording_splu)
+        log = []
+        init, factor = _BandCholesky.__init__, _BorderedNewton.factor
+        monkeypatch.setattr(_BandCholesky, "__init__",
+                            lambda self, *args: log.append("index") or init(self, *args))
+        monkeypatch.setattr(_BorderedNewton, "factor",
+                            lambda self, *args: log.append("factor") or factor(self, *args))
         sol = minimize_rayleigh(small_mesh, p1_params, SolverOptions(restarts=3))
         assert sol.converged
-        # each of the three starts takes Newton steps; only the first orders
-        assert len(specs) >= 3
-        assert specs.count(LU_OPTIONS["permc_spec"]) == 1
-        assert specs[0] == LU_OPTIONS["permc_spec"]
+        # each of the three starts takes Newton steps; the band index is built
+        # once, before the first
+        assert log.count("factor") >= 3
+        assert log.count("index") == 1
+        assert log[0] == "index"
+
+    def test_band_factor_on_one_blas_thread(self):
+        # inside the pin the calling thread's count is 1, and the count it
+        # found comes back after it; without the setter the pin does nothing
+        setter = solve._blas_threads_setter()
+        if setter is None:
+            with solve._one_blas_thread():
+                pass
+            return
+        before = setter(3)
+        with solve._one_blas_thread():
+            assert setter(1) == 1
+        assert setter(before) == 3
 
 
 class TestReuse:
@@ -460,41 +535,42 @@ class TestReuse:
         assert np.array_equal(out.U, out.u[ws.triangles])
 
     def test_no_factor_outlives_a_solve(self, p1_params, monkeypatch):
-        factors = []
-        splu = solve.spla.splu
+        # the block factor's arrays, or the SuperLU fallback that holds its
+        # factor, the band buffer and the objects that hold them are all
+        # freed with the solve
+        kept = []
+        factor = _BorderedNewton.factor
 
-        def keep(a, **kwargs):
-            factors.append(splu(a, **kwargs))
-            return factors[-1]
+        def keep(self, *args):
+            factor(self, *args)
+            held = self._factor[1:3] if self._factor is not self._lu else (self._lu,)
+            kept.append([weakref.ref(obj) for obj in (self, self._band, *held)])
 
-        monkeypatch.setattr(solve.spla, "splu", keep)
+        monkeypatch.setattr(_BorderedNewton, "factor", keep)
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
         minimize_rayleigh(grid, p1_params, SolverOptions(restarts=2))
-        assert len(factors) >= 2
-        # SuperLU objects take no weakref: nothing but the list above refers
-        # to a factor after the solve
+        assert len(kept) >= 2
         gc.collect()
-        assert [r for r in gc.get_referrers(*factors) if r is not factors] == []
+        assert [ref for refs in kept for ref in refs if ref() is not None] == []
 
     def test_factor_released_before_the_hessian(self, p1_params, monkeypatch):
         # a rejected chord step gives up its factor before the next Hessian
         # is assembled, so the two never take memory at once
-        factors, held = [], []
-        splu, hessian_data = solve.spla.splu, fem.QuadValues.hessian_data
+        solvers, held = [], []
+        factor, hessian_data = _BorderedNewton.factor, fem.QuadValues.hessian_data
 
-        def keep(a, **kwargs):
-            factors.append(splu(a, **kwargs))
-            return factors[-1]
+        def keep(self, *args):
+            solvers.append(self)
+            return factor(self, *args)
 
         def checked(self):
-            gc.collect()
-            held.append([r for r in gc.get_referrers(*factors) if r is not factors])
+            held.append([s for s in solvers if s.held])
             return hessian_data(self)
 
-        monkeypatch.setattr(solve.spla, "splu", keep)
+        monkeypatch.setattr(_BorderedNewton, "factor", keep)
         monkeypatch.setattr(fem.QuadValues, "hessian_data", checked)
         minimize_rayleigh(generate_cusp_mesh(p1_params, levels=6), p1_params)
-        assert len(held) >= 3 and not any(held)
+        assert len(held) >= 3 and solvers and not any(held)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_wrappers_match_the_previous_formulas(self, small_mesh, rng, p):
@@ -653,21 +729,21 @@ class TestMinimize:
         held after) of every Newton step of a solve; none may fall back to
         inverse iteration."""
         steps, factored = [], [0]
-        newton_step, factor = solve._newton_step, solve._PatternLU.factor
+        newton_step, factor = solve._newton_step, _BorderedNewton.factor
 
         def counted(self, *args):
             factored[0] += 1
             return factor(self, *args)
 
-        def recording(ws, newton_lu, pt, mu):
+        def recording(ws, newton, pt, mu):
             before = factored[0]
-            out = newton_step(ws, newton_lu, pt, mu)
+            out = newton_step(ws, newton, pt, mu)
             assert out is not None
             steps.append((pt.res, out[0].res, solve._kkt(pt, mu), solve._kkt(*out),
-                          factored[0] > before, newton_lu.held))
+                          factored[0] > before, newton.held))
             return out
 
-        monkeypatch.setattr(solve._PatternLU, "factor", counted)
+        monkeypatch.setattr(_BorderedNewton, "factor", counted)
         monkeypatch.setattr(solve, "_newton_step", recording)
         sol = minimize_rayleigh(mesh, params, SolverOptions(tol_rel=1e-10))
         assert sol.converged
@@ -733,6 +809,86 @@ class TestMinimize:
         ws = workspace_for(small_mesh, params)
         sol = minimize_rayleigh(small_mesh, params, SolverOptions(restarts=2))
         assert ws.trace_integral(sol.u.values) >= 0.0
+
+
+def _sweep_point(gamma, p, frac, levels):
+    """The mesh and parameters of gamma, p and q at frac of the window
+    p < q < p/(2-p), as in the exponent sweep."""
+    q = p + frac * (p / (2.0 - p) - p)
+    params = validate_params(2, gamma, p, q, usage="steklov")
+    return generate_cusp_mesh(params, levels=levels), params
+
+
+class TestNewtonAcceptance:
+    """Which Newton candidates a step takes near the merit's rounding floor."""
+
+    def test_allowance_is_above_the_rounding_of_the_quotient(self):
+        # at reg_eps 0 the quotient is scale-free, so over exact rescalings
+        # u 2^k of an iterate it moves by its rounding alone
+        grid, params = _sweep_point(5.0, 1.1, 0.1, 6)
+        ws = workspace_for(grid, params)
+        sol = minimize_rayleigh(grid, params)
+        for u in (np.ones(ws.num_dof), sol.u.values):
+            lams = [ws.at(u * 2.0 ** k, 0.0).lam for k in range(-20, 21)]
+            assert (max(lams) - min(lams)) / min(lams) <= 0.1 * solve.LAM_ROUNDING
+
+    @staticmethod
+    def _rises(grid, params, patch, allowance):
+        """The solution with the quotient allowance given, and the relative
+        quotient change of each Newton step."""
+        rises = []
+        newton_step = solve._newton_step
+
+        def recording(ws, newton, pt, mu):
+            out = newton_step(ws, newton, pt, mu)
+            if out is not None:
+                rises.append((out[0].lam - pt.lam) / pt.lam)
+            return out
+
+        patch.setattr(solve, "_newton_step", recording)
+        patch.setattr(solve, "LAM_ROUNDING", allowance)
+        return minimize_rayleigh(grid, params), rises
+
+    def test_a_rounding_rise_is_taken(self, monkeypatch):
+        # gamma 4, p 1.1, q at 10%, levels 9: at the merit's floor one step
+        # raises lam by 4.9e-14; turned down, inverse iteration takes over and
+        # the solve ends in a metric that is not numerically positive definite
+        grid, params = _sweep_point(4.0, 1.1, 0.1, 9)
+        with monkeypatch.context() as patch:
+            sol, rises = self._rises(grid, params, patch, solve.LAM_ROUNDING)
+        assert sol.converged
+        assert 0.0 < max(rises) <= solve.LAM_ROUNDING
+        with monkeypatch.context() as patch:
+            with pytest.raises(NumericalError, match="not numerically positive definite"):
+                self._rises(grid, params, patch, 0.0)
+
+    def test_a_climb_is_rejected(self, monkeypatch):
+        # gamma 4, p 1.8, q at 90%, levels 6: without the guard a step raises
+        # lam by 2.6e-2, towards a higher critical point, and the solve takes
+        # 12 steps instead of 9 to come back down
+        grid, params = _sweep_point(4.0, 1.8, 0.9, 6)
+        with monkeypatch.context() as patch:
+            sol, rises = self._rises(grid, params, patch, solve.LAM_ROUNDING)
+        assert sol.converged and max(rises) <= solve.LAM_ROUNDING
+        with monkeypatch.context() as patch:
+            unguarded, climbs = self._rises(grid, params, patch, 1.0)
+        assert max(climbs) > 1e-3
+        assert unguarded.iterations > sol.iterations
+
+    def test_chord_step_where_the_fresh_step_finds_no_descent(self, monkeypatch):
+        # gamma 5, p 1.1, q at 50%, levels 6: near the stop the merit sits at
+        # its rounding floor, about 1.5e-7, and a fresh step finds no descent
+        # once; the chord step lowered the merit without halving it and is
+        # taken, where an inverse-iteration step raised the residual tenfold
+        # and led to a metric that is not positive definite
+        grid, params = _sweep_point(5.0, 1.1, 0.5, 6)
+        calls = []
+        metric = _BandCholesky.solve
+        monkeypatch.setattr(_BandCholesky, "solve",
+                            lambda self, *args: calls.append(1) or metric(self, *args))
+        sol = minimize_rayleigh(grid, params)
+        assert sol.converged and sol.residual < 1e-7
+        assert calls == []
 
 
 class TestOptions:
