@@ -6,23 +6,23 @@ Anal. 10, 1973) from a one-signed start. The vertices are taken in (height, x)
 order, where every matrix of the mesh is a band about one row wide; the
 bordered matrix is solved by block elimination, a banded Cholesky of all rows
 but the highest and a dense Schur complement for that row and the multiplier,
-and on SuperLU where that leading block is not positive definite. Each step
-first tries the chord step (the last factor, the right-hand side at the
-current point), else a fresh factor with a damped step; where Newton finds no
-descent, the step is one of nonlinear inverse iteration (Biezuner, Ercole &
-Martins, J. Funct. Anal. 257, 2009): as grad E(u) = metric(u) @ u, it factors
-the lagged-diffusivity metric, a banded Cholesky on the same index, and maps u
-to metric(u)^{-1} grad B(u), renormalized (globalization as in Deuflhard,
-Newton Methods for Nonlinear Problems, 2004). A Newton step must not raise
-the quotient beyond its rounding, or Newton can climb towards a higher
-critical point while inverse iteration goes back down.
+with a banded LU in place of the Cholesky where that leading block is not
+positive definite. Each step first tries the chord step (the last factor, the
+right-hand side at the current point), else a fresh factor with a damped
+step; where Newton finds no descent, the step is one of nonlinear inverse
+iteration (Biezuner, Ercole & Martins, J. Funct. Anal. 257, 2009): as
+grad E(u) = metric(u) @ u, it factors the lagged-diffusivity metric, a banded
+Cholesky on the same index, and maps u to metric(u)^{-1} grad B(u),
+renormalized (globalization as in Deuflhard, Newton Methods for Nonlinear
+Problems, 2004). A Newton step must not raise the quotient, or Newton can
+climb towards a higher critical point while inverse iteration goes back down.
 Each iterate carries its values at the quadrature points (`QuadValues`), so it
 is evaluated once; no factor outlives a solve.
 The first eigenfunction does not change sign, so an iterate that does, or a
 metric that is numerically not positive definite, ends the solve with an error:
 near p = 1 the discrete map can lose positivity and settle in another basin.
 `linear_oracle` solves p = q = 2 as one ARPACK call on the matrix pencil,
-taken from the solver's element data.
+taken from the solver's element data and factored by SuperLU.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cython_lapack, lapack
 
@@ -61,22 +60,11 @@ MAX_HALVINGS = 4
 # Nonlinear Problems, 2004). Accepting any decrease took the levels-9 exponent
 # sweep from 301 to 1021 steps
 CHORD_CONTRACTION = 0.5
-# a Newton step may raise the quotient, relative, by its rounding only. Over
-# exact rescalings u 2^k, k = -20..20, of iterates at reg_eps 0, where the
-# quotient is scale-free, lam spread by up to 5.7e-15 on the reference, the
-# criterion-7 cusp and the p = 1.1 sweep inputs. At the merit's rounding floor
-# steps raised it by up to 6.8e-14 (p 1.1, levels 9); turning down the one at
-# gamma 4, q at 10% of the window ended that solve in a metric that is not
-# positive definite. A climb towards a higher critical point, 1.7e-2 to
-# 2.8e-2 at p 1.8, q at 90%, is still rejected
-LAM_ROUNDING = 1e-13
-# SuperLU, for the oracle's K + M and the bordered Newton matrices whose
-# leading band block is not positive definite. Both are symmetric: order on
-# A + A^T. SuperLU's relaxed supernodes and wide panels (its built-in relax and
-# panel_size) leave the fill and the pivots of these matrices as they are and
-# only slow the factorization down: with 1 and 1, a Newton matrix in the
-# fill-reducing order took 4.9 ms instead of 9.6 ms at levels 10, and 2.4 ms
-# instead of 21 ms on a graded simplex mesh of 2124 dof (one BLAS thread)
+# SuperLU, for the oracle's K + M, which is symmetric: order on A + A^T.
+# SuperLU's relaxed supernodes and wide panels (its built-in relax and
+# panel_size) leave the fill as it is and only slow the factorization down:
+# with 1 and 1, K + M took 4.9 ms instead of 6.8 ms at theta 0, levels 10
+# (one BLAS thread)
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1,
               "options": {"SymmetricMode": True}}
 # linear_oracle: the size of ARPACK's Arnoldi basis. scipy's default of 20 is
@@ -227,115 +215,43 @@ class _BandCholesky:
         return x
 
 
-class _PatternLU:
-    """LU factors of a sequence of bordered matrices [[A, -g], [-g^T, 0]],
-    with A in the fixed nodal pattern of ``ws`` and g zero off ``border``.
-
-    One integer index gathers [A.data, -g[border]] into the CSC data that is
-    factored. The first matrix is factored with LU_OPTIONS, which finds a
-    fill-reducing order, and the index is rebuilt once in that order; each
-    later one, from any start of the solve that shares the instance, is one
-    gather and a factorization with NATURAL ordering. Every factorization
-    takes LU_OPTIONS' relax and panel_size. The instance holds the last
-    factor until the next one is made or it is released.
-    """
-
-    def __init__(self, ws: FemWorkspace, border: np.ndarray):
-        # 1-based ids of the data entries, so that none is a structural zero
-        n, nnz = ws.num_dof, ws._indices.size
-        ids = sp.csr_matrix((np.arange(1.0, nnz + 1.0), ws._indices, ws._indptr),
-                            shape=(n, n))
-        k = border.size
-        col = sp.csr_matrix((np.arange(nnz + 1.0, nnz + k + 1.0),
-                             (border, np.zeros(k, dtype=int))), shape=(n, 1))
-        self._border = border
-        self._order = None
-        self._lu = None
-        # the order of the index and of every factor after the first
-        self._lu_order = None
-        self._index(sp.bmat([[ids, col], [col.T, None]]).tocsc())
-
-    def _index(self, ids: sp.csc_matrix) -> None:
-        ids.sort_indices()
-        self._gather = ids.data.astype(np.intp) - 1
-        self._pattern = (ids.indices, ids.indptr)
-        self._shape = ids.shape
-
-    def factor(self, a_data: np.ndarray, g: np.ndarray) -> None:
-        """Factor the matrix M with data ``a_data`` in the nodal pattern,
-        bordered by ``g``; release the last factor first to keep memory low."""
-        if self._order is not None and self._lu_order is None:
-            # the index is rebuilt in the order only now, with the first factor
-            # released: building it while that factor was held raised the peak RSS
-            ids = sp.csc_matrix((self._gather + 1.0, *self._pattern), shape=self._shape)
-            self._index(ids[self._order][:, self._order])
-            self._lu_order = self._order
-        data = np.concatenate([a_data, -g[self._border]])
-        m = sp.csc_matrix((data[self._gather], *self._pattern), shape=self._shape)
-        if self._order is None:
-            self._lu = spla.splu(m, **LU_OPTIONS)
-            # column j of the ordered matrix is column order[j] of M
-            self._order = np.argsort(self._lu.perm_c)
-        else:
-            self._lu = spla.splu(m, **{**LU_OPTIONS, "permc_spec": "NATURAL"})
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs with the last factor."""
-        order = self._lu_order
-        if order is None:
-            return self._lu.solve(rhs)
-        x = np.empty_like(rhs)
-        x[order] = self._lu.solve(rhs[order])
-        return x
-
-    @property
-    def held(self) -> bool:
-        return self._lu is not None
-
-    def release(self) -> None:
-        self._lu = None
-
-
 class _BorderedNewton:
     """Factors of a sequence of bordered Newton matrices
-    M = [[A, -g], [-g^T, 0]], with A in the fixed nodal pattern of ``ws`` and
-    g zero off ``border``, by block elimination in the band's order (Keller's
-    bordering; Govaerts, Numerical Methods for Bifurcations of Dynamical
-    Equilibria, 2000, ch. 3).
+    M = [[A, -g], [-g^T, 0]], with A in the fixed nodal pattern of the band,
+    by block elimination in the band's order (Keller's bordering; Govaerts,
+    Numerical Methods for Bifurcations of Dynamical Equilibria, 2000, ch. 3).
 
     M is indefinite, but with the highest row of vertices left out A was
     positive definite at every Newton factor of the benchmark inputs. So the
-    leading block, the rows below the highest, gets a band Cholesky L L^T in
-    place in the band's buffer, and the highest row with the multiplier a
+    leading block A11, the rows below the highest, gets a band Cholesky L L^T
+    in place in the band's buffer, and the highest row with the multiplier a
     dense Schur complement, factored by LU. That row couples only to the
     columns from ``reach`` on, so its part of the Schur complement needs only
-    the trailing block of L, and the border one forward solve. Where the
-    leading block is not numerically positive definite, M goes to a
-    `_PatternLU`, built at the first such factor. The instance holds the last
+    the trailing block of L, and the border one forward solve. Where A11 is
+    not numerically positive definite, as at every Newton factor of gamma 4,
+    theta 0, p = q = 2, it gets a band LU with partial pivoting instead
+    (`_band_lu`) and the same Schur complement. The instance holds the last
     factor until the next one is made or it is released; the metric shares
     the band's buffer and is factored only while no Newton factor is held.
     """
 
-    def __init__(self, ws: FemWorkspace, band: _BandCholesky, border: np.ndarray):
-        self._ws, self._band, self._border = ws, band, border
-        self._lu = None
+    def __init__(self, band: _BandCholesky):
+        self._band = band
         self._factor = None
 
     def factor(self, a_data: np.ndarray, g: np.ndarray) -> None:
         """Factor the matrix M with data ``a_data`` in the nodal pattern,
-        bordered by ``g``; release the last factor first to keep memory low."""
+        bordered by ``g``; release the last factor first to keep memory low.
+        LinAlgError, with no factor held, where A11 is exactly singular."""
         self.release()
         band, lead, reach = self._band, self._band.lead, self._band.reach
         with _one_blas_thread():
             chol, info = lapack.dpbtrf(band.band(a_data)[:, :lead], lower=1, overwrite_ab=1)
-        if info:
-            if self._lu is None:
-                self._lu = _PatternLU(self._ws, self._border)
-            self._lu.factor(a_data, g)
-            self._factor = self._lu
-            return
         g = g[band._order]
         top = band.top_rows(a_data)
+        if info:
+            self._factor = self._band_lu(a_data, g, top)
+            return
         k = lead - reach
         # y = L^-1 g[:lead], and w = L^-1 A[:lead, lead:] on its rows from reach on
         y = lapack.dtbtrs(chol, g[:lead], uplo="L")[0]
@@ -348,23 +264,67 @@ class _BorderedNewton:
         schur[m, m] = -(y @ y)
         self._factor = (chol, y, w, sla.lu_factor(schur, overwrite_a=True, check_finite=False))
 
+    def _band_lu(self, a_data: np.ndarray, g: np.ndarray, top: np.ndarray) -> tuple:
+        """The factor of M where A11 is not positive definite: A11 = P L U by
+        band LU with partial pivoting (LAPACK gbtrf; Golub & Van Loan, Matrix
+        Computations, 2013, sec. 4.3), X = A11^-1 [A12 | -g1], and the Schur
+        complement S = D - [A12 | -g1]^T X of the rows from ``lead`` on.
+        Pivoting widens U to 2 width superdiagonals, which the storage holds.
+        Near the eigenpair of p = q, where A u = 0, A11 is nearly singular and
+        this elimination is not backward stable: its backward error reached
+        1e-8 at gamma 4, theta 0, levels 8, against 4e-16 for SuperLU on all
+        of M. The merit test still took each step there.
+        """
+        band, lead, reach, width = self._band, self._band.lead, self._band.reach, self._band.width
+        # the failed pbtrf overwrote the buffer: refill it, and copy A11 into
+        # general band storage, A[i, j] at (2 width + i - j, j)
+        lower = band.band(a_data)
+        ab = np.zeros((3 * width + 1, lead))
+        for d in range(width + 1):
+            ab[2 * width + d, :lead - d] = lower[d, :lead - d]
+            ab[2 * width - d, d:] = lower[d, :lead - d]
+        k, m = lead - reach, top.shape[0]
+        x = np.zeros((lead, m + 1))
+        x[reach:, :m] = top[:, :k].T
+        x[:, m] = -g[:lead]
+        with _one_blas_thread():
+            lu, piv, info = lapack.dgbtrf(ab, width, width, overwrite_ab=1)
+            if info:
+                raise np.linalg.LinAlgError("the leading block is exactly singular")
+            x = lapack.dgbtrs(lu, width, width, x, piv, overwrite_b=1)[0]
+        schur = np.zeros((m + 1, m + 1))
+        schur[:m, :m] = top[:, k:]
+        schur[:m, m] = schur[m, :m] = -g[lead:]
+        schur[:m] -= top[:, :k] @ x[reach:]
+        schur[m] += g[:lead] @ x
+        return (lu, piv, x, top[:, :k], g[:lead],
+                sla.lu_factor(schur, overwrite_a=True, check_finite=False))
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs with the last factor: L forward, the Schur complement,
-        L^T backward."""
-        if self._factor is self._lu:
-            return self._lu.solve(rhs)
-        chol, y, w, schur = self._factor
+        """M^{-1} rhs with the last factor: A11 forward, the Schur complement,
+        A11 backward. The Cholesky factor is held as (L, y, w, S), the band
+        LU one as (LU, pivots, X, A21, g1, S)."""
         order, lead, reach = self._band._order, self._band.lead, self._band.reach
         r = rhs[:-1][order]
-        z = lapack.dtbtrs(chol, r[:lead], uplo="L")[0]
         c = np.append(r[lead:], rhs[-1])
-        c[:-1] -= w.T @ z[reach:]
-        c[-1] += y @ z
-        tail = sla.lu_solve(schur, c, overwrite_b=True, check_finite=False)
-        z[reach:] -= w @ tail[:-1]
-        z += tail[-1] * y
         x = np.empty_like(rhs)
-        x[order[:lead]] = lapack.dtbtrs(chol, z, uplo="L", trans="T", overwrite_b=1)[0]
+        if len(self._factor) == 4:
+            chol, y, w, schur = self._factor
+            z = lapack.dtbtrs(chol, r[:lead], uplo="L")[0]
+            c[:-1] -= w.T @ z[reach:]
+            c[-1] += y @ z
+            tail = sla.lu_solve(schur, c, overwrite_b=True, check_finite=False)
+            z[reach:] -= w @ tail[:-1]
+            z += tail[-1] * y
+            x[order[:lead]] = lapack.dtbtrs(chol, z, uplo="L", trans="T", overwrite_b=1)[0]
+        else:
+            lu, piv, coupled, a21, g1, schur = self._factor
+            width = self._band.width
+            z = lapack.dgbtrs(lu, width, width, r[:lead], piv)[0]
+            c[:-1] -= a21 @ z[reach:]
+            c[-1] += g1 @ z
+            tail = sla.lu_solve(schur, c, overwrite_b=True, check_finite=False)
+            x[order[:lead]] = z - coupled @ tail
         x[order[lead:]] = tail[:-1]
         x[-1] = tail[-1]
         return x
@@ -375,18 +335,17 @@ class _BorderedNewton:
 
     def release(self) -> None:
         self._factor = None
-        if self._lu is not None:
-            self._lu.release()
 
 
 def _newton_step(ws: FemWorkspace, newton: _BorderedNewton, pt: QuadValues, mu: float):
     """One step on the bordered system from pt with multiplier mu: the new
     point and multiplier, or None where Newton finds no descent. A candidate
-    must lower the KKT merit, not raise the quotient beyond rounding and keep
-    the sign. The chord step is taken if it at least halves the merit, and
-    otherwise only where the fresh step finds no descent: near the merit's
-    rounding floor at p = 1.1 an inverse-iteration step from there raised
-    the residual tenfold and went on to a metric that is not positive definite.
+    must lower the KKT merit, not raise the quotient and keep the sign; a
+    fresh factor of an exactly singular leading block finds no descent. The
+    chord step is taken if it at least halves the merit, and otherwise only
+    where the fresh step finds no descent: near the merit's rounding floor at
+    p = 1.1 an inverse-iteration step from there raised the residual tenfold
+    and went on to a metric that is not positive definite.
     No factor is held after None.
     """
     rhs = np.append(mu * pt.grad_B - pt.grad_E, pt.B - 1.0)
@@ -395,8 +354,7 @@ def _newton_step(ws: FemWorkspace, newton: _BorderedNewton, pt: QuadValues, mu: 
     def trial(step, t, bound):
         cand = _normalize(ws, ws.at(pt.u + t * step[:-1], pt.reg_eps))
         cand_mu = mu + t * step[-1]
-        ok = (_kkt(cand, cand_mu) < bound and cand.lam <= pt.lam * (1.0 + LAM_ROUNDING)
-              and not _changes_sign(cand.u))
+        ok = _kkt(cand, cand_mu) < bound and cand.lam <= pt.lam and not _changes_sign(cand.u)
         return (cand, cand_mu) if ok else None
 
     chord = None
@@ -406,8 +364,12 @@ def _newton_step(ws: FemWorkspace, newton: _BorderedNewton, pt: QuadValues, mu: 
             return chord
         # the held factor is released before the Hessian is assembled
         newton.release()
-    # both Hessians are data of the workspace's fixed pattern
-    newton.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(), pt.grad_B)
+    try:
+        # both Hessians are data of the workspace's fixed pattern
+        newton.factor(pt.hessian_data() - mu * pt.boundary_hessian_data(), pt.grad_B)
+    except np.linalg.LinAlgError:
+        # A11 exactly singular: the fresh step finds no descent
+        return chord
     step = newton.solve(rhs)
     for k in range(MAX_HALVINGS + 1):
         taken = trial(step, 0.5 ** k, kkt)
@@ -479,7 +441,7 @@ def minimize_rayleigh(mesh: TriMesh, params: DomainParams,
     # every start shares the band index and its buffer, for the Newton factors
     # and the inverse-iteration metric
     band = _BandCholesky(ws, mesh.vertices)
-    newton = _BorderedNewton(ws, band, np.unique(ws.edge_ends))
+    newton = _BorderedNewton(band)
     results, failures = [], []
     total_iters = 0
     for restart in range(opts.restarts):

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ncusp.cli import main
@@ -27,7 +28,6 @@ from ncusp.steklov.solve import (
     SolverOptions,
     _BandCholesky,
     _BorderedNewton,
-    _PatternLU,
     linear_oracle,
     minimize_rayleigh,
     trace_constant,
@@ -224,34 +224,6 @@ class TestOperators:
             mu = ws.metric_matrix(u, 1e-8) @ u
             assert np.max(np.abs(mu - ge)) <= 1e-12 * np.max(np.abs(ge))
 
-    def test_pattern_lu_orders_once(self, small_mesh, rng, monkeypatch):
-        # the first matrix is factored with the order it finds, and every later
-        # one in that order; the matrix is [[A, -g], [-g^T, 0]], and every
-        # factor runs without relaxed supernodes or panels
-        specs = []
-        splu = solve.spla.splu
-
-        def recording_splu(a, **kwargs):
-            specs.append((kwargs["permc_spec"], kwargs["relax"], kwargs["panel_size"]))
-            return splu(a, **kwargs)
-
-        monkeypatch.setattr(solve.spla, "splu", recording_splu)
-        ws = workspace_for(small_mesh, _discrete(2.0, p=1.5))
-        border = np.unique(ws.edge_ends)
-        lu = _PatternLU(ws, border)
-        for _ in range(3):
-            a = ws.metric_matrix(1.0 + rng.random(ws.num_dof), 1e-8)
-            g = np.zeros(ws.num_dof)
-            g[border] = 0.5 + rng.random(border.size)
-            col = sp.csr_matrix(-g[:, None])
-            full = sp.bmat([[a, col], [col.T, None]], format="csc")
-            b = rng.standard_normal(ws.num_dof + 1)
-            lu.factor(a.data, g)
-            x = lu.solve(b)
-            ref = splu(full, **LU_OPTIONS).solve(b)
-            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert specs == [(LU_OPTIONS["permc_spec"], 1, 1)] + [("NATURAL", 1, 1)] * 2
-
     def test_workspace_cache_releases_dropped_meshes(self, p1_params):
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
         workspace_for(grid, p1_params)
@@ -380,21 +352,42 @@ def _block_factors(newton):
     return lower, upper, np.append(band._order, n)
 
 
-def _pattern_lu_factors(newton_lu, n, first):
-    """The held SuperLU factor of a `_PatternLU` as lower and upper factors
-    of M[order][:, order], and that order: the first factor is of M in the
-    order SuperLU finds, a later one of M[order][:, order] in NATURAL order."""
-    lu = newton_lu._lu
-    pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
-    pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
-    order = np.arange(n) if first else newton_lu._order
-    return pr.T @ lu.L, lu.U @ pc.T, order
+def _band_lu_factors(newton, full):
+    """The held band LU factor as lower and upper factors of M in the band's
+    order, the multiplier last, and that order; ``full`` is M.
+
+    gbtrf leaves A11 = P1 L1 P2 L2 ... U with each multiplier column as it
+    was made; moving the rows of the earlier columns by each later pivot
+    gives A11 = P L U. With X = A11^-1 [A12 | -g1], C = [A12 | -g1]^T and
+    S = P_s L_s U_s, the band LU solve is a forward and a backward
+    substitution with [[P L, 0], [C U^-1, P_s L_s]] and [[U, U X], [0, U_s]].
+    """
+    lu, piv, x, _, _, (s_lu, s_piv) = newton._factor
+    band = newton._band
+    lead, w, n = band.lead, band.width, band._order.size
+    l11, u11, perm = np.eye(lead), np.zeros((lead, lead)), np.arange(lead)
+    for j, i in enumerate(piv):
+        l11[[j, i], :j] = l11[[i, j], :j]
+        perm[[j, i]] = perm[[i, j]]
+        below, above = min(w, lead - 1 - j), min(2 * w, j)
+        l11[j + 1:j + 1 + below, j] = lu[2 * w + 1:2 * w + 1 + below, j]
+        u11[j - above:j + 1, j] = lu[2 * w - above:2 * w + 1, j]
+    order = np.append(band._order, n)
+    c = full[order][:, order][lead:, :lead].toarray()
+    swaps = np.arange(s_piv.size)
+    for i, j in enumerate(s_piv):
+        swaps[[i, j]] = swaps[[j, i]]
+    l_s = np.tril(s_lu, -1) + np.eye(s_piv.size)
+    c_u = sla.solve_triangular(u11, c.T, trans="T").T
+    lower = np.block([[l11[np.argsort(perm)], np.zeros_like(x)], [c_u, l_s[np.argsort(swaps)]]])
+    upper = np.block([[u11, u11 @ x], [np.zeros_like(c), np.triu(s_lu)]])
+    return lower, upper, order
 
 
 class TestNewtonLU:
     """The bordered Newton matrix by block elimination on the band: a band
     Cholesky of every row below the highest and a dense Schur complement,
-    with SuperLU where the leading block is not positive definite."""
+    with a band LU of those rows where they are not positive definite."""
 
     @pytest.mark.parametrize("case", ["cusp", "simplex"])
     def test_solve_backward_error(self, case, small_mesh, simplex_mesh, p1_params,
@@ -411,9 +404,10 @@ class TestNewtonLU:
         a = vals.hessian_data() - sol.mu * vals.boundary_hessian_data()
         g = vals.grad_B
         full = _bordered(ws, a, g)
-        newton = _BorderedNewton(ws, _BandCholesky(ws, grid.vertices), np.unique(ws.edge_ends))
+        newton = _BorderedNewton(_BandCholesky(ws, grid.vertices))
         newton.factor(a, g)
-        assert newton._lu is None
+        # the band Cholesky's factor, (L, y, w, S)
+        assert len(newton._factor) == 4
         lower, upper, order = _block_factors(newton)
         n = ws.num_dof + 1
         for _ in range(2):
@@ -424,35 +418,78 @@ class TestNewtonLU:
             off = x * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], n))
             assert not _within_lu_bound(full, rhs, off, order, lower, upper)
 
-    def test_fallback_to_superlu(self, rng, monkeypatch):
+    def test_fallback_to_band_lu(self, rng, monkeypatch):
         # gamma 4, theta 0, p = q = 2 at levels 7: the leading block is not
-        # positive definite at any Newton factor; each goes to SuperLU, whose
-        # step solves the bordered system within the same bound
+        # positive definite at any Newton factor; each is a band LU, whose
+        # step solves the bordered system within the same bound, and no
+        # SuperLU factor is made. Near the eigenpair that block is nearly
+        # singular and |L||U| lies far above |M|: the bound holds the block
+        # elimination to its own rounding, which there leaves a backward
+        # error of up to 7e-9 where SuperLU's is below 1e-14
         params = validate_params(2, 4.0, 2.0, 2.0, theta=0.0, usage="discrete")
         grid = generate_cusp_mesh(params, levels=7)
         ws = workspace_for(grid, params)
-        seen = []
+        seen, splu = [], []
         factor = _BorderedNewton.factor
 
         def checked(self, a_data, g):
             factor(self, a_data, g)
-            assert self._factor is self._lu is not None
-            first = len(seen) == 0
+            # the band LU's factor, (LU, pivots, X, A21, g1, S)
+            assert len(self._factor) == 6
             full = _bordered(ws, a_data, g)
-            lower, upper, order = _pattern_lu_factors(self._lu, ws.num_dof + 1, first)
+            lower, upper, order = _band_lu_factors(self, full)
             rhs = rng.standard_normal(ws.num_dof + 1)
-            seen.append(_within_lu_bound(full, rhs, self.solve(rhs), order, lower, upper))
+            x = self.solve(rhs)
+            off = x * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], x.size))
+            seen.append((_within_lu_bound(full, rhs, x, order, lower, upper),
+                         _within_lu_bound(full, rhs, off, order, lower, upper)))
 
         monkeypatch.setattr(_BorderedNewton, "factor", checked)
+        real_splu = solve.spla.splu
+        monkeypatch.setattr(solve.spla, "splu",
+                            lambda *args, **kwargs: splu.append(1) or real_splu(*args, **kwargs))
         sol = minimize_rayleigh(grid, params)
         assert sol.converged
-        assert len(seen) >= 2 and all(seen)
+        assert len(seen) >= 2 and seen == [(True, False)] * len(seen)
+        assert splu == []
+
+    def test_singular_leading_block_finds_no_descent(self, monkeypatch):
+        # gbtrf reporting an exactly singular U: that step finds no descent,
+        # no factor is held, and inverse iteration goes on to convergence
+        params = validate_params(2, 4.0, 2.0, 2.0, theta=0.0, usage="discrete")
+        grid = generate_cusp_mesh(params, levels=7)
+        calls = {"band_lu": 0, "metric": 0}
+        dgbtrf, metric = solve.lapack.dgbtrf, _BandCholesky.solve
+
+        def singular(*args, **kwargs):
+            calls["band_lu"] += 1
+            return *dgbtrf(*args, **kwargs)[:2], 1
+
+        def counted(self, *args):
+            calls["metric"] += 1
+            return metric(self, *args)
+
+        held = []
+        newton_step = solve._newton_step
+
+        def recording(ws, newton, pt, mu):
+            out = newton_step(ws, newton, pt, mu)
+            held.append(out is None and newton.held)
+            return out
+
+        monkeypatch.setattr(solve.lapack, "dgbtrf", singular)
+        monkeypatch.setattr(_BandCholesky, "solve", counted)
+        monkeypatch.setattr(solve, "_newton_step", recording)
+        sol = minimize_rayleigh(grid, params)
+        assert sol.converged and sol.residual < 1e-7
+        assert calls["band_lu"] >= 1 and calls["metric"] >= calls["band_lu"]
+        assert not any(held)
 
     def test_reference_solve_factorization_counts(self, p1_params, monkeypatch):
         # 8 Newton steps on 5 band factors, 3 of them chord steps, no
-        # inverse-iteration step and no SuperLU factor; a second solve on the
-        # mesh does the same
-        calls = {"band": 0, "splu": 0}
+        # inverse-iteration step, no band LU and no SuperLU factor; a second
+        # solve on the mesh does the same
+        calls = {"band": 0, "band_lu": 0, "splu": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -461,14 +498,15 @@ class TestNewtonLU:
             return wrapper
 
         monkeypatch.setattr(solve.lapack, "dpbtrf", counted("band", solve.lapack.dpbtrf))
+        monkeypatch.setattr(solve.lapack, "dgbtrf", counted("band_lu", solve.lapack.dgbtrf))
         monkeypatch.setattr(solve.spla, "splu", counted("splu", solve.spla.splu))
         grid = generate_cusp_mesh(p1_params, levels=10)
         sol = minimize_rayleigh(grid, p1_params)
         assert sol.converged and sol.iterations == 8
-        assert calls == {"band": 5, "splu": 0}
+        assert calls == {"band": 5, "band_lu": 0, "splu": 0}
         sol = minimize_rayleigh(grid, p1_params)
         assert sol.converged and sol.iterations == 8
-        assert calls == {"band": 10, "splu": 0}
+        assert calls == {"band": 10, "band_lu": 0, "splu": 0}
 
     def test_restarts_order_once(self, small_mesh, p1_params, monkeypatch):
         log = []
@@ -535,16 +573,14 @@ class TestReuse:
         assert np.array_equal(out.U, out.u[ws.triangles])
 
     def test_no_factor_outlives_a_solve(self, p1_params, monkeypatch):
-        # the block factor's arrays, or the SuperLU fallback that holds its
-        # factor, the band buffer and the objects that hold them are all
-        # freed with the solve
+        # the block factor's arrays, the band buffer and the objects that
+        # hold them are all freed with the solve
         kept = []
         factor = _BorderedNewton.factor
 
         def keep(self, *args):
             factor(self, *args)
-            held = self._factor[1:3] if self._factor is not self._lu else (self._lu,)
-            kept.append([weakref.ref(obj) for obj in (self, self._band, *held)])
+            kept.append([weakref.ref(obj) for obj in (self, self._band, *self._factor[1:3])])
 
         monkeypatch.setattr(_BorderedNewton, "factor", keep)
         grid = generate_cusp_mesh(p1_params, levels=4, rows_per_strip=6)
@@ -819,23 +855,21 @@ def _sweep_point(gamma, p, frac, levels):
     return generate_cusp_mesh(params, levels=levels), params
 
 
+class _NeverAbove(float):
+    """A quotient that never compares as above another one: with it the
+    Newton step's quotient guard takes every candidate."""
+
+    def __le__(self, other):
+        return True
+
+
 class TestNewtonAcceptance:
     """Which Newton candidates a step takes near the merit's rounding floor."""
 
-    def test_allowance_is_above_the_rounding_of_the_quotient(self):
-        # at reg_eps 0 the quotient is scale-free, so over exact rescalings
-        # u 2^k of an iterate it moves by its rounding alone
-        grid, params = _sweep_point(5.0, 1.1, 0.1, 6)
-        ws = workspace_for(grid, params)
-        sol = minimize_rayleigh(grid, params)
-        for u in (np.ones(ws.num_dof), sol.u.values):
-            lams = [ws.at(u * 2.0 ** k, 0.0).lam for k in range(-20, 21)]
-            assert (max(lams) - min(lams)) / min(lams) <= 0.1 * solve.LAM_ROUNDING
-
     @staticmethod
-    def _rises(grid, params, patch, allowance):
-        """The solution with the quotient allowance given, and the relative
-        quotient change of each Newton step."""
+    def _rises(grid, params, patch, guarded=True):
+        """The solution, with the quotient guard or without it, and the
+        relative quotient change of each Newton step."""
         rises = []
         newton_step = solve._newton_step
 
@@ -846,21 +880,10 @@ class TestNewtonAcceptance:
             return out
 
         patch.setattr(solve, "_newton_step", recording)
-        patch.setattr(solve, "LAM_ROUNDING", allowance)
+        if not guarded:
+            lam = fem.QuadValues.lam.func
+            patch.setattr(fem.QuadValues, "lam", property(lambda self: _NeverAbove(lam(self))))
         return minimize_rayleigh(grid, params), rises
-
-    def test_a_rounding_rise_is_taken(self, monkeypatch):
-        # gamma 4, p 1.1, q at 10%, levels 9: at the merit's floor one step
-        # raises lam by 4.9e-14; turned down, inverse iteration takes over and
-        # the solve ends in a metric that is not numerically positive definite
-        grid, params = _sweep_point(4.0, 1.1, 0.1, 9)
-        with monkeypatch.context() as patch:
-            sol, rises = self._rises(grid, params, patch, solve.LAM_ROUNDING)
-        assert sol.converged
-        assert 0.0 < max(rises) <= solve.LAM_ROUNDING
-        with monkeypatch.context() as patch:
-            with pytest.raises(NumericalError, match="not numerically positive definite"):
-                self._rises(grid, params, patch, 0.0)
 
     def test_a_climb_is_rejected(self, monkeypatch):
         # gamma 4, p 1.8, q at 90%, levels 6: without the guard a step raises
@@ -868,10 +891,10 @@ class TestNewtonAcceptance:
         # 12 steps instead of 9 to come back down
         grid, params = _sweep_point(4.0, 1.8, 0.9, 6)
         with monkeypatch.context() as patch:
-            sol, rises = self._rises(grid, params, patch, solve.LAM_ROUNDING)
-        assert sol.converged and max(rises) <= solve.LAM_ROUNDING
+            sol, rises = self._rises(grid, params, patch)
+        assert sol.converged and max(rises) <= 0.0
         with monkeypatch.context() as patch:
-            unguarded, climbs = self._rises(grid, params, patch, 1.0)
+            unguarded, climbs = self._rises(grid, params, patch, guarded=False)
         assert max(climbs) > 1e-3
         assert unguarded.iterations > sol.iterations
 
